@@ -21,8 +21,8 @@ import numpy as np
 
 from .events import TemporalEdgeList
 from .graph import Graph, snapshot_at
-from .scoring import (Measure, ScoreSpec, DegreeCombination,
-                      link_prediction_score, score_batch)
+from .scoring import (Measure, ScoreModel, ScoreSpec, DegreeCombination,
+                      score_batch)
 
 __all__ = [
     "APResult",
@@ -329,13 +329,16 @@ def evaluate_link_prediction(tel: TemporalEdgeList, measure: Measure,
             if len(chosen) == need:
                 break
     negative_keys = np.array(sorted(chosen), dtype=np.int64)
-    scored = []
-    for keys, label in ((new_keys, "test"), (negative_keys, "zero")):
-        for key in keys.tolist():
-            i, j = divmod(key, n)
-            score = link_prediction_score(g1, i, j, measure, combo)
-            scored.append(((i, j), score, label))
-    return average_precision(scored, tie_break=tie_break)
+    keys = np.concatenate((new_keys, negative_keys))
+    labels = ["test"] * len(new_keys) + ["zero"] * len(negative_keys)
+    # The score model's decay score is the negated raw measure.
+    scored = score_batch(g1, np.column_stack(np.divmod(keys, n)),
+                         ScoreSpec(ScoreModel.COMPLEMENT_SCORE, Measure(measure),
+                                   DegreeCombination(combo)))
+    return average_precision(
+        (((e.src, e.dst), -e.score, label) for e, label in zip(scored, labels)),
+        tie_break=tie_break,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -50,17 +50,14 @@ class Graph:
             if np.any(src == dst):
                 raise ValueError("self-loops are not allowed")
         self._n = int(n)
-        self._out_indptr, self._out_indices = _build_csr(n, src, dst)
-        self._in_indptr, self._in_indices = _build_csr(n, dst, src)
-        if validate and len(src):
-            # Sorted rows make duplicate edges adjacent.
-            rows = np.repeat(np.arange(n), np.diff(self._out_indptr))
-            dup = (rows[1:] == rows[:-1]) & (self._out_indices[1:] == self._out_indices[:-1])
-            if np.any(dup):
-                raise ValueError("duplicate edges are not allowed")
-        self._both_indptr, self._both_indices = _merge_csr(
-            n, self._out_indptr, self._out_indices,
-            self._in_indptr, self._in_indices)
+        out_keys = _sorted_keys(n, src, dst)
+        if validate and np.any(out_keys[1:] == out_keys[:-1]):
+            raise ValueError("duplicate edges are not allowed")
+        in_keys = _sorted_keys(n, dst, src)
+        both_keys = _union_keys(out_keys, in_keys)
+        self._out_indptr, self._out_indices = _csr(n, out_keys)
+        self._in_indptr, self._in_indices = _csr(n, in_keys)
+        self._both_indptr, self._both_indices = _csr(n, both_keys)
         for arr in (self._out_indptr, self._out_indices, self._in_indptr,
                     self._in_indices, self._both_indptr, self._both_indices):
             arr.flags.writeable = False
@@ -106,12 +103,18 @@ class Graph:
 
     def neighbors(self, v: int, direction: str = "both") -> np.ndarray:
         """Neighbor set of ``v`` in the given ``direction`` (out/in/both)."""
+        indptr, indices = self._csr(direction)
+        v = self._check_node(v)
+        return indices[indptr[v]:indptr[v + 1]]
+
+    def _csr(self, direction: str) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only ``(indptr, indices)`` of the out, in or both rows."""
         if direction == "both":
-            return self.all_neighbors(v)
+            return self._both_indptr, self._both_indices
         if direction == "out":
-            return self.out_neighbors(v)
+            return self._out_indptr, self._out_indices
         if direction == "in":
-            return self.in_neighbors(v)
+            return self._in_indptr, self._in_indices
         raise ValueError(f"direction must be 'out', 'in' or 'both', got {direction!r}")
 
     def out_degree(self, v: int) -> int:
@@ -175,31 +178,39 @@ class Graph:
                 and np.array_equal(self._out_indptr, other._out_indptr)
                 and np.array_equal(self._out_indices, other._out_indices))
 
-    def __hash__(self):  # mutable-free but identity hashing keeps caching sane
-        return id(self)
+    def __hash__(self):
+        return hash((self._n, self._out_indptr.tobytes(),
+                     self._out_indices.tobytes()))
 
     def __repr__(self) -> str:
         return f"Graph(n={self._n}, m={self.edge_count})"
 
 
-def _build_csr(n: int, rows: np.ndarray, cols: np.ndarray):
-    order = np.lexsort((cols, rows))
-    indices = cols[order]
-    counts = np.bincount(rows, minlength=n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    return indptr, indices
+def _sorted_keys(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``row * n + col`` of every entry, ascending: row-major CSR order."""
+    keys = rows * np.int64(n)
+    keys += cols
+    keys.sort()
+    return keys
 
 
-def _merge_csr(n, aptr, aidx, bptr, bidx):
-    """Per-node sorted union of two CSR adjacency structures."""
-    merged = [np.union1d(aidx[aptr[v]:aptr[v + 1]], bidx[bptr[v]:bptr[v + 1]])
-              for v in range(n)]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum([len(m) for m in merged], out=indptr[1:])
-    indices = (np.concatenate(merged) if merged
-               else np.empty(0, dtype=np.int64)).astype(np.int64, copy=False)
-    return indptr, indices
+def _union_keys(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sorted union of two sorted key arrays.
+
+    The stable sort (timsort) of two sorted runs side by side is a linear
+    merge; dropping adjacent duplicates then leaves the union.
+    """
+    keys = np.concatenate((a, b))
+    keys.sort(kind="stable")
+    if len(keys) == 0:
+        return keys
+    return keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+
+
+def _csr(n: int, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(indptr, indices)`` of sorted keys; the keys become the indices."""
+    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
+    return indptr.astype(np.int64, copy=False), np.remainder(keys, n, out=keys)
 
 
 class DegreeCombination(str, Enum):
@@ -240,41 +251,35 @@ class DegreeCombination(str, Enum):
             raise ValueError(f"unknown combo {text!r} (expected one of: {valid})") from None
 
     def endpoint_degrees(self, g: Graph, i: int, j: int) -> tuple[int, int]:
-        if self is DegreeCombination.SYM:
-            return g.neighbor_count(i), g.neighbor_count(j)
-        if self is DegreeCombination.ASYM:
-            return g.out_degree(i), g.in_degree(j)
-        if self is DegreeCombination.IN:
-            return g.in_degree(i), g.in_degree(j)
-        return g.out_degree(i), g.out_degree(j)
+        s1, s2 = self.endpoint_sets(g, i, j)
+        return len(s1), len(s2)
 
     def endpoint_sets(self, g: Graph, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
-        if self is DegreeCombination.SYM:
-            return g.all_neighbors(i), g.all_neighbors(j)
-        if self is DegreeCombination.ASYM:
-            return g.out_neighbors(i), g.in_neighbors(j)
-        if self is DegreeCombination.IN:
-            return g.in_neighbors(i), g.in_neighbors(j)
-        return g.out_neighbors(i), g.out_neighbors(j)
+        first, second = _SLOTS[self][0]
+        return g.neighbors(i, first), g.neighbors(j, second)
+
+    def slot_csr(self, g: Graph) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """``(indptr, indices)`` of the first and the second slot's rows."""
+        return tuple(g._csr(direction) for direction in _SLOTS[self][0])
 
     def degree_arrays(self, g: Graph) -> tuple[np.ndarray, np.ndarray]:
         """Whole-graph endpoint-degree vectors (first slot, second slot)."""
-        if self is DegreeCombination.SYM:
-            counts = g.neighbor_counts
-            return counts, counts
-        if self is DegreeCombination.ASYM:
-            return g.out_degrees, g.in_degrees
-        if self is DegreeCombination.IN:
-            return g.in_degrees, g.in_degrees
-        return g.out_degrees, g.out_degrees
+        first, second = self.slot_csr(g)
+        return np.diff(first[0]), np.diff(second[0])
 
     def weight_degrees(self, g: Graph) -> np.ndarray:
         """Per-node degrees used to weight common neighbors."""
-        if self is DegreeCombination.OUT:
-            return g.out_degrees
-        if self is DegreeCombination.IN:
-            return g.in_degrees
-        return g.out_degrees + g.in_degrees
+        return sum(np.diff(g._csr(direction)[0]) for direction in _SLOTS[self][1])
+
+
+#: combo -> ((first-slot rows, second-slot rows), rows summed into the
+#: weight degree).  The single source of the table in the class docstring.
+_SLOTS = {
+    DegreeCombination.SYM: (("both", "both"), ("out", "in")),
+    DegreeCombination.ASYM: (("out", "in"), ("out", "in")),
+    DegreeCombination.IN: (("in", "in"), ("in",)),
+    DegreeCombination.OUT: (("out", "out"), ("out",)),
+}
 
 
 def snapshot_at(tel: TemporalEdgeList, t: float) -> Graph:

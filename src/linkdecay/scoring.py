@@ -15,6 +15,17 @@ common neighbors, cosine, Jaccard, and inverse-log-degree-weighted common
 neighbors.  All of them are parameterized by a
 :class:`~linkdecay.graph.DegreeCombination` that adapts the undirected
 definitions to directed graphs.
+
+Every scorer runs through one batched kernel.  :func:`pair_features`
+reads, for a block of pairs at once, the two endpoint degrees and the
+common neighbours; a 10-row formula table (2 models x 5 measures) turns
+those columns into raw values, and the ``score`` model's decay score is
+``-raw``.  :func:`score_batch` splits large batches into blocks of bounded
+size.  The one-pair functions (:func:`decay_score`,
+:func:`link_prediction_score`, :func:`complement_score`,
+:func:`complement_network_score`) are wrappers over a batch of one.  The
+kernel's float arithmetic follows the per-pair definitions operation for
+operation, so batched and one-pair scores agree bit for bit.
 """
 
 from __future__ import annotations
@@ -22,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -30,6 +41,7 @@ from .graph import DegreeCombination, Graph, _check_pair
 
 __all__ = [
     "Measure",
+    "PairFeatures",
     "ScoreModel",
     "ScoreSpec",
     "ScoredEdge",
@@ -38,6 +50,7 @@ __all__ = [
     "complement_score",
     "decay_score",
     "link_prediction_score",
+    "pair_features",
     "score_batch",
 ]
 
@@ -121,13 +134,242 @@ class ScoredEdge:
     score: float
 
 
+#: Gathered neighbour entries per kernel block.  Bounds the kernel's
+#: temporaries (a few int64 arrays of this length) whatever the batch size.
+_BLOCK_ENTRIES = 1 << 16
+
+
+class PairFeatures(NamedTuple):
+    """Per-pair columns of a block of candidate pairs."""
+
+    d1: np.ndarray      # first-slot endpoint degree
+    d2: np.ndarray      # second-slot endpoint degree
+    cn: np.ndarray      # common-neighbour count
+    common: np.ndarray  # common neighbours: pair by pair, ascending within a pair
+
+
+def _gather_rows(indptr: np.ndarray, indices: np.ndarray,
+                 nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of ``nodes``, concatenated in order, and their lengths."""
+    starts = indptr[nodes]
+    lengths = indptr[nodes + 1] - starts
+    entry = np.arange(int(lengths.sum()), dtype=np.int64)
+    entry += np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+    return indices[entry], lengths
+
+
+def _pair_keys(rows: np.ndarray, lengths: np.ndarray, n: int) -> np.ndarray:
+    """``pair * n + neighbour`` of gathered rows: sorted, as rows are."""
+    keys = np.repeat(np.arange(len(lengths), dtype=np.int64) * n, lengths)
+    keys += rows
+    return keys
+
+
+def pair_features(g: Graph, pairs: np.ndarray,
+                  combo: DegreeCombination) -> PairFeatures:
+    """Degrees and common neighbours of a block of pairs, in one pass.
+
+    Parameters
+    ----------
+    g : Graph
+        Snapshot to read.
+    pairs : array of shape (k, 2)
+        Valid pairs of distinct nodes.  Temporaries grow with the summed
+        row lengths of the block, so callers split large batches.
+    combo : DegreeCombination
+        Which rows fill the two slots.
+
+    Returns
+    -------
+    PairFeatures
+        Both endpoints' rows flatten to sorted ``pair * n + neighbour`` keys;
+        one ``searchsorted`` of the first into the second finds the common
+        neighbours, already grouped by pair and ascending within each.
+    """
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    n = g.node_count
+    (ptr1, idx1), (ptr2, idx2) = DegreeCombination(combo).slot_csr(g)
+    rows1, d1 = _gather_rows(ptr1, idx1, pairs[:, 0])
+    rows2, d2 = _gather_rows(ptr2, idx2, pairs[:, 1])
+    keys1, keys2 = _pair_keys(rows1, d1, n), _pair_keys(rows2, d2, n)
+    if len(keys2):
+        hit = keys2[np.minimum(np.searchsorted(keys2, keys1), len(keys2) - 1)] == keys1
+        common = keys1[hit]
+    else:
+        common = keys2
+    owner, common = np.divmod(common, n)
+    return PairFeatures(d1, d2, np.bincount(owner, minlength=len(pairs)), common)
+
+
 def _log_weight(degree: int) -> float:
     """Inverse-log weight, 0 whenever the log is undefined or non-positive."""
     return 0.0 if degree <= 1 else 1.0 / math.log(degree)
 
 
-def _common(s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
-    return np.intersect1d(s1, s2, assume_unique=True)
+def _network_adad_weights(g: Graph, spec: ScoreSpec) -> np.ndarray:
+    """Per-node weights ``1 / np.log(d)`` of a ``network/adad`` spec."""
+    degrees = spec.combo.weight_degrees(g)
+    if spec.adad_complement_weights:
+        degrees = g.node_count - 1 - degrees
+    weights = np.zeros(len(degrees), dtype=np.float64)
+    mask = degrees > 1
+    weights[mask] = 1.0 / np.log(degrees[mask])
+    return weights
+
+
+def _run_sums(values: np.ndarray, counts: np.ndarray,
+              pairwise: bool) -> np.ndarray:
+    """Sum of each consecutive run of ``values`` (run lengths ``counts``).
+
+    Runs add left to right from 0.0, as a Python loop does.  With
+    ``pairwise``, runs of 8 or more call ``.sum()`` instead: numpy adds
+    shorter runs left to right as well but longer ones pairwise, so this
+    reproduces ``values[run].sum()`` bit for bit.
+    """
+    starts = np.cumsum(counts) - counts
+    looped = np.where(counts < 8, counts, 0) if pairwise else counts
+    order = np.argsort(looped, kind="stable")
+    first = np.searchsorted(looped[order], np.arange(int(looped.max(initial=0))),
+                            side="right")
+    totals = np.zeros(len(counts))
+    for k, lo in enumerate(first.tolist()):
+        live = order[lo:]
+        totals[live] += values[starts[live] + k]
+    if pairwise:
+        for p in np.flatnonzero(counts >= 8).tolist():
+            totals[p] = values[starts[p]:starts[p] + counts[p]].sum()
+    return totals
+
+
+def _row_sums(weights: np.ndarray, indptr: np.ndarray, indices: np.ndarray,
+              nodes: np.ndarray) -> np.ndarray:
+    """``weights[row].sum()`` of each node's row, once per distinct node."""
+    distinct, inverse = np.unique(nodes, return_inverse=True)
+    rows, lengths = _gather_rows(indptr, indices, distinct)
+    return _run_sums(weights[rows], lengths, pairwise=True)[inverse]
+
+
+class _Block:
+    """The columns a formula reads, for one block of pairs under one spec."""
+
+    def __init__(self, g: Graph, pairs: np.ndarray, spec: ScoreSpec,
+                 weights: Optional[np.ndarray]):
+        self.g, self.pairs, self.spec, self.weights = g, pairs, spec, weights
+        self.d1, self.d2, self.cn, self.common = pair_features(g, pairs, spec.combo)
+
+    @property
+    def union(self) -> np.ndarray:
+        return self.d1 + self.d2 - self.cn
+
+    @property
+    def net_cn(self) -> np.ndarray:
+        """Common-neighbour count on the complement (closed form)."""
+        return self.g.node_count - self.d1 - self.d2 + self.cn
+
+    @property
+    def net_d1(self) -> np.ndarray:
+        return self.g.node_count - 1 - self.d1
+
+    @property
+    def net_d2(self) -> np.ndarray:
+        return self.g.node_count - 1 - self.d2
+
+    def common_weight_sums(self) -> np.ndarray:
+        """Weights ``1 / math.log(d)`` of the common neighbours, added in
+        ascending node order.
+
+        ``math.log`` and ``np.log`` differ in the last bit for some
+        arguments.  The ``score`` model has always used ``math.log``, so it
+        goes through a table over the distinct degrees.
+        """
+        degrees = self.spec.combo.weight_degrees(self.g)[self.common]
+        distinct, inverse = np.unique(degrees, return_inverse=True)
+        table = np.array([_log_weight(d) for d in distinct.tolist()], dtype=np.float64)
+        return _run_sums(table[inverse], self.cn, pairwise=False)
+
+    def network_adad(self) -> np.ndarray:
+        """``sum_V w - sum_N(i) w - sum_N(j) w + sum_common w``, each term
+        summed as ``weights[...].sum()`` would."""
+        w = self.weights
+        (ptr1, idx1), (ptr2, idx2) = self.spec.combo.slot_csr(self.g)
+        return (float(w.sum())
+                - _row_sums(w, ptr1, idx1, self.pairs[:, 0])
+                - _row_sums(w, ptr2, idx2, self.pairs[:, 1])
+                + _run_sums(w[self.common], self.cn, pairwise=True))
+
+
+def _ratio(numerator: np.ndarray, denominator: np.ndarray,
+           defined: np.ndarray) -> np.ndarray:
+    """``numerator / denominator`` where ``defined``, else 0."""
+    out = np.zeros(len(numerator))
+    np.divide(numerator, denominator, out=out, where=defined)
+    return out
+
+
+_SCORE, _NETWORK = ScoreModel.COMPLEMENT_SCORE, ScoreModel.COMPLEMENT_NETWORK
+
+#: (model, measure) -> raw value over a block's columns.  The ``score``
+#: model's decay score is ``-raw``; the ``network`` model's is ``raw``.
+_FORMULAS: dict[tuple[ScoreModel, Measure], Callable[[_Block], np.ndarray]] = {
+    (_SCORE, Measure.PA): lambda b: b.d1 * b.d2,
+    (_SCORE, Measure.CN): lambda b: b.cn,
+    (_SCORE, Measure.COS): lambda b: _ratio(
+        b.cn, np.sqrt(b.d1) * np.sqrt(b.d2), (b.d1 > 0) & (b.d2 > 0)),
+    (_SCORE, Measure.JACC): lambda b: _ratio(b.cn, b.union, b.union != 0),
+    (_SCORE, Measure.ADAD): _Block.common_weight_sums,
+    (_NETWORK, Measure.PA): lambda b: b.net_d1 * b.net_d2,
+    (_NETWORK, Measure.CN): lambda b: b.net_cn,
+    (_NETWORK, Measure.COS): lambda b: _ratio(
+        b.net_cn, np.sqrt(b.net_d1) * np.sqrt(b.net_d2),
+        (b.net_d1 > 0) & (b.net_d2 > 0)),
+    (_NETWORK, Measure.JACC): lambda b: _ratio(b.net_cn, b.union, b.union != 0),
+    (_NETWORK, Measure.ADAD): _Block.network_adad,
+}
+
+
+def _blocks(g: Graph, pairs: np.ndarray, combo: DegreeCombination) -> list[slice]:
+    """Consecutive runs of pairs, each gathering about ``_BLOCK_ENTRIES``
+    row entries (a single pair with longer rows gets a block of its own)."""
+    (ptr1, _), (ptr2, _) = combo.slot_csr(g)
+    i, j = pairs[:, 0], pairs[:, 1]
+    ends = np.cumsum(ptr1[i + 1] - ptr1[i] + ptr2[j + 1] - ptr2[j])
+    if ends[-1] <= _BLOCK_ENTRIES:
+        return [slice(0, len(pairs))]
+    cuts = np.searchsorted(ends, np.arange(_BLOCK_ENTRIES, ends[-1], _BLOCK_ENTRIES),
+                           side="right")
+    bounds = np.unique(np.concatenate(([0], cuts, [len(pairs)]))).tolist()
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+def _decay_scores(g: Graph, pairs: np.ndarray, spec: ScoreSpec) -> np.ndarray:
+    """Decay scores of validated, non-empty ``(k, 2)`` pairs."""
+    spec = ScoreSpec(ScoreModel(spec.model), Measure(spec.measure),
+                     DegreeCombination(spec.combo), spec.adad_complement_weights)
+    formula = _FORMULAS[spec.model, spec.measure]
+    weights = (_network_adad_weights(g, spec)
+               if formula is _Block.network_adad else None)
+    raw = np.empty(len(pairs), dtype=np.float64)
+    for block in _blocks(g, pairs, spec.combo):
+        raw[block] = formula(_Block(g, pairs[block], spec, weights))
+    return -raw if spec.model is ScoreModel.COMPLEMENT_SCORE else raw
+
+
+def decay_score(g: Graph, i: int, j: int, spec: ScoreSpec) -> float:
+    """Score one pair under a fully resolved :class:`ScoreSpec`."""
+    _check_pair(g, i, j)
+    return float(_decay_scores(g, np.array([[i, j]], dtype=np.int64), spec)[0])
+
+
+def complement_score(g: Graph, i: int, j: int, measure: Measure,
+                     combo: DegreeCombination) -> float:
+    """Decay score of ``(i, j)`` as the negated link-prediction score.
+
+    High values mean the pair looks structurally weak: the maximum
+    attainable value is 0 (no support at all for the tie).
+    """
+    return decay_score(g, i, j, ScoreSpec(ScoreModel.COMPLEMENT_SCORE,
+                                          Measure(measure),
+                                          DegreeCombination(combo)))
 
 
 def link_prediction_score(g: Graph, i: int, j: int, measure: Measure,
@@ -149,7 +391,8 @@ def link_prediction_score(g: Graph, i: int, j: int, measure: Measure,
     -------
     float
         Always finite.  Degenerate denominators (zero degrees for cosine,
-        empty union for Jaccard) yield 0.
+        empty union for Jaccard) yield 0.  ``adad`` adds the weights of
+        the common neighbours in ascending node order.
 
     Raises
     ------
@@ -158,48 +401,7 @@ def link_prediction_score(g: Graph, i: int, j: int, measure: Measure,
     ValueError
         If ``i == j``.
     """
-    _check_pair(g, i, j)
-    measure = Measure(measure)
-    combo = DegreeCombination(combo)
-    if measure is Measure.PA:
-        d1, d2 = combo.endpoint_degrees(g, i, j)
-        return float(d1 * d2)
-    s1, s2 = combo.endpoint_sets(g, i, j)
-    common = _common(s1, s2)
-    cn = len(common)
-    if measure is Measure.CN:
-        return float(cn)
-    if measure is Measure.COS:
-        d1, d2 = combo.endpoint_degrees(g, i, j)
-        if d1 == 0 or d2 == 0:
-            return 0.0
-        return cn / (math.sqrt(d1) * math.sqrt(d2))
-    if measure is Measure.JACC:
-        union = len(s1) + len(s2) - cn
-        if union == 0:
-            return 0.0
-        return cn / union
-    # ADAD: accumulate in ascending node order for reproducible float sums.
-    total = 0.0
-    for k in common:
-        if combo is DegreeCombination.OUT:
-            dk = g.out_degree(int(k))
-        elif combo is DegreeCombination.IN:
-            dk = g.in_degree(int(k))
-        else:
-            dk = g.total_degree(int(k))
-        total += _log_weight(dk)
-    return total
-
-
-def complement_score(g: Graph, i: int, j: int, measure: Measure,
-                     combo: DegreeCombination) -> float:
-    """Decay score of ``(i, j)`` as the negated link-prediction score.
-
-    High values mean the pair looks structurally weak: the maximum
-    attainable value is 0 (no support at all for the tie).
-    """
-    return -link_prediction_score(g, i, j, measure, combo)
+    return -complement_score(g, i, j, measure, combo)
 
 
 def complement_network_score(g: Graph, i: int, j: int, measure: Measure,
@@ -250,70 +452,35 @@ def complement_network_score(g: Graph, i: int, j: int, measure: Measure,
     exact on reciprocated existing edges; on arbitrary pairs the ``cn``
     form can overcount by at most 2 (the endpoints themselves).
     """
-    _check_pair(g, i, j)
-    measure = Measure(measure)
-    combo = DegreeCombination(combo)
-    n = g.node_count
-    d1, d2 = combo.endpoint_degrees(g, i, j)
-    if measure is Measure.PA:
-        return float((n - 1 - d1) * (n - 1 - d2))
-    if measure is Measure.ADAD:
-        weights = _adad_weights(g, combo, adad_complement_weights)
-        s1, s2 = combo.endpoint_sets(g, i, j)
-        common = _common(s1, s2)
-        return (float(weights.sum())
-                - float(weights[s1].sum())
-                - float(weights[s2].sum())
-                + float(weights[common].sum()))
-    s1, s2 = combo.endpoint_sets(g, i, j)
-    cn = len(_common(s1, s2))
-    numerator = n - d1 - d2 + cn
-    if measure is Measure.CN:
-        return float(numerator)
-    if measure is Measure.COS:
-        a = n - 1 - d1
-        b = n - 1 - d2
-        if a <= 0 or b <= 0:
-            return 0.0
-        return numerator / (math.sqrt(a) * math.sqrt(b))
-    # JACC
-    union = len(s1) + len(s2) - cn
-    if union == 0:
-        return 0.0
-    return numerator / union
-
-
-def _adad_weights(g: Graph, combo: DegreeCombination,
-                  complement: bool) -> np.ndarray:
-    degrees = combo.weight_degrees(g)
-    if complement:
-        degrees = g.node_count - 1 - degrees
-    weights = np.zeros(len(degrees), dtype=np.float64)
-    mask = degrees > 1
-    weights[mask] = 1.0 / np.log(degrees[mask])
-    return weights
-
-
-def decay_score(g: Graph, i: int, j: int, spec: ScoreSpec) -> float:
-    """Score one pair under a fully resolved :class:`ScoreSpec`."""
-    if spec.model is ScoreModel.COMPLEMENT_SCORE:
-        return complement_score(g, i, j, spec.measure, spec.combo)
-    return complement_network_score(g, i, j, spec.measure, spec.combo,
-                                    spec.adad_complement_weights)
+    return decay_score(g, i, j, ScoreSpec(ScoreModel.COMPLEMENT_NETWORK,
+                                          Measure(measure),
+                                          DegreeCombination(combo),
+                                          bool(adad_complement_weights)))
 
 
 def score_batch(g: Graph, pairs: Iterable[Sequence[int]],
                 spec: ScoreSpec) -> list[ScoredEdge]:
     """Score many pairs under one spec, preserving input order.
 
-    Per-pair failures are re-raised with the offending position prepended,
-    so a bad row in a large batch is easy to locate.
+    A bad pair raises the same error :func:`decay_score` would, with its
+    position prepended, so a bad row in a large batch is easy to locate.
     """
-    out: list[ScoredEdge] = []
-    for k, pair in enumerate(pairs):
-        i, j = int(pair[0]), int(pair[1])
+    if not isinstance(pairs, np.ndarray):
+        pairs = list(pairs)
+    arr = np.asarray(pairs, dtype=np.int64)
+    if arr.size == 0:
+        return []
+    arr = arr.reshape(len(arr), -1)[:, :2]
+    i, j = arr[:, 0], arr[:, 1]
+    n = g.node_count
+    bad = np.flatnonzero((i < 0) | (i >= n) | (j < 0) | (j >= n) | (i == j))
+    if len(bad):
+        k = int(bad[0])
+        a, b = int(i[k]), int(j[k])
         try:
-            out.append(ScoredEdge(i, j, decay_score(g, i, j, spec)))
+            _check_pair(g, a, b)
         except (ValueError, IndexError) as exc:
-            raise type(exc)(f"pair {k} = ({i}, {j}): {exc}") from exc
-    return out
+            raise type(exc)(f"pair {k} = ({a}, {b}): {exc}") from exc
+    scores = _decay_scores(g, arr, spec)
+    return [ScoredEdge(a, b, s)
+            for a, b, s in zip(i.tolist(), j.tolist(), scores.tolist())]

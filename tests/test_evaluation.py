@@ -2,11 +2,13 @@
 
 import io
 import math
+import struct
 import warnings
 
 import numpy as np
 import pytest
 
+import reference_scoring as reference
 from linkdecay.datasets import swim_surf_events
 from linkdecay.evaluation import (APResult, EvaluationSplit, average_precision,
                                   edge_ages, edge_lifetimes, evaluate,
@@ -14,7 +16,8 @@ from linkdecay.evaluation import (APResult, EvaluationSplit, average_precision,
                                   fit_exponential_half_life, random_baseline,
                                   survival_curve, temporal_split)
 from linkdecay.events import read_events
-from linkdecay.graph import DegreeCombination
+from linkdecay.generate import GenConfig, generate
+from linkdecay.graph import DegreeCombination, snapshot_at
 from linkdecay.scoring import Measure, ScoreModel, ScoreSpec
 
 
@@ -289,6 +292,20 @@ def test_evaluate_lp_on_crafted_growth():
     again = evaluate_link_prediction(tel, Measure.CN, DegreeCombination.SYM,
                                      seed=2)
     assert again.ap == result.ap
+
+
+def test_evaluate_lp_scores_match_per_pair_reference():
+    """One batched call scores the whole ranking; every raw measure equals
+    the per-pair reference bit for bit, so AP is unchanged."""
+    tel = generate(GenConfig(seed=4, n_nodes=150, n_add_events=2000))
+    t1 = tel.time_first + 0.75 * (tel.time_last - tel.time_first)
+    g1 = snapshot_at(tel, t1)
+    for measure in Measure:
+        for combo in DegreeCombination:
+            result = evaluate_link_prediction(tel, measure, combo, seed=1)
+            for (i, j), score, _ in result.ranking:
+                want = reference.link_prediction_score(g1, i, j, measure, combo)
+                assert struct.pack("<d", score) == struct.pack("<d", want)
 
 
 def test_evaluate_lp_requires_new_edges():

@@ -66,6 +66,34 @@ def test_equality():
     assert a != c
 
 
+def test_equal_graphs_hash_equal():
+    a = Graph.from_edges(3, [(0, 1), (2, 1)])
+    b = Graph(3, np.array([2, 0]), np.array([1, 1]))
+    assert a == b and a is not b
+    assert hash(a) == hash(b)
+    assert len({a, b, Graph.from_edges(3, [(0, 1)])}) == 2
+    assert hash(Graph(0, [], [])) == hash(Graph(0, [], []))
+
+
+def test_both_rows_are_per_row_union_of_out_and_in():
+    rng = np.random.default_rng(7)
+    graphs = [Graph(0, [], []), Graph(1, [], []), Graph(4, [], []),
+              Graph.from_edges(6, [(0, 1), (1, 0), (3, 1)])]   # empty rows
+    for _ in range(10):
+        n = int(rng.integers(2, 40))
+        mask = rng.random((n, n)) < rng.uniform(0.0, 0.6)
+        np.fill_diagonal(mask, False)
+        graphs.append(Graph(n, *np.nonzero(mask)))
+    for g in graphs:
+        rows = [np.union1d(g.out_neighbors(v), g.in_neighbors(v)).astype(np.int64)
+                for v in range(g.node_count)]
+        assert g.neighbor_counts.tolist() == [len(r) for r in rows]
+        for v, row in enumerate(rows):
+            got = g.all_neighbors(v)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, row), (g, v)
+
+
 # ---- degrees ----
 
 def test_degree_modes_on_mixed_node():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from linkdecay import scoring
 from linkdecay.datasets import (random_directed_graph, random_reciprocal_graph,
                                 swim_surf, swim_surf_events)
 from linkdecay.graph import DegreeCombination, Graph
@@ -91,6 +92,21 @@ def test_raw_measure_agrees_with_scoring_bitwise():
                     a = raw_measure(g, int(i), int(j), measure, combo)
                     b = link_prediction_score(g, int(i), int(j), measure, combo)
                     assert a == b, (measure, combo, int(i), int(j))
+
+
+def test_raw_evaluator_does_not_use_the_kernel(monkeypatch):
+    """The oracle checks the batched kernel, so it must not route through it."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("oracle called the scoring kernel")
+
+    monkeypatch.setattr(scoring, "pair_features", refuse)
+    monkeypatch.setattr(scoring, "_decay_scores", refuse)
+    rng = np.random.default_rng(71)
+    g = random_directed_graph(12, 0.3, rng)
+    for measure in MEASURES:
+        for combo in COMBOS:
+            raw_measure(g, 0, 1, measure, combo)
+            brute_force_g2(g, 2, 3, measure, combo)
 
 
 def test_negation_duality_via_oracle():

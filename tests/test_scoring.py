@@ -2,14 +2,22 @@
 
 import math
 
+import struct
+import warnings
+
 import numpy as np
 import pytest
 
+import reference_scoring as reference
+from linkdecay import scoring
 from linkdecay.datasets import swim_surf, swim_surf_events
-from linkdecay.graph import DegreeCombination, Graph
+from linkdecay.evaluation import temporal_split
+from linkdecay.generate import GenConfig, generate
+from linkdecay.graph import DegreeCombination, Graph, snapshot_at
 from linkdecay.scoring import (Measure, ScoreModel, ScoreSpec, all_specs,
                                complement_network_score, complement_score,
-                               decay_score, link_prediction_score, score_batch)
+                               decay_score, link_prediction_score, pair_features,
+                               score_batch)
 
 SYM = DegreeCombination.SYM
 COMBOS = list(DegreeCombination)
@@ -272,7 +280,7 @@ def test_batch_matches_single_calls_in_order():
         scored = score_batch(g, pairs, spec)
         assert [(e.src, e.dst) for e in scored] == pairs
         for (a, b), e in zip(pairs, scored):
-            assert e.score == decay_score(g, a, b, spec)
+            assert e.score == reference.decay_score(g, a, b, spec)
 
 
 def test_batch_scoring_is_pure():
@@ -289,3 +297,121 @@ def test_batch_reports_offending_pair_index():
     spec = ScoreSpec(ScoreModel.COMPLEMENT_SCORE, Measure.PA, SYM)
     with pytest.raises(ValueError, match="pair 1"):
         score_batch(g, [(0, 1), (2, 2)], spec)
+
+
+def test_batch_reports_unknown_node_as_index_error():
+    g = Graph.from_edges(3, [(0, 1)])
+    spec = ScoreSpec(ScoreModel.COMPLEMENT_NETWORK, Measure.CN, SYM)
+    with pytest.raises(IndexError, match=r"pair 2 = \(0, 7\): unknown node 7"):
+        score_batch(g, [(0, 1), (1, 2), (0, 7), (-1, 2)], spec)
+    with pytest.raises(IndexError, match=r"pair 0 = \(-1, 2\)"):
+        score_batch(g, np.array([[-1, 2]]), spec)
+
+
+# ---- the batched kernel against the per-pair reference, bit for bit ----
+
+SPECS_AND_ACW = all_specs() + [
+    ScoreSpec(ScoreModel.COMPLEMENT_NETWORK, Measure.ADAD, combo,
+              adad_complement_weights=True) for combo in COMBOS]
+
+
+def _bits(x):
+    return struct.pack("<d", x)
+
+
+def _assert_matches_reference(g, pairs, specs=SPECS_AND_ACW):
+    pairs = [(int(a), int(b)) for a, b in pairs]
+    for spec in specs:
+        scored = score_batch(g, pairs, spec)
+        assert [(e.src, e.dst) for e in scored] == pairs
+        for (a, b), e in zip(pairs, scored):
+            want = reference.decay_score(g, a, b, spec)
+            assert _bits(e.score) == _bits(want), (str(spec), a, b, e.score, want)
+
+
+def _all_pairs(n):
+    return [(i, j) for i in range(n) for j in range(n) if i != j]
+
+
+def test_kernel_empty_graph_and_empty_batch():
+    for spec in SPECS_AND_ACW:
+        assert score_batch(Graph(0, [], []), [], spec) == []
+        assert score_batch(Graph(3, [], []), np.empty((0, 2), np.int64), spec) == []
+    _assert_matches_reference(Graph(3, [], []), _all_pairs(3))
+
+
+def test_kernel_isolated_and_full_degree_nodes():
+    # node 0 is linked both ways with all others (n - 1 - degree hits 0,
+    # the network/cos guard); node 5 is isolated
+    edges = ([(0, k) for k in range(1, 5)] + [(k, 0) for k in range(1, 5)]
+             + [(1, 2), (3, 4), (2, 3)])
+    g = Graph.from_edges(6, edges)
+    _assert_matches_reference(g, _all_pairs(6))
+
+
+def test_kernel_random_graphs_every_pair():
+    rng = np.random.default_rng(53)
+    for _ in range(6):
+        g = _random_graph(rng, n=int(rng.integers(2, 20)),
+                          density=float(rng.uniform(0.05, 0.95)))
+        _assert_matches_reference(g, _all_pairs(g.node_count))
+
+
+def test_kernel_long_rows_and_many_common_neighbours():
+    """Rows of 128 or more entries and pairs with cn >= 8, where numpy's
+    pairwise ``.sum()`` differs from a left-to-right sum."""
+    rng = np.random.default_rng(59)
+    g = _random_graph(rng, n=220, density=0.65)
+    assert g.out_degrees.max() >= 128
+    pairs = [tuple(p) for p in rng.integers(0, 220, size=(80, 2)) if p[0] != p[1]]
+    features = pair_features(g, np.array(pairs), SYM)
+    assert features.cn.min() >= 8 and features.cn.max() >= 128
+    _assert_matches_reference(g, pairs)
+
+
+def test_kernel_blocks_split_a_batch(monkeypatch):
+    rng = np.random.default_rng(61)
+    g = _random_graph(rng, n=40, density=0.4)
+    pairs = _all_pairs(40)
+    whole = [score_batch(g, pairs, spec) for spec in SPECS_AND_ACW]
+    monkeypatch.setattr(scoring, "_BLOCK_ENTRIES", 400)
+    assert len(scoring._blocks(g, np.array(pairs), SYM)) > 50
+    assert [score_batch(g, pairs, spec) for spec in SPECS_AND_ACW] == whole
+    _assert_matches_reference(g, pairs[::7])
+
+
+def test_kernel_batch_crosses_the_real_block_budget():
+    rng = np.random.default_rng(67)
+    g = _random_graph(rng, n=160, density=0.5)
+    pairs = np.array(_all_pairs(160))[rng.choice(160 * 159, size=700, replace=False)]
+    assert len(scoring._blocks(g, pairs, SYM)) >= 2
+    _assert_matches_reference(g, pairs)
+
+
+def test_pair_features_columns():
+    g = Graph.from_edges(5, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 4), (4, 1)])
+    f = pair_features(g, np.array([[0, 1], [1, 0], [0, 4]]), DegreeCombination.OUT)
+    assert f.d1.tolist() == [2, 2, 2]
+    assert f.d2.tolist() == [2, 2, 1]
+    assert f.cn.tolist() == [2, 2, 0]
+    assert f.common.tolist() == [2, 3, 2, 3]
+
+
+def test_kernel_matches_reference_on_planted_split():
+    """The acceptance planted stream, seed 0: every split pair is scored in
+    one batch (many blocks); a seeded sample is re-scored pair by pair."""
+    tel = generate(GenConfig(seed=0, n_nodes=5000, n_add_events=40000,
+                             decay_bias="low_degree"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        split = temporal_split(tel, seed=0)
+    g = snapshot_at(tel, split.t1)
+    pairs = np.concatenate((split.test_set, split.zero_test_set))
+    assert len(scoring._blocks(g, pairs, SYM)) >= 2
+    sample = np.random.default_rng(0).choice(len(pairs), size=300, replace=False)
+    for spec in SPECS_AND_ACW:
+        scored = score_batch(g, pairs, spec)
+        for k in sample.tolist():
+            a, b = int(pairs[k, 0]), int(pairs[k, 1])
+            want = reference.decay_score(g, a, b, spec)
+            assert _bits(scored[k].score) == _bits(want), (str(spec), a, b)
