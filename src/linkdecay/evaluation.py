@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .events import TemporalEdgeList
-from .graph import Graph, snapshot_at
+from .graph import snapshot_at
 from .scoring import (Measure, ScoreModel, ScoreSpec, DegreeCombination,
                       score_batch)
 
@@ -62,11 +62,6 @@ class EvaluationSplit:
     seed: int
 
 
-def _edge_keys(g: Graph) -> np.ndarray:
-    edges = g.edges()
-    return edges[:, 0] * np.int64(g.node_count) + edges[:, 1]
-
-
 def _keys_to_pairs(keys: np.ndarray, n: int) -> np.ndarray:
     return np.column_stack((keys // n, keys % n)).astype(np.int64)
 
@@ -100,10 +95,8 @@ def temporal_split(tel: TemporalEdgeList, fraction: float = 0.75, *,
     t0, t_end = tel.time_first, tel.time_last
     t1 = t0 + fraction * (t_end - t0)
     n = tel.node_count
-    g1 = snapshot_at(tel, t1)
-    g_end = snapshot_at(tel, t_end)
-    k1 = _edge_keys(g1)
-    k_end = _edge_keys(g_end)
+    k1 = tel.live_keys(t1)
+    k_end = tel.live_keys(t_end)
     test_keys = np.setdiff1d(k1, k_end, assume_unique=True)
     survivor_keys = np.intersect1d(k1, k_end, assume_unique=True)
     if len(test_keys) == 0:
@@ -303,10 +296,8 @@ def evaluate_link_prediction(tel: TemporalEdgeList, measure: Measure,
     t0, t_end = tel.time_first, tel.time_last
     t1 = t0 + fraction * (t_end - t0)
     n = tel.node_count
-    g1 = snapshot_at(tel, t1)
-    g_end = snapshot_at(tel, t_end)
-    k1 = _edge_keys(g1)
-    k_end = _edge_keys(g_end)
+    k1 = tel.live_keys(t1)
+    k_end = tel.live_keys(t_end)
     new_keys = np.setdiff1d(k_end, k1, assume_unique=True)
     if len(new_keys) == 0:
         raise ValueError(f"no new edges between t1={t1:g} and t_end={t_end}")
@@ -331,6 +322,7 @@ def evaluate_link_prediction(tel: TemporalEdgeList, measure: Measure,
     negative_keys = np.array(sorted(chosen), dtype=np.int64)
     keys = np.concatenate((new_keys, negative_keys))
     labels = ["test"] * len(new_keys) + ["zero"] * len(negative_keys)
+    g1 = snapshot_at(tel, t1)
     # The score model's decay score is the negated raw measure.
     scored = score_batch(g1, np.column_stack(np.divmod(keys, n)),
                          ScoreSpec(ScoreModel.COMPLEMENT_SCORE, Measure(measure),
@@ -365,31 +357,24 @@ class EdgeLifetimes:
 
 
 def edge_lifetimes(tel: TemporalEdgeList) -> EdgeLifetimes:
-    """Replay the stream into edge lifetime records.
+    """Lifetime records of the stream's presence intervals.
 
-    Every add opens an interval; a matching delete closes it (uncensored,
-    duration = delete - add).  Intervals still open at the final event
-    time are censored with duration ``t_end - add``.  A pair deleted and
-    re-added later therefore contributes one record per interval.
+    Every add of an absent edge opens an interval; a matching delete closes
+    it (uncensored, duration = delete - add).  Intervals still open at the
+    final event time are censored with duration ``t_end - add``.  A pair
+    deleted and re-added later therefore contributes one record per
+    interval.  Uncensored records come in delete order, then censored ones
+    in ``(src, dst)`` order.
     """
-    live: dict[tuple[int, int], int] = {}
-    durations: list[int] = []
-    censored: list[bool] = []
-    for k in range(len(tel)):
-        pair = (int(tel.src[k]), int(tel.dst[k]))
-        t = int(tel.time[k])
-        if tel.sign[k] > 0:
-            live.setdefault(pair, t)
-        elif pair in live:
-            durations.append(t - live.pop(pair))
-            censored.append(False)
-    if live:
-        t_end = tel.time_last
-        for pair in sorted(live):
-            durations.append(t_end - live[pair])
-            censored.append(True)
-    return EdgeLifetimes(np.array(durations, dtype=np.int64),
-                         np.array(censored, dtype=bool))
+    iv = tel.intervals
+    closed = np.flatnonzero(~iv.censored)
+    closed = closed[np.argsort(iv.end[closed])]
+    durations = tel.time[iv.end[closed]] - tel.time[iv.start[closed]]
+    still_open = tel.time[iv.start[iv.censored]]
+    if len(still_open):
+        durations = np.concatenate((durations, tel.time_last - still_open))
+    censored = np.arange(len(durations)) >= len(closed)
+    return EdgeLifetimes(durations, censored)
 
 
 @dataclass
@@ -471,18 +456,13 @@ def survival_curve(lifetimes) -> list[tuple[float, float]]:
 
 def edge_ages(tel: TemporalEdgeList, t: float) -> dict[tuple[int, int], float]:
     """Age of each edge alive at ``t`` (time since its current presence
-    interval began).
+    interval began), in the order those intervals began.
 
     Support for age-based baseline scorers: under memoryless lifetimes,
     ranking by age carries no decay signal.
     """
-    live: dict[tuple[int, int], int] = {}
-    for k in range(len(tel)):
-        if tel.time[k] > t:
-            break
-        pair = (int(tel.src[k]), int(tel.dst[k]))
-        if tel.sign[k] > 0:
-            live.setdefault(pair, int(tel.time[k]))
-        else:
-            live.pop(pair, None)
-    return {pair: float(t - added) for pair, added in live.items()}
+    start = tel.intervals.start[tel.alive(t)]
+    start.sort()
+    return {(u, v): float(t - added) for u, v, added in
+            zip(tel.src[start].tolist(), tel.dst[start].tolist(),
+                tel.time[start].tolist())}

@@ -12,6 +12,16 @@ public network datasets, so dumps in that format load directly.
 Node identifiers are arbitrary tokens; they are compacted to integer
 indices ``0..n-1`` in first-seen order, and the token -> index mapping can
 be persisted as a two-column ``node<TAB>index`` file.
+
+Loading replays the time-sorted stream once, in one vectorized pass, into
+a presence-interval table (:class:`PresenceIntervals`): one row
+``(key, start, end)`` per interval in which an edge is present, with
+``key = src * n + dst``, ``start`` the event index of the opening add and
+``end`` that of the closing delete, or censored when the edge is still
+present after the last event.  The ingest counts of duplicate adds and
+no-op deletes come from the same pass.  Snapshots (``start <= t < end`` in
+event time), lifetimes (``end - start``) and ages (``t - start``) are all
+read off this one table.
 """
 
 from __future__ import annotations
@@ -26,6 +36,7 @@ __all__ = [
     "EdgeEvent",
     "EventFormatError",
     "IngestStats",
+    "PresenceIntervals",
     "TemporalEdgeList",
     "read_events",
     "read_id_map",
@@ -70,34 +81,63 @@ _SIGNS = {"+1": 1, "1": 1, "-1": -1}
 PathOrFile = Union[str, Path, TextIO]
 
 
-def _replay_scan(src: np.ndarray, dst: np.ndarray, sign: np.ndarray,
-                 strict_deletes: bool) -> IngestStats:
-    """Replay the stream once, counting no-op operations.
+#: ``PresenceIntervals.end`` of an interval still open after the last event.
+CENSORED = -1
 
-    A delete for an edge that is not currently present is ignored (counted),
-    or rejected when ``strict_deletes`` is set.  An add for an edge that is
-    already present is counted as a duplicate; replay semantics make it a
-    no-op either way.
+
+@dataclass(frozen=True, eq=False)
+class PresenceIntervals:
+    """Every presence interval of a replayed stream, one row per interval.
+
+    ``key`` is the edge key ``src * n + dst``; ``start`` is the event index
+    of the add that opened the interval and ``end`` that of the delete that
+    closed it, or :data:`CENSORED` when the edge is still present after the
+    last event.  Rows are sorted by key, then by start, so a key's
+    intervals are adjacent and in time order.  The arrays are read-only.
     """
-    stats = IngestStats()
-    live: set[tuple[int, int]] = set()
-    for k in range(len(src)):
-        pair = (int(src[k]), int(dst[k]))
-        if sign[k] > 0:
-            if pair in live:
-                stats.duplicate_adds += 1
-            else:
-                live.add(pair)
-        else:
-            if pair in live:
-                live.discard(pair)
-            else:
-                if strict_deletes:
-                    raise EventFormatError(
-                        f"delete of absent edge {pair} at event index {k}"
-                    )
-                stats.noop_deletes += 1
-    return stats
+
+    key: np.ndarray
+    start: np.ndarray
+    end: np.ndarray
+
+    @property
+    def censored(self) -> np.ndarray:
+        return self.end == CENSORED
+
+
+def _replay(src: np.ndarray, dst: np.ndarray, sign: np.ndarray,
+            n: int) -> tuple[PresenceIntervals, IngestStats, int]:
+    """Replay a time-sorted stream in one vectorized pass.
+
+    A stable sort by edge key groups each edge's events in time order.  An
+    edge is present before an event iff the previous event of its key is an
+    add, which makes every event one of four kinds: an add of an absent
+    edge opens an interval, an add of a present edge is a duplicate, a
+    delete of a present edge closes an interval and a delete of an absent
+    edge is a no-op.  Opens and closes alternate within a key, starting
+    with an open, so each close pairs with the last open before it; an open
+    no close pairs with is censored.
+
+    Returns the interval table, the duplicate/no-op counts and the event
+    index of the first no-op delete in time order (-1 if there is none).
+    """
+    keys = src * np.int64(n) + dst
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    add = sign[order] > 0
+    present = np.zeros(len(keys), dtype=bool)
+    present[1:] = add[:-1] & (keys[1:] == keys[:-1])
+    opens = np.flatnonzero(add & ~present)
+    closes = np.flatnonzero(~add & present)
+    noops = order[~add & ~present]
+    end = np.full(len(opens), CENSORED, dtype=np.int64)
+    end[np.searchsorted(opens, closes) - 1] = order[closes]
+    intervals = PresenceIntervals(keys[opens], order[opens], end)
+    for arr in (intervals.key, intervals.start, intervals.end):
+        arr.flags.writeable = False
+    stats = IngestStats(noop_deletes=len(noops),
+                        duplicate_adds=int(np.count_nonzero(add & present)))
+    return intervals, stats, int(noops.min()) if len(noops) else -1
 
 
 @dataclass
@@ -107,7 +147,11 @@ class TemporalEdgeList:
     Events are stored columnar (``src``, ``dst``, ``sign``, ``time`` arrays)
     for cheap slicing; ``events`` iterates them as :class:`EdgeEvent`.
     ``node_ids`` maps compact index -> original token.  Equal timestamps keep
-    their input order, so replaying a prefix is well defined.
+    their input order, so replaying a prefix is well defined.  The stream
+    is replayed once, on construction, into ``intervals``; snapshots,
+    lifetimes and ages are all read off that table.  Streams built by
+    ``read`` or ``from_records`` have read-only event columns, so the table
+    cannot go stale.
     """
 
     src: np.ndarray
@@ -116,6 +160,13 @@ class TemporalEdgeList:
     time: np.ndarray
     node_ids: list[str]
     stats: IngestStats = field(default_factory=IngestStats)
+    intervals: PresenceIntervals = field(default=None, repr=False,
+                                         compare=False)
+
+    def __post_init__(self):
+        if self.intervals is None:
+            self.intervals = _replay(self.src, self.dst, self.sign,
+                                     len(self.node_ids))[0]
 
     # ---- constructors ----
 
@@ -156,8 +207,15 @@ class TemporalEdgeList:
             raise EventFormatError("self-loop in indexed event records")
         order = np.argsort(time, kind="stable")
         src, dst, sign, time = src[order], dst[order], sign[order], time[order]
-        stats = _replay_scan(src, dst, sign, strict_deletes)
-        return cls(src, dst, sign, time, node_ids, stats)
+        intervals, stats, first_noop = _replay(src, dst, sign, n)
+        if strict_deletes and first_noop >= 0:
+            pair = (int(src[first_noop]), int(dst[first_noop]))
+            raise EventFormatError(
+                f"delete of absent edge {pair} at event index {first_noop}"
+            )
+        for arr in (src, dst, sign, time):
+            arr.flags.writeable = False
+        return cls(src, dst, sign, time, node_ids, stats, intervals)
 
     @classmethod
     def read(cls, source: PathOrFile, *, self_loops: str = "skip",
@@ -221,6 +279,7 @@ class TemporalEdgeList:
         dst = np.array(dsts, dtype=np.int64)
         sign = np.array(signs, dtype=np.int64)
         time = np.array(times, dtype=np.int64)
+        del srcs, dsts, signs, times
         tel = cls._finish(src, dst, sign, time, node_ids, strict_deletes)
         tel.stats.self_loops_skipped = skipped
         return tel
@@ -252,6 +311,22 @@ class TemporalEdgeList:
             raise ValueError("empty event stream has no time span")
         return int(self.time[-1])
 
+    def alive(self, t: float) -> np.ndarray:
+        """Mask over ``intervals``: the intervals present at time ``t``.
+
+        An interval is present iff it opened at or before ``t`` and is
+        censored or closed after ``t``; a key has at most one such interval.
+        """
+        if np.isnan(t):
+            raise ValueError("time must be a number, got NaN")
+        iv = self.intervals
+        return ((self.time[iv.start] <= t)
+                & (iv.censored | (self.time[iv.end] > t)))
+
+    def live_keys(self, t: float) -> np.ndarray:
+        """Ascending keys ``src * n + dst`` of the edges present at ``t``."""
+        return self.intervals.key[self.alive(t)]
+
     # ---- persistence ----
 
     def write(self, target: PathOrFile) -> None:
@@ -264,9 +339,10 @@ class TemporalEdgeList:
 
     def _write(self, handle: TextIO) -> None:
         ids = self.node_ids
-        for k in range(len(self.src)):
-            handle.write(f"{ids[self.src[k]]}\t{ids[self.dst[k]]}\t"
-                         f"{'+1' if self.sign[k] > 0 else '-1'}\t{self.time[k]}\n")
+        handle.writelines(
+            f"{ids[u]}\t{ids[v]}\t{'+1' if s > 0 else '-1'}\t{t}\n"
+            for u, v, s, t in zip(self.src.tolist(), self.dst.tolist(),
+                                  self.sign.tolist(), self.time.tolist()))
 
     def write_id_map(self, target: PathOrFile) -> None:
         """Persist the token -> index map as ``node<TAB>index`` lines."""

@@ -4,7 +4,9 @@ A :class:`Graph` is an immutable snapshot of a directed simple graph over a
 fixed node universe ``0..n-1``.  Neighbors are held as per-node sorted
 integer arrays, giving O(degree) scans and O(log degree) membership tests.
 Snapshots are produced from event streams by :func:`snapshot_at`: an edge is
-present at time ``t`` iff its last event at or before ``t`` is an add.
+present at time ``t`` iff its last event at or before ``t`` is an add, that
+is, iff one of its rows in the stream's presence-interval table opened at
+or before ``t`` and is censored or closed after ``t``.
 
 Pairwise queries (common neighbors, neighborhood unions) are parameterized
 by a :class:`DegreeCombination`, which fixes how a directed graph's two
@@ -286,24 +288,13 @@ def snapshot_at(tel: TemporalEdgeList, t: float) -> Graph:
     """Materialize the graph at time ``t`` from an event stream.
 
     An edge is present iff its most recent event at or before ``t`` is an
-    add.  The node universe is every id the stream has ever seen, so
-    snapshots at different times are over the same nodes.
+    add: the live rows of the stream's presence-interval table.  The node
+    universe is every id the stream has ever seen, so snapshots at
+    different times are over the same nodes.
     """
     n = tel.node_count
-    hi = int(np.searchsorted(tel.time, t, side="right"))
-    src = tel.src[:hi]
-    dst = tel.dst[:hi]
-    sign = tel.sign[:hi]
-    if hi == 0:
-        return Graph(n, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
-                     validate=False)
-    keys = src * np.int64(n) + dst
-    # Index of the last event per edge key: first occurrence in the reversed
-    # stream.
-    _, first_in_reversed = np.unique(keys[::-1], return_index=True)
-    last = hi - 1 - first_in_reversed
-    live = last[sign[last] > 0]
-    return Graph(n, src[live], dst[live], validate=False)
+    src, dst = np.divmod(tel.live_keys(t), n)
+    return Graph(n, src, dst, validate=False)
 
 
 def _check_pair(g: Graph, i: int, j: int) -> None:

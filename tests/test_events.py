@@ -95,6 +95,15 @@ def test_noop_delete_strict_mode_raises():
         _read("a\tb\t-1\t5\n", strict_deletes=True)
 
 
+def test_strict_deletes_reports_first_noop_in_time_order():
+    # Node ids a=0, b=1, c=2, d=3: the no-op delete of (2, 3) comes first in
+    # time but last in key order.
+    text = "a\tb\t-1\t5\nc\td\t-1\t3\n"
+    with pytest.raises(EventFormatError) as caught:
+        _read(text, strict_deletes=True)
+    assert str(caught.value) == "delete of absent edge (2, 3) at event index 0"
+
+
 def test_duplicate_add_counted():
     tel = _read("a\tb\t+1\t5\na\tb\t+1\t9\n")
     assert tel.stats.duplicate_adds == 1
