@@ -32,7 +32,7 @@ import numpy as np
 
 from . import __version__
 from .datasets import random_directed_graph, random_reciprocal_graph
-from .evaluation import (average_precision, edge_lifetimes, evaluate,
+from .evaluation import (_cut, edge_lifetimes, evaluate,
                          evaluate_link_prediction, fit_exponential_half_life,
                          survival_curve, temporal_split)
 from .events import EventFormatError, read_events
@@ -199,6 +199,13 @@ def _write_ranking(args, tel, result) -> None:
     _write_manifest(args)
 
 
+def _write_curve(path, lifetimes) -> None:
+    with _open_out(path) as handle:
+        handle.write("# t\tfraction_surviving\n")
+        for t, fraction in survival_curve(lifetimes):
+            handle.write(f"{_SCORE_FMT % t}\t{_SCORE_FMT % fraction}\n")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -290,10 +297,6 @@ def _cmd_verify(args) -> int:
     return 0
 
 
-def _cut_time(tel, fraction: float) -> float:
-    return tel.time_first + fraction * (tel.time_last - tel.time_first)
-
-
 def _cmd_evaluate(args) -> int:
     _require_seed(args)
     tel = _read_input(args)
@@ -303,11 +306,7 @@ def _cmd_evaluate(args) -> int:
                       tie_break=args.tie_break, split=split)
     _write_ranking(args, tel, result)
     if args.survival_output is not None:
-        curve = survival_curve(edge_lifetimes(tel))
-        with _open_out(args.survival_output) as handle:
-            handle.write("# t\tfraction_surviving\n")
-            for t, fraction in curve:
-                handle.write(f"{_SCORE_FMT % t}\t{_SCORE_FMT % fraction}\n")
+        _write_curve(args.survival_output, edge_lifetimes(tel))
     items = list(spec.fields().items())
     items += [("fraction", _fmt_value(args.fraction)),
               ("tie-break", args.tie_break),
@@ -331,7 +330,7 @@ def _cmd_evaluate_lp(args) -> int:
           [("measure", args.measure), ("combo", args.combo),
            ("fraction", _fmt_value(args.fraction)),
            ("tie-break", args.tie_break),
-           ("t1", _SCORE_FMT % _cut_time(tel, args.fraction)),
+           ("t1", _SCORE_FMT % _cut(tel, args.fraction)[0]),
            ("positives", result.positives),
            ("ap", _SCORE_FMT % result.ap),
            ("seed", args.seed)])
@@ -343,10 +342,7 @@ def _cmd_survival(args) -> int:
     lifetimes = edge_lifetimes(tel)
     fit = fit_exponential_half_life(lifetimes)
     if args.output is not None:
-        with _open_out(args.output) as handle:
-            handle.write("# t\tfraction_surviving\n")
-            for t, fraction in survival_curve(lifetimes):
-                handle.write(f"{_SCORE_FMT % t}\t{_SCORE_FMT % fraction}\n")
+        _write_curve(args.output, lifetimes)
         _write_manifest(args)
     _emit(_summary_stream(args),
           [("half-life", _SCORE_FMT % fit.half_life),

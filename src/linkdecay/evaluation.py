@@ -8,6 +8,13 @@ ranking measures how well decayed edges float to the top.  A creation-side
 twin (:func:`evaluate_link_prediction`) ranks newly formed edges against
 never-present pairs with the raw measures, so decay and creation
 difficulty can be compared on the same stream.
+
+Every protocol ranks through one array path: the pairs, their float
+scores and a positive mask go to one ``np.lexsort`` (descending score,
+ties by endpoint pair), precision is ``cumsum(positive) / rank``, and the
+expected AP under random tie order is a closed form per tie block.  Sums
+run left to right with ``np.cumsum``, so AP has the bits of a plain loop
+over the ranking.  :class:`APResult` keeps the ranking as arrays.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -22,7 +30,7 @@ import numpy as np
 from .events import TemporalEdgeList
 from .graph import snapshot_at
 from .scoring import (Measure, ScoreModel, ScoreSpec, DegreeCombination,
-                      score_batch)
+                      _decay_scores)
 
 __all__ = [
     "APResult",
@@ -66,6 +74,19 @@ def _keys_to_pairs(keys: np.ndarray, n: int) -> np.ndarray:
     return np.column_stack((keys // n, keys % n)).astype(np.int64)
 
 
+def _cut(tel: TemporalEdgeList, fraction: float
+         ) -> tuple[float, int, np.ndarray, np.ndarray]:
+    """``t1 = first + fraction * (last - first)``, the final time, and the
+    sorted live edge keys at each."""
+    if not 0.0 < fraction < 1.0:
+        raise ValueError(f"fraction must be strictly between 0 and 1, got {fraction}")
+    if len(tel) == 0:
+        raise ValueError("cannot cut an empty event stream")
+    t0, t_end = tel.time_first, tel.time_last
+    t1 = t0 + fraction * (t_end - t0)
+    return t1, t_end, tel.live_keys(t1), tel.live_keys(t_end)
+
+
 def temporal_split(tel: TemporalEdgeList, fraction: float = 0.75, *,
                    seed: int) -> EvaluationSplit:
     """Split an event stream at ``t1 = first + fraction * (last - first)``.
@@ -88,15 +109,8 @@ def temporal_split(tel: TemporalEdgeList, fraction: float = 0.75, *,
         On an empty stream, a degenerate fraction, or when no edge decays
         in the test window (nothing to rank).
     """
-    if not 0.0 < fraction < 1.0:
-        raise ValueError(f"fraction must be strictly between 0 and 1, got {fraction}")
-    if len(tel) == 0:
-        raise ValueError("cannot split an empty event stream")
-    t0, t_end = tel.time_first, tel.time_last
-    t1 = t0 + fraction * (t_end - t0)
+    t1, t_end, k1, k_end = _cut(tel, fraction)
     n = tel.node_count
-    k1 = tel.live_keys(t1)
-    k_end = tel.live_keys(t_end)
     test_keys = np.setdiff1d(k1, k_end, assume_unique=True)
     survivor_keys = np.intersect1d(k1, k_end, assume_unique=True)
     if len(test_keys) == 0:
@@ -128,55 +142,74 @@ def temporal_split(tel: TemporalEdgeList, fraction: float = 0.75, *,
 # average precision
 
 
-@dataclass
+@dataclass(eq=False)
 class APResult:
     """Average precision plus the ranking it was computed from.
 
-    ``ranking`` is the deterministically ordered list of
-    ``((src, dst), score, label)`` (descending score, ties by endpoint
-    pair); ``precision_at[k]`` is the precision after the first ``k+1``
-    entries of that ranking.  With the default tie policy, ``ap`` equals
-    the mean of ``precision_at`` over positive positions, so the value can
-    be recomputed from the stored ranking.
+    ``pairs``, ``scores`` and ``positive`` hold the ranked items as arrays,
+    in rank order: descending score, ties by endpoint pair.  ``ranking``
+    lists them as ``((src, dst), score, label)``; ``precision_at[k]`` is
+    the precision after the first ``k+1`` entries of that ranking.  With
+    the default tie policy, ``ap`` equals the mean of ``precision_at`` over
+    positive positions, so the value can be recomputed from the ranking.
     """
 
     ap: float
-    ranking: list = field(repr=False)
-    precision_at: list = field(repr=False)
+    pairs: np.ndarray = field(repr=False)
+    scores: np.ndarray = field(repr=False)
+    positive: np.ndarray = field(repr=False)
     positives: int
     tie_break: str = "lexicographic"
 
+    @cached_property
+    def ranking(self) -> list[tuple[tuple[int, int], float, str]]:
+        edges = zip(self.pairs[:, 0].tolist(), self.pairs[:, 1].tolist())
+        labels = np.where(self.positive, "test", "zero").tolist()
+        return list(zip(edges, self.scores.tolist(), labels))
 
-def _expected_ap(ranking: list[tuple], positives: int) -> float:
-    """Expected AP when items with equal scores are ordered uniformly at
-    random, computed blockwise in closed form."""
-    total = 0.0
-    above = 0          # items ranked strictly above the current block
-    above_pos = 0      # positives among them
-    k = 0
-    length = len(ranking)
-    while k < length:
-        score = ranking[k][1]
-        block_end = k
-        while block_end < length and ranking[block_end][1] == score:
-            block_end += 1
-        block = ranking[k:block_end]
-        t = sum(1 for item in block if item[2] == "test")
-        size = len(block)
-        if t:
-            if size == 1:
-                total += (above_pos + 1) / (above + 1)
-            else:
-                # A positive lands at in-block rank r with probability t/size;
-                # conditioned on that, it is preceded (within the block) by
-                # (r-1)(t-1)/(size-1) positives in expectation.
-                for r in range(1, size + 1):
-                    expected_hits = above_pos + 1 + (r - 1) * (t - 1) / (size - 1)
-                    total += (t / size) * expected_hits / (above + r)
-        above += size
-        above_pos += t
-        k = block_end
-    return total / positives
+    @cached_property
+    def precision_at(self) -> list[float]:
+        ranks = np.arange(1, len(self.positive) + 1)
+        return (np.cumsum(self.positive) / ranks).tolist()
+
+
+def _rank(pairs: np.ndarray, scores: np.ndarray, positive: np.ndarray,
+          tie_break: str) -> APResult:
+    """Rank ``(k, 2)`` pairs by descending score, ties by endpoint pair,
+    and compute AP under ``tie_break``.
+
+    Every sum runs left to right in rank order (``np.cumsum``), so the AP
+    bits equal those of a plain ``+=`` loop over the ranking.
+    """
+    if tie_break not in ("lexicographic", "expected"):
+        raise ValueError(f"tie_break must be 'lexicographic' or 'expected', got {tie_break!r}")
+    positives = int(np.count_nonzero(positive))
+    if positives == 0:
+        raise ValueError("average precision needs at least one 'test' item")
+    order = np.lexsort((pairs[:, 1], pairs[:, 0], -scores))
+    pairs, scores, positive = pairs[order], scores[order], positive[order]
+    hits = np.cumsum(positive)
+    rank = np.arange(1, len(scores) + 1)
+    if tie_break == "lexicographic":
+        total = np.cumsum((hits / rank)[positive])[-1]
+    else:
+        # Expected AP when tied items are ordered uniformly at random.  A
+        # positive lands at in-block rank r of a block holding t positives
+        # among `size` items with probability t/size; conditioned on that,
+        # (r-1)(t-1)/(size-1) other positives precede it in the block.
+        first = np.flatnonzero(np.r_[True, scores[1:] != scores[:-1]])
+        size = np.diff(np.r_[first, len(scores)])
+        seen = np.r_[0, hits]       # seen[k]: positives among the first k items
+        above = np.repeat(first, size)
+        above_pos = np.repeat(seen[first], size)
+        t = np.repeat(seen[first + size] - seen[first], size)
+        size = np.repeat(size, size)
+        r = rank - above
+        # In a block of one, r - 1 is 0, so the guarded divisor gives 0.
+        within = (r - 1) * (t - 1) / np.maximum(size - 1, 1)
+        total = np.cumsum((t / size) * (above_pos + 1 + within) / (above + r))[-1]
+    return APResult(ap=float(total / positives), pairs=pairs, scores=scores,
+                    positive=positive, positives=positives, tie_break=tie_break)
 
 
 def average_precision(scored: Iterable[tuple], tie_break: str = "lexicographic") -> APResult:
@@ -190,41 +223,25 @@ def average_precision(scored: Iterable[tuple], tie_break: str = "lexicographic")
     the expected AP when tied items are ordered uniformly at random
     (useful when a sparse measure assigns many identical scores).
     """
-    if tie_break not in ("lexicographic", "expected"):
-        raise ValueError(f"tie_break must be 'lexicographic' or 'expected', got {tie_break!r}")
-    items = []
-    for edge, score, label in scored:
-        if label not in ("test", "zero"):
-            raise ValueError(f"label must be 'test' or 'zero', got {label!r}")
-        items.append(((int(edge[0]), int(edge[1])), float(score), label))
-    positives = sum(1 for item in items if item[2] == "test")
-    if positives == 0:
-        raise ValueError("average precision needs at least one 'test' item")
-    ranking = sorted(items, key=lambda item: (-item[1], item[0]))
-    hits = 0
-    precision_at = []
-    lex_total = 0.0
-    for rank, item in enumerate(ranking, start=1):
-        if item[2] == "test":
-            hits += 1
-            lex_total += hits / rank
-        precision_at.append(hits / rank)
-    if tie_break == "lexicographic":
-        ap = lex_total / positives
-    else:
-        ap = _expected_ap(ranking, positives)
-    return APResult(ap=ap, ranking=ranking, precision_at=precision_at,
-                    positives=positives, tie_break=tie_break)
+    items = list(scored)
+    edges, scores, labels = zip(*items) if items else ((), (), ())
+    labels = np.array(labels, dtype=object)
+    positive = labels == "test"
+    bad = np.flatnonzero(~positive & (labels != "zero"))
+    if len(bad):
+        raise ValueError(f"label must be 'test' or 'zero', got {labels[bad[0]]!r}")
+    return _rank(np.array(edges, dtype=np.int64).reshape(-1, 2),
+                 np.array(scores, dtype=np.float64), positive, tie_break)
 
 
 # ---------------------------------------------------------------------------
 # end-to-end protocols
 
 
-def _label_pairs(split: EvaluationSplit) -> tuple[np.ndarray, list[str]]:
-    pairs = np.vstack((split.test_set, split.zero_test_set))
-    labels = ["test"] * len(split.test_set) + ["zero"] * len(split.zero_test_set)
-    return pairs, labels
+def _labeled(test: np.ndarray, zero: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ranked pairs, positives first, and their positive mask."""
+    pairs = np.vstack((test, zero))
+    return pairs, np.arange(len(pairs)) < len(test)
 
 
 def evaluate(tel: TemporalEdgeList, spec: ScoreSpec, fraction: float = 0.75, *,
@@ -253,13 +270,9 @@ def evaluate(tel: TemporalEdgeList, spec: ScoreSpec, fraction: float = 0.75, *,
     """
     if split is None:
         split = temporal_split(tel, fraction, seed=seed)
-    g1 = snapshot_at(tel, split.t1)
-    pairs, labels = _label_pairs(split)
-    scored = score_batch(g1, pairs, spec)
-    return average_precision(
-        (((e.src, e.dst), e.score, label) for e, label in zip(scored, labels)),
-        tie_break=tie_break,
-    )
+    pairs, positive = _labeled(split.test_set, split.zero_test_set)
+    scores = _decay_scores(snapshot_at(tel, split.t1), pairs, spec)
+    return _rank(pairs, scores, positive, tie_break)
 
 
 def random_baseline(split: EvaluationSplit, *, seed: int,
@@ -269,14 +282,9 @@ def random_baseline(split: EvaluationSplit, *, seed: int,
     With equal-size test and zero sets this hovers around 0.5; it is the
     floor any real scorer has to beat.
     """
-    pairs, labels = _label_pairs(split)
-    rng = np.random.default_rng(seed)
-    scores = rng.random(len(pairs))
-    return average_precision(
-        (((int(p[0]), int(p[1])), float(s), label)
-         for p, s, label in zip(pairs, scores, labels)),
-        tie_break=tie_break,
-    )
+    pairs, positive = _labeled(split.test_set, split.zero_test_set)
+    scores = np.random.default_rng(seed).random(len(pairs))
+    return _rank(pairs, scores, positive, tie_break)
 
 
 def evaluate_link_prediction(tel: TemporalEdgeList, measure: Measure,
@@ -289,15 +297,8 @@ def evaluate_link_prediction(tel: TemporalEdgeList, measure: Measure,
     that never occur anywhere in the stream.  Pairs are ranked by the raw
     link-prediction measure on the ``t1`` snapshot (no negation).
     """
-    if not 0.0 < fraction < 1.0:
-        raise ValueError(f"fraction must be strictly between 0 and 1, got {fraction}")
-    if len(tel) == 0:
-        raise ValueError("cannot evaluate an empty event stream")
-    t0, t_end = tel.time_first, tel.time_last
-    t1 = t0 + fraction * (t_end - t0)
+    t1, t_end, k1, k_end = _cut(tel, fraction)
     n = tel.node_count
-    k1 = tel.live_keys(t1)
-    k_end = tel.live_keys(t_end)
     new_keys = np.setdiff1d(k_end, k1, assume_unique=True)
     if len(new_keys) == 0:
         raise ValueError(f"no new edges between t1={t1:g} and t_end={t_end}")
@@ -320,17 +321,13 @@ def evaluate_link_prediction(tel: TemporalEdgeList, measure: Measure,
             if len(chosen) == need:
                 break
     negative_keys = np.array(sorted(chosen), dtype=np.int64)
-    keys = np.concatenate((new_keys, negative_keys))
-    labels = ["test"] * len(new_keys) + ["zero"] * len(negative_keys)
-    g1 = snapshot_at(tel, t1)
+    pairs, positive = _labeled(_keys_to_pairs(new_keys, n),
+                               _keys_to_pairs(negative_keys, n))
     # The score model's decay score is the negated raw measure.
-    scored = score_batch(g1, np.column_stack(np.divmod(keys, n)),
-                         ScoreSpec(ScoreModel.COMPLEMENT_SCORE, Measure(measure),
-                                   DegreeCombination(combo)))
-    return average_precision(
-        (((e.src, e.dst), -e.score, label) for e, label in zip(scored, labels)),
-        tie_break=tie_break,
-    )
+    spec = ScoreSpec(ScoreModel.COMPLEMENT_SCORE, Measure(measure),
+                     DegreeCombination(combo))
+    scores = -_decay_scores(snapshot_at(tel, t1), pairs, spec)
+    return _rank(pairs, scores, positive, tie_break)
 
 
 # ---------------------------------------------------------------------------
@@ -433,25 +430,14 @@ def survival_curve(lifetimes) -> list[tuple[float, float]]:
         return [(0.0, 1.0)]
     order = np.argsort(records.durations, kind="stable")
     durations = records.durations[order]
-    censored = records.censored[order]
-    points = [(0.0, 1.0)]
-    surviving = 1.0
-    total = len(durations)
-    k = 0
-    while k < total:
-        t = durations[k]
-        deaths = 0
-        block_end = k
-        while block_end < total and durations[block_end] == t:
-            if not censored[block_end]:
-                deaths += 1
-            block_end += 1
-        if deaths:
-            at_risk = total - k
-            surviving *= 1.0 - deaths / at_risk
-            points.append((float(t), surviving))
-        k = block_end
-    return points
+    died = ~records.censored[order]
+    times, first = np.unique(durations, return_index=True)
+    deaths = np.add.reduceat(died.astype(np.int64), first)
+    at_risk = len(durations) - first
+    drop = deaths > 0
+    surviving = np.cumprod(1.0 - deaths[drop] / at_risk[drop])
+    return [(0.0, 1.0)] + list(zip(times[drop].astype(np.float64).tolist(),
+                                   surviving.tolist()))
 
 
 def edge_ages(tel: TemporalEdgeList, t: float) -> dict[tuple[int, int], float]:

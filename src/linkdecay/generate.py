@@ -31,7 +31,6 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .events import TemporalEdgeList
 
@@ -102,6 +101,8 @@ def solve_window_span(share_target: float, half_life: float) -> float:
     ``share / (1 - share)`` (deletes per add) and solving for ``lam*T``
     yields the span.
     """
+    from scipy.optimize import brentq  # only this root solve needs scipy
+
     target = share_target / (1.0 - share_target)
 
     def deleted_fraction(x: float) -> float:

@@ -1,12 +1,16 @@
 """Synthetic stream generator: determinism, validity, and planted signals."""
 
 import math
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
+import linkdecay
 from linkdecay.evaluation import (edge_lifetimes, fit_exponential_half_life,
                                   temporal_split)
 from linkdecay.generate import (GenConfig, deletion_share, generate,
@@ -153,3 +157,15 @@ def test_attach_exponent_skews_degrees():
     g_flat = snapshot_at(flat, flat.time_last)
     g_skew = snapshot_at(skewed, skewed.time_last)
     assert g_skew.out_degrees.max() > g_flat.out_degrees.max()
+
+
+def test_import_does_not_load_scipy():
+    """Only the window solve of ``generate`` needs scipy; importing the
+    package (and its CLI) must not pay for it."""
+    src = str(Path(linkdecay.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import linkdecay, linkdecay.cli; "
+            "print('scipy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, src], check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
