@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -34,12 +33,12 @@ from . import __version__
 from .datasets import random_directed_graph, random_reciprocal_graph
 from .evaluation import (_cut, edge_lifetimes, evaluate,
                          evaluate_link_prediction, fit_exponential_half_life,
-                         survival_curve, temporal_split)
-from .events import EventFormatError, read_events
+                         survival_curve, sweep, temporal_split)
+from .events import EventFormatError, _opened, read_events
 from .generate import GenConfig, deletion_share, generate
-from .graph import DegreeCombination, snapshot_at
+from .graph import snapshot_at
 from .oracle import check_closed_form
-from .scoring import Measure, ScoreSpec, all_specs, score_batch
+from .scoring import ScoreSpec, all_specs, score_batch
 
 __all__ = ["main"]
 
@@ -58,22 +57,12 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 # plumbing: streams, config files, manifests, summaries
 
-@contextmanager
 def _open_in(path):
-    if path == "-":
-        yield sys.stdin
-    else:
-        with open(path, "r", encoding="utf-8") as handle:
-            yield handle
+    return _opened(sys.stdin if path == "-" else path, "r")
 
 
-@contextmanager
 def _open_out(path):
-    if path == "-":
-        yield sys.stdout
-    else:
-        with open(path, "w", encoding="utf-8") as handle:
-            yield handle
+    return _opened(sys.stdout if path == "-" else path, "w")
 
 
 def _summary_stream(args) -> object:
@@ -110,15 +99,6 @@ def _parse_config_file(path) -> dict[str, str]:
     return values
 
 
-def _flag_given(action, argv) -> bool:
-    for token in argv:
-        if token in action.option_strings:
-            return True
-        if any(token.startswith(opt + "=") for opt in action.option_strings):
-            return True
-    return False
-
-
 def _coerce(action, raw: str):
     if isinstance(action, argparse._StoreTrueAction):
         lowered = raw.lower()
@@ -135,9 +115,9 @@ def _coerce(action, raw: str):
     return value
 
 
-def _apply_config(args, argv) -> None:
-    """Fill argument values from ``--config`` without overriding explicit
-    flags; the file uses the same keys the manifest writes."""
+def _apply_config(args) -> None:
+    """Make ``--config`` values (the keys a manifest writes) the defaults of
+    a second parse, so that every explicit flag wins, abbreviated or not."""
     values = _parse_config_file(args.config)
     sub = values.pop("subcommand", None)
     if sub is not None and sub != args.subcommand:
@@ -150,8 +130,8 @@ def _apply_config(args, argv) -> None:
         action = actions.get(key)
         if action is None:
             raise ValueError(f"unknown config key {key!r} for {args.subcommand}")
-        if not _flag_given(action, argv):
-            setattr(args, key, _coerce(action, raw))
+        values[key] = _coerce(action, raw)
+    args._parser.set_defaults(**values)
 
 
 def _write_manifest(args) -> None:
@@ -321,9 +301,7 @@ def _cmd_evaluate(args) -> int:
 def _cmd_evaluate_lp(args) -> int:
     _require_seed(args)
     tel = _read_input(args)
-    measure = Measure.parse(args.measure)
-    combo = DegreeCombination.parse(args.combo)
-    result = evaluate_link_prediction(tel, measure, combo, args.fraction,
+    result = evaluate_link_prediction(tel, args.measure, args.combo, args.fraction,
                                       seed=args.seed, tie_break=args.tie_break)
     _write_ranking(args, tel, result)
     _emit(_summary_stream(args),
@@ -380,17 +358,16 @@ def _cmd_sweep(args) -> int:
     _require_seed(args)
     tel = _read_input(args)
     split = temporal_split(tel, args.fraction, seed=args.seed)
+    aps = sweep(tel, split, args.tie_break)
     with _open_out(args.output) as handle:
         handle.write("# model\tmeasure\tcombo\tap\tpositives\n")
-        for spec in all_specs():
-            result = evaluate(tel, spec, args.fraction, seed=args.seed,
-                              tie_break=args.tie_break, split=split)
+        for spec, ap in zip(all_specs(), aps):
             handle.write(f"{spec.model.value}\t{spec.measure.value}\t"
-                         f"{spec.combo.value}\t{_SCORE_FMT % result.ap}\t"
-                         f"{result.positives}\n")
+                         f"{spec.combo.value}\t{_SCORE_FMT % ap}\t"
+                         f"{len(split.test_set)}\n")
     _write_manifest(args)
     _emit(_summary_stream(args),
-          [("rows", len(all_specs())), ("t1", _SCORE_FMT % split.t1),
+          [("rows", len(aps)), ("t1", _SCORE_FMT % split.t1),
            ("positives", len(split.test_set)), ("seed", args.seed)])
     return 0
 
@@ -558,7 +535,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if getattr(args, "config", None) is not None:
-            _apply_config(args, argv)
+            _apply_config(args)
+            args = parser.parse_args(argv)
         return args.func(args)
     except (EventFormatError, ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

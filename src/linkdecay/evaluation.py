@@ -7,7 +7,9 @@ set; an equal-size seeded sample of edges that survived forms the zero
 ranking measures how well decayed edges float to the top.  A creation-side
 twin (:func:`evaluate_link_prediction`) ranks newly formed edges against
 never-present pairs with the raw measures, so decay and creation
-difficulty can be compared on the same stream.
+difficulty can be compared on the same stream.  :func:`sweep` runs all 40
+specs on one split with one ``t1`` snapshot and one pair-feature pass per
+degree combination; :func:`evaluate` is the same body for one spec.
 
 Every protocol ranks through one array path: the pairs, their float
 scores and a positive mask go to one ``np.lexsort`` (descending score,
@@ -23,14 +25,14 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .events import TemporalEdgeList
 from .graph import snapshot_at
 from .scoring import (Measure, ScoreModel, ScoreSpec, DegreeCombination,
-                      _decay_scores)
+                      _decay_scores, all_specs)
 
 __all__ = [
     "APResult",
@@ -45,6 +47,7 @@ __all__ = [
     "fit_exponential_half_life",
     "random_baseline",
     "survival_curve",
+    "sweep",
     "temporal_split",
 ]
 
@@ -244,6 +247,21 @@ def _labeled(test: np.ndarray, zero: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return pairs, np.arange(len(pairs)) < len(test)
 
 
+def _protocol(tel: TemporalEdgeList, split: EvaluationSplit, specs: Sequence[ScoreSpec],
+              tie_break: str) -> Iterator[tuple[int, APResult]]:
+    """Rank a split's pairs under each spec, from one ``t1`` snapshot and
+    one pair-feature pass per degree combination.  Yields ``(position in
+    specs, result)`` grouped by combination, so that one combination's
+    scores and one ranking are alive at a time."""
+    pairs, positive = _labeled(split.test_set, split.zero_test_set)
+    g1 = snapshot_at(tel, split.t1)
+    for combo in dict.fromkeys(spec.combo for spec in specs):
+        group = [k for k, spec in enumerate(specs) if spec.combo is combo]
+        scores = _decay_scores(g1, pairs, [specs[k] for k in group])
+        for k, row in zip(group, scores):
+            yield k, _rank(pairs, row, positive, tie_break)
+
+
 def evaluate(tel: TemporalEdgeList, spec: ScoreSpec, fraction: float = 0.75, *,
              seed: int, tie_break: str = "lexicographic",
              split: EvaluationSplit | None = None) -> APResult:
@@ -270,9 +288,14 @@ def evaluate(tel: TemporalEdgeList, spec: ScoreSpec, fraction: float = 0.75, *,
     """
     if split is None:
         split = temporal_split(tel, fraction, seed=seed)
-    pairs, positive = _labeled(split.test_set, split.zero_test_set)
-    scores = _decay_scores(snapshot_at(tel, split.t1), pairs, spec)
-    return _rank(pairs, scores, positive, tie_break)
+    return next(_protocol(tel, split, [spec], tie_break))[1]
+
+
+def sweep(tel: TemporalEdgeList, split: EvaluationSplit,
+          tie_break: str = "lexicographic") -> list[float]:
+    """AP of each spec of :func:`all_specs` on one split, in that order."""
+    aps = {k: result.ap for k, result in _protocol(tel, split, all_specs(), tie_break)}
+    return [aps[k] for k in sorted(aps)]
 
 
 def random_baseline(split: EvaluationSplit, *, seed: int,
@@ -324,9 +347,8 @@ def evaluate_link_prediction(tel: TemporalEdgeList, measure: Measure,
     pairs, positive = _labeled(_keys_to_pairs(new_keys, n),
                                _keys_to_pairs(negative_keys, n))
     # The score model's decay score is the negated raw measure.
-    spec = ScoreSpec(ScoreModel.COMPLEMENT_SCORE, Measure(measure),
-                     DegreeCombination(combo))
-    scores = -_decay_scores(snapshot_at(tel, t1), pairs, spec)
+    spec = ScoreSpec(ScoreModel.COMPLEMENT_SCORE, measure, combo)
+    scores = -_decay_scores(snapshot_at(tel, t1), pairs, [spec])[0]
     return _rank(pairs, scores, positive, tie_break)
 
 

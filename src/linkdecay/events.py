@@ -26,6 +26,7 @@ read off this one table.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO, Union
@@ -79,6 +80,16 @@ class IngestStats:
 _SIGNS = {"+1": 1, "1": 1, "-1": -1}
 
 PathOrFile = Union[str, Path, TextIO]
+
+
+@contextmanager
+def _opened(target: PathOrFile, mode: str) -> Iterator[TextIO]:
+    """``target`` if it is a file object, else the UTF-8 file at that path."""
+    if isinstance(target, (str, Path)):
+        with open(target, mode, encoding="utf-8") as handle:
+            yield handle
+    else:
+        yield target
 
 
 #: ``PresenceIntervals.end`` of an interval still open after the last event.
@@ -221,10 +232,8 @@ class TemporalEdgeList:
     def read(cls, source: PathOrFile, *, self_loops: str = "skip",
              strict_deletes: bool = False) -> "TemporalEdgeList":
         """Parse an event file; see :func:`read_events`."""
-        if isinstance(source, (str, Path)):
-            with open(source, "r", encoding="utf-8") as handle:
-                return cls._parse(handle, self_loops, strict_deletes)
-        return cls._parse(source, self_loops, strict_deletes)
+        with _opened(source, "r") as handle:
+            return cls._parse(handle, self_loops, strict_deletes)
 
     @classmethod
     def _parse(cls, handle: TextIO, self_loops: str,
@@ -331,28 +340,18 @@ class TemporalEdgeList:
 
     def write(self, target: PathOrFile) -> None:
         """Write the canonical event file (tab-separated, original tokens)."""
-        if isinstance(target, (str, Path)):
-            with open(target, "w", encoding="utf-8") as handle:
-                self._write(handle)
-        else:
-            self._write(target)
-
-    def _write(self, handle: TextIO) -> None:
         ids = self.node_ids
-        handle.writelines(
-            f"{ids[u]}\t{ids[v]}\t{'+1' if s > 0 else '-1'}\t{t}\n"
-            for u, v, s, t in zip(self.src.tolist(), self.dst.tolist(),
-                                  self.sign.tolist(), self.time.tolist()))
+        with _opened(target, "w") as handle:
+            handle.writelines(
+                f"{ids[u]}\t{ids[v]}\t{'+1' if s > 0 else '-1'}\t{t}\n"
+                for u, v, s, t in zip(self.src.tolist(), self.dst.tolist(),
+                                      self.sign.tolist(), self.time.tolist()))
 
     def write_id_map(self, target: PathOrFile) -> None:
         """Persist the token -> index map as ``node<TAB>index`` lines."""
-        if isinstance(target, (str, Path)):
-            with open(target, "w", encoding="utf-8") as handle:
-                for i, token in enumerate(self.node_ids):
-                    handle.write(f"{token}\t{i}\n")
-        else:
-            for i, token in enumerate(self.node_ids):
-                target.write(f"{token}\t{i}\n")
+        with _opened(target, "w") as handle:
+            handle.writelines(f"{token}\t{i}\n"
+                              for i, token in enumerate(self.node_ids))
 
 
 def read_events(source: PathOrFile, *, self_loops: str = "skip",
@@ -390,16 +389,14 @@ def read_events(source: PathOrFile, *, self_loops: str = "skip",
 
 def read_id_map(source: PathOrFile) -> dict[str, int]:
     """Read a ``node<TAB>index`` map written by :meth:`write_id_map`."""
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as handle:
-            return read_id_map(handle)
     mapping: dict[str, int] = {}
-    for lineno, line in enumerate(source, start=1):
-        text = line.strip()
-        if not text or text.startswith("#"):
-            continue
-        fields = text.split()
-        if len(fields) != 2:
-            raise EventFormatError(f"line {lineno}: expected 'node<TAB>index'")
-        mapping[fields[0]] = int(fields[1])
+    with _opened(source, "r") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            text = line.strip()
+            if not text or text.startswith("#"):
+                continue
+            fields = text.split()
+            if len(fields) != 2:
+                raise EventFormatError(f"line {lineno}: expected 'node<TAB>index'")
+            mapping[fields[0]] = int(fields[1])
     return mapping

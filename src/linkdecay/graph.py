@@ -8,16 +8,17 @@ present at time ``t`` iff its last event at or before ``t`` is an add, that
 is, iff one of its rows in the stream's presence-interval table opened at
 or before ``t`` and is censored or closed after ``t``.
 
-Pairwise queries (common neighbors, neighborhood unions) are parameterized
-by a :class:`DegreeCombination`, which fixes how a directed graph's two
-degrees and two neighbor sets are assigned to the endpoints of a candidate
-edge ``(i, j)``.
+Pairwise queries are parameterized by a :class:`DegreeCombination`, which
+fixes how a directed graph's two degrees and two neighbor sets are
+assigned to the endpoints of a candidate edge ``(i, j)``.  One kernel,
+:func:`pair_features`, intersects both endpoints' rows for a block of
+pairs; the decay scorers and the pairwise queries read its columns.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -26,7 +27,9 @@ from .events import TemporalEdgeList
 __all__ = [
     "DegreeCombination",
     "Graph",
+    "PairFeatures",
     "common_neighbor_count",
+    "pair_features",
     "snapshot_at",
     "union_neighborhood_size",
 ]
@@ -297,6 +300,68 @@ def snapshot_at(tel: TemporalEdgeList, t: float) -> Graph:
     return Graph(n, src, dst, validate=False)
 
 
+class PairFeatures(NamedTuple):
+    """Per-pair columns of a block of candidate pairs."""
+
+    d1: np.ndarray      # first-slot endpoint degree
+    d2: np.ndarray      # second-slot endpoint degree
+    cn: np.ndarray      # common-neighbour count
+    common: np.ndarray  # common neighbours: pair by pair, ascending within a pair
+
+
+def _gather_rows(indptr: np.ndarray, indices: np.ndarray,
+                 nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of ``nodes``, concatenated in order, and their lengths."""
+    starts = indptr[nodes]
+    lengths = indptr[nodes + 1] - starts
+    entry = np.arange(int(lengths.sum()), dtype=np.int64)
+    entry += np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+    return indices[entry], lengths
+
+
+def _pair_keys(rows: np.ndarray, lengths: np.ndarray, n: int) -> np.ndarray:
+    """``pair * n + neighbour`` of gathered rows: sorted, as rows are."""
+    keys = np.repeat(np.arange(len(lengths), dtype=np.int64) * n, lengths)
+    keys += rows
+    return keys
+
+
+def pair_features(g: Graph, pairs: np.ndarray,
+                  combo: DegreeCombination) -> PairFeatures:
+    """Degrees and common neighbours of a block of pairs, in one pass.
+
+    Parameters
+    ----------
+    g : Graph
+        Snapshot to read.
+    pairs : array of shape (k, 2)
+        Valid pairs of distinct nodes.  Temporaries grow with the summed
+        row lengths of the block, so callers split large batches.
+    combo : DegreeCombination
+        Which rows fill the two slots.
+
+    Returns
+    -------
+    PairFeatures
+        Both endpoints' rows flatten to sorted ``pair * n + neighbour`` keys;
+        one ``searchsorted`` of the first into the second finds the common
+        neighbours, already grouped by pair and ascending within each.
+    """
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    n = g.node_count
+    (ptr1, idx1), (ptr2, idx2) = DegreeCombination(combo).slot_csr(g)
+    rows1, d1 = _gather_rows(ptr1, idx1, pairs[:, 0])
+    rows2, d2 = _gather_rows(ptr2, idx2, pairs[:, 1])
+    keys1, keys2 = _pair_keys(rows1, d1, n), _pair_keys(rows2, d2, n)
+    if len(keys2):
+        hit = keys2[np.minimum(np.searchsorted(keys2, keys1), len(keys2) - 1)] == keys1
+        common = keys1[hit]
+    else:
+        common = keys2
+    owner, common = np.divmod(common, n)
+    return PairFeatures(d1, d2, np.bincount(owner, minlength=len(pairs)), common)
+
+
 def _check_pair(g: Graph, i: int, j: int) -> None:
     g._check_node(i)
     g._check_node(j)
@@ -311,14 +376,12 @@ def common_neighbor_count(g: Graph, i: int, j: int,
     For ASYM this is the number of directed 2-paths ``i -> k -> j``.
     """
     _check_pair(g, i, j)
-    s1, s2 = combo.endpoint_sets(g, i, j)
-    return len(np.intersect1d(s1, s2, assume_unique=True))
+    return int(pair_features(g, np.array([[i, j]]), combo).cn[0])
 
 
 def union_neighborhood_size(g: Graph, i: int, j: int,
                             combo: DegreeCombination = DegreeCombination.SYM) -> int:
     """Size of the union of the combo-selected neighbor sets."""
     _check_pair(g, i, j)
-    s1, s2 = combo.endpoint_sets(g, i, j)
-    inter = len(np.intersect1d(s1, s2, assume_unique=True))
-    return len(s1) + len(s2) - inter
+    d1, d2, cn, _ = pair_features(g, np.array([[i, j]]), combo)
+    return int(d1[0] + d2[0] - cn[0])

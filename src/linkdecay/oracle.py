@@ -242,8 +242,6 @@ def check_closed_form(g: Graph, spec: ScoreSpec, pairs: str = "edges",
         endpoint handling); ``cn``/``pa`` agree exactly on reciprocated
         existing edges.
     """
-    spec = ScoreSpec(ScoreModel(spec.model), Measure(spec.measure),
-                     DegreeCombination(spec.combo), spec.adad_complement_weights)
     if spec.model is not ScoreModel.COMPLEMENT_NETWORK:
         raise ValueError("closed-form check applies to the 'network' model only")
     view = _complement_view(g, spec.combo)

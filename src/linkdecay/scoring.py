@@ -16,16 +16,17 @@ neighbors.  All of them are parameterized by a
 :class:`~linkdecay.graph.DegreeCombination` that adapts the undirected
 definitions to directed graphs.
 
-Every scorer runs through one batched kernel.  :func:`pair_features`
-reads, for a block of pairs at once, the two endpoint degrees and the
-common neighbours; a 10-row formula table (2 models x 5 measures) turns
-those columns into raw values, and the ``score`` model's decay score is
-``-raw``.  :func:`score_batch` splits large batches into blocks of bounded
-size.  The one-pair functions (:func:`decay_score`,
-:func:`link_prediction_score`, :func:`complement_score`,
-:func:`complement_network_score`) are wrappers over a batch of one.  The
-kernel's float arithmetic follows the per-pair definitions operation for
-operation, so batched and one-pair scores agree bit for bit.
+Every scorer reads one feature pass per degree combination.
+:func:`~linkdecay.graph.pair_features` gives, for a block of pairs at
+once, the two endpoint degrees and the common neighbours; the 10 specs of
+that combination are formulas over those columns (a 10-row table, 2
+models x 5 measures), and the ``score`` model's decay score is ``-raw``.
+Batches are split into blocks of bounded size.  The one-pair functions
+(:func:`decay_score`, :func:`link_prediction_score`,
+:func:`complement_score`, :func:`complement_network_score`) are wrappers
+over a batch of one.  The float arithmetic follows the per-pair
+definitions operation for operation, so batched and one-pair scores agree
+bit for bit.
 """
 
 from __future__ import annotations
@@ -33,15 +34,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .graph import DegreeCombination, Graph, _check_pair
+from .graph import DegreeCombination, Graph, _check_pair, _gather_rows, pair_features
 
 __all__ = [
     "Measure",
-    "PairFeatures",
     "ScoreModel",
     "ScoreSpec",
     "ScoredEdge",
@@ -97,11 +97,17 @@ class ScoreSpec:
     combo: DegreeCombination
     adad_complement_weights: bool = False
 
+    def __post_init__(self):
+        object.__setattr__(self, "model", ScoreModel.parse(self.model))
+        object.__setattr__(self, "measure", Measure.parse(self.measure))
+        object.__setattr__(self, "combo", DegreeCombination.parse(self.combo))
+        object.__setattr__(self, "adad_complement_weights",
+                           bool(self.adad_complement_weights))
+
     @classmethod
     def from_strings(cls, model: str, measure: str, combo: str,
                      adad_complement_weights: bool = False) -> "ScoreSpec":
-        return cls(ScoreModel.parse(model), Measure.parse(measure),
-                   DegreeCombination.parse(combo), bool(adad_complement_weights))
+        return cls(model, measure, combo, adad_complement_weights)
 
     def fields(self) -> dict[str, str]:
         """Serialized form, e.g. for manifests and TSV rows."""
@@ -139,76 +145,20 @@ class ScoredEdge:
 _BLOCK_ENTRIES = 1 << 16
 
 
-class PairFeatures(NamedTuple):
-    """Per-pair columns of a block of candidate pairs."""
+def _node_weights(g: Graph, spec: ScoreSpec) -> Optional[np.ndarray]:
+    """Per-node weights ``1 / log(d)`` (0 for ``d <= 1``) of an ``adad`` spec, else None.
 
-    d1: np.ndarray      # first-slot endpoint degree
-    d2: np.ndarray      # second-slot endpoint degree
-    cn: np.ndarray      # common-neighbour count
-    common: np.ndarray  # common neighbours: pair by pair, ascending within a pair
-
-
-def _gather_rows(indptr: np.ndarray, indices: np.ndarray,
-                 nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of ``nodes``, concatenated in order, and their lengths."""
-    starts = indptr[nodes]
-    lengths = indptr[nodes + 1] - starts
-    entry = np.arange(int(lengths.sum()), dtype=np.int64)
-    entry += np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
-    return indices[entry], lengths
-
-
-def _pair_keys(rows: np.ndarray, lengths: np.ndarray, n: int) -> np.ndarray:
-    """``pair * n + neighbour`` of gathered rows: sorted, as rows are."""
-    keys = np.repeat(np.arange(len(lengths), dtype=np.int64) * n, lengths)
-    keys += rows
-    return keys
-
-
-def pair_features(g: Graph, pairs: np.ndarray,
-                  combo: DegreeCombination) -> PairFeatures:
-    """Degrees and common neighbours of a block of pairs, in one pass.
-
-    Parameters
-    ----------
-    g : Graph
-        Snapshot to read.
-    pairs : array of shape (k, 2)
-        Valid pairs of distinct nodes.  Temporaries grow with the summed
-        row lengths of the block, so callers split large batches.
-    combo : DegreeCombination
-        Which rows fill the two slots.
-
-    Returns
-    -------
-    PairFeatures
-        Both endpoints' rows flatten to sorted ``pair * n + neighbour`` keys;
-        one ``searchsorted`` of the first into the second finds the common
-        neighbours, already grouped by pair and ascending within each.
+    ``math.log`` and ``np.log`` differ in the last bit for some arguments.
+    The ``score`` model has always used ``math.log``, so it goes through a
+    table indexed by degree; the ``network`` model uses ``np.log``.
     """
-    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    n = g.node_count
-    (ptr1, idx1), (ptr2, idx2) = DegreeCombination(combo).slot_csr(g)
-    rows1, d1 = _gather_rows(ptr1, idx1, pairs[:, 0])
-    rows2, d2 = _gather_rows(ptr2, idx2, pairs[:, 1])
-    keys1, keys2 = _pair_keys(rows1, d1, n), _pair_keys(rows2, d2, n)
-    if len(keys2):
-        hit = keys2[np.minimum(np.searchsorted(keys2, keys1), len(keys2) - 1)] == keys1
-        common = keys1[hit]
-    else:
-        common = keys2
-    owner, common = np.divmod(common, n)
-    return PairFeatures(d1, d2, np.bincount(owner, minlength=len(pairs)), common)
-
-
-def _log_weight(degree: int) -> float:
-    """Inverse-log weight, 0 whenever the log is undefined or non-positive."""
-    return 0.0 if degree <= 1 else 1.0 / math.log(degree)
-
-
-def _network_adad_weights(g: Graph, spec: ScoreSpec) -> np.ndarray:
-    """Per-node weights ``1 / np.log(d)`` of a ``network/adad`` spec."""
+    if spec.measure is not Measure.ADAD:
+        return None
     degrees = spec.combo.weight_degrees(g)
+    if spec.model is ScoreModel.COMPLEMENT_SCORE:
+        table = [0.0 if d <= 1 else 1.0 / math.log(d)
+                 for d in range(int(degrees.max(initial=0)) + 1)]
+        return np.array(table, dtype=np.float64)[degrees]
     if spec.adad_complement_weights:
         degrees = g.node_count - 1 - degrees
     weights = np.zeros(len(degrees), dtype=np.float64)
@@ -250,12 +200,11 @@ def _row_sums(weights: np.ndarray, indptr: np.ndarray, indices: np.ndarray,
 
 
 class _Block:
-    """The columns a formula reads, for one block of pairs under one spec."""
+    """One combination's pair features for a block: what its formulas read."""
 
-    def __init__(self, g: Graph, pairs: np.ndarray, spec: ScoreSpec,
-                 weights: Optional[np.ndarray]):
-        self.g, self.pairs, self.spec, self.weights = g, pairs, spec, weights
-        self.d1, self.d2, self.cn, self.common = pair_features(g, pairs, spec.combo)
+    def __init__(self, g: Graph, pairs: np.ndarray, combo: DegreeCombination):
+        self.g, self.pairs, self.combo = g, pairs, combo
+        self.d1, self.d2, self.cn, self.common = pair_features(g, pairs, combo)
 
     @property
     def union(self) -> np.ndarray:
@@ -274,24 +223,14 @@ class _Block:
     def net_d2(self) -> np.ndarray:
         return self.g.node_count - 1 - self.d2
 
-    def common_weight_sums(self) -> np.ndarray:
-        """Weights ``1 / math.log(d)`` of the common neighbours, added in
-        ascending node order.
+    def common_weight_sums(self, w: np.ndarray) -> np.ndarray:
+        """Weights of the common neighbours, added in ascending node order."""
+        return _run_sums(w[self.common], self.cn, pairwise=False)
 
-        ``math.log`` and ``np.log`` differ in the last bit for some
-        arguments.  The ``score`` model has always used ``math.log``, so it
-        goes through a table over the distinct degrees.
-        """
-        degrees = self.spec.combo.weight_degrees(self.g)[self.common]
-        distinct, inverse = np.unique(degrees, return_inverse=True)
-        table = np.array([_log_weight(d) for d in distinct.tolist()], dtype=np.float64)
-        return _run_sums(table[inverse], self.cn, pairwise=False)
-
-    def network_adad(self) -> np.ndarray:
+    def network_adad(self, w: np.ndarray) -> np.ndarray:
         """``sum_V w - sum_N(i) w - sum_N(j) w + sum_common w``, each term
         summed as ``weights[...].sum()`` would."""
-        w = self.weights
-        (ptr1, idx1), (ptr2, idx2) = self.spec.combo.slot_csr(self.g)
+        (ptr1, idx1), (ptr2, idx2) = self.combo.slot_csr(self.g)
         return (float(w.sum())
                 - _row_sums(w, ptr1, idx1, self.pairs[:, 0])
                 - _row_sums(w, ptr2, idx2, self.pairs[:, 1])
@@ -308,21 +247,21 @@ def _ratio(numerator: np.ndarray, denominator: np.ndarray,
 
 _SCORE, _NETWORK = ScoreModel.COMPLEMENT_SCORE, ScoreModel.COMPLEMENT_NETWORK
 
-#: (model, measure) -> raw value over a block's columns.  The ``score``
-#: model's decay score is ``-raw``; the ``network`` model's is ``raw``.
-_FORMULAS: dict[tuple[ScoreModel, Measure], Callable[[_Block], np.ndarray]] = {
-    (_SCORE, Measure.PA): lambda b: b.d1 * b.d2,
-    (_SCORE, Measure.CN): lambda b: b.cn,
-    (_SCORE, Measure.COS): lambda b: _ratio(
+#: (model, measure) -> raw value from a block and the spec's node weights.
+#: The ``score`` model's decay score is ``-raw``; the ``network`` model's is ``raw``.
+_FORMULAS: dict[tuple[ScoreModel, Measure], Callable[..., np.ndarray]] = {
+    (_SCORE, Measure.PA): lambda b, _: b.d1 * b.d2,
+    (_SCORE, Measure.CN): lambda b, _: b.cn,
+    (_SCORE, Measure.COS): lambda b, _: _ratio(
         b.cn, np.sqrt(b.d1) * np.sqrt(b.d2), (b.d1 > 0) & (b.d2 > 0)),
-    (_SCORE, Measure.JACC): lambda b: _ratio(b.cn, b.union, b.union != 0),
+    (_SCORE, Measure.JACC): lambda b, _: _ratio(b.cn, b.union, b.union != 0),
     (_SCORE, Measure.ADAD): _Block.common_weight_sums,
-    (_NETWORK, Measure.PA): lambda b: b.net_d1 * b.net_d2,
-    (_NETWORK, Measure.CN): lambda b: b.net_cn,
-    (_NETWORK, Measure.COS): lambda b: _ratio(
+    (_NETWORK, Measure.PA): lambda b, _: b.net_d1 * b.net_d2,
+    (_NETWORK, Measure.CN): lambda b, _: b.net_cn,
+    (_NETWORK, Measure.COS): lambda b, _: _ratio(
         b.net_cn, np.sqrt(b.net_d1) * np.sqrt(b.net_d2),
         (b.net_d1 > 0) & (b.net_d2 > 0)),
-    (_NETWORK, Measure.JACC): lambda b: _ratio(b.net_cn, b.union, b.union != 0),
+    (_NETWORK, Measure.JACC): lambda b, _: _ratio(b.net_cn, b.union, b.union != 0),
     (_NETWORK, Measure.ADAD): _Block.network_adad,
 }
 
@@ -341,23 +280,28 @@ def _blocks(g: Graph, pairs: np.ndarray, combo: DegreeCombination) -> list[slice
     return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
-def _decay_scores(g: Graph, pairs: np.ndarray, spec: ScoreSpec) -> np.ndarray:
-    """Decay scores of validated, non-empty ``(k, 2)`` pairs."""
-    spec = ScoreSpec(ScoreModel(spec.model), Measure(spec.measure),
-                     DegreeCombination(spec.combo), spec.adad_complement_weights)
-    formula = _FORMULAS[spec.model, spec.measure]
-    weights = (_network_adad_weights(g, spec)
-               if formula is _Block.network_adad else None)
-    raw = np.empty(len(pairs), dtype=np.float64)
-    for block in _blocks(g, pairs, spec.combo):
-        raw[block] = formula(_Block(g, pairs[block], spec, weights))
-    return -raw if spec.model is ScoreModel.COMPLEMENT_SCORE else raw
+def _decay_scores(g: Graph, pairs: np.ndarray, specs: Sequence[ScoreSpec]) -> np.ndarray:
+    """Decay scores of validated, non-empty ``(k, 2)`` pairs, one row per
+    spec.  The specs share one degree combination, so each block's pair
+    features are computed once and read by every spec's formula."""
+    combo = specs[0].combo
+    assert all(spec.combo is combo for spec in specs), "specs must share a combo"
+    weights = [_node_weights(g, spec) for spec in specs]
+    scores = np.empty((len(specs), len(pairs)), dtype=np.float64)
+    for block in _blocks(g, pairs, combo):
+        b = _Block(g, pairs[block], combo)
+        for row, spec, w in zip(scores, specs, weights):
+            row[block] = _FORMULAS[spec.model, spec.measure](b, w)
+    for row, spec in zip(scores, specs):
+        if spec.model is ScoreModel.COMPLEMENT_SCORE:
+            np.negative(row, out=row)
+    return scores
 
 
 def decay_score(g: Graph, i: int, j: int, spec: ScoreSpec) -> float:
     """Score one pair under a fully resolved :class:`ScoreSpec`."""
     _check_pair(g, i, j)
-    return float(_decay_scores(g, np.array([[i, j]], dtype=np.int64), spec)[0])
+    return float(_decay_scores(g, np.array([[i, j]], dtype=np.int64), [spec])[0, 0])
 
 
 def complement_score(g: Graph, i: int, j: int, measure: Measure,
@@ -368,8 +312,7 @@ def complement_score(g: Graph, i: int, j: int, measure: Measure,
     attainable value is 0 (no support at all for the tie).
     """
     return decay_score(g, i, j, ScoreSpec(ScoreModel.COMPLEMENT_SCORE,
-                                          Measure(measure),
-                                          DegreeCombination(combo)))
+                                          measure, combo))
 
 
 def link_prediction_score(g: Graph, i: int, j: int, measure: Measure,
@@ -453,9 +396,8 @@ def complement_network_score(g: Graph, i: int, j: int, measure: Measure,
     form can overcount by at most 2 (the endpoints themselves).
     """
     return decay_score(g, i, j, ScoreSpec(ScoreModel.COMPLEMENT_NETWORK,
-                                          Measure(measure),
-                                          DegreeCombination(combo),
-                                          bool(adad_complement_weights)))
+                                          measure, combo,
+                                          adad_complement_weights))
 
 
 def score_batch(g: Graph, pairs: Iterable[Sequence[int]],
@@ -481,6 +423,6 @@ def score_batch(g: Graph, pairs: Iterable[Sequence[int]],
             _check_pair(g, a, b)
         except (ValueError, IndexError) as exc:
             raise type(exc)(f"pair {k} = ({a}, {b}): {exc}") from exc
-    scores = _decay_scores(g, arr, spec)
+    scores = _decay_scores(g, arr, [spec])[0]
     return [ScoredEdge(a, b, s)
             for a, b, s in zip(i.tolist(), j.tolist(), scores.tolist())]

@@ -1,7 +1,10 @@
 """Command-line interface: subcommands, exit codes, manifests, configs."""
 
+from collections import Counter
+
 import pytest
 
+from linkdecay import evaluation, scoring
 from linkdecay.cli import main
 from linkdecay.datasets import swim_surf_events
 from linkdecay.generate import GenConfig, generate
@@ -283,6 +286,27 @@ def test_sweep_rerun_from_manifest_is_byte_identical(capsys, gen_file, tmp_path)
     assert (tmp_path / "sweep.tsv.manifest").read_bytes() == manifest_first
 
 
+def test_sweep_snapshots_once_and_reads_features_once_per_combo(
+        gen_file, tmp_path, monkeypatch):
+    """The 40 specs share one t1 snapshot and one pair-feature pass per
+    degree combination; the stream is small enough for one block each."""
+    calls = Counter()
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(evaluation, "snapshot_at")
+    counted(scoring, "pair_features")
+    assert main(["sweep", "--input", gen_file, "--seed", "13",
+                 "--output", str(tmp_path / "sweep.tsv")]) == 0
+    assert calls == {"snapshot_at": 1, "pair_features": 4}
+
+
 def test_explicit_flags_override_config(capsys, gen_file, tmp_path):
     out = tmp_path / "sweep.tsv"
     assert main(["sweep", "--input", gen_file, "--seed", "13",
@@ -293,6 +317,22 @@ def test_explicit_flags_override_config(capsys, gen_file, tmp_path):
     # the summary lands on stderr when data goes to stdout
     err = capsys.readouterr().err
     assert "seed=14" in err
+    # an abbreviated flag is explicit too
+    ranking = tmp_path / "ranking.tsv"
+    assert main(["evaluate", "--input", gen_file, "--seed", "13",
+                 "--fraction", "0.75", "--output", str(ranking)]) == 0
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(ranking) + ".manifest",
+                 "--fract", "0.5", "--output", "-"]) == 0
+    assert "fraction=0.5\n" in capsys.readouterr().err
+
+
+def test_config_bad_value_is_data_error(capsys, tmp_path):
+    config = tmp_path / "conf.txt"
+    for line in ("n-nodes=many", "decay-bias=sideways"):
+        config.write_text(f"seed=3\n{line}\n")
+        assert main(["gen", "--config", str(config), "--output", "-"]) == 2
+        assert "error:" in capsys.readouterr().err
 
 
 def test_config_wrong_subcommand_is_data_error(capsys, gen_file, tmp_path):

@@ -1,0 +1,26 @@
+"""Smoke test: the narrative demos that drive the scoring and evaluation
+APIs run to completion."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("0[1-4]_*.py"))
+
+
+def test_demos_are_found():
+    assert [demo.name[:2] for demo in DEMOS] == ["01", "02", "03", "04"]
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda demo: demo.stem)
+def test_demo_exits_zero(demo):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]

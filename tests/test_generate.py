@@ -1,5 +1,7 @@
 """Synthetic stream generator: determinism, validity, and planted signals."""
 
+import hashlib
+import io
 import math
 import subprocess
 import sys
@@ -25,6 +27,31 @@ def test_byte_identical_given_seed(tmp_path):
     a.write(str(pa))
     b.write(str(pb))
     assert pa.read_bytes() == pb.read_bytes()
+
+
+#: SHA-256 of the canonical event file of GenConfig(seed=5, n_nodes=80,
+#: n_add_events=600, decay_bias, attach_exponent).  A change to any random
+#: stream, draw order or output format changes these.
+PINNED_STREAMS = {
+    ("none", 1.0): "5d2ed95e46151c36a5ccb29513af6f5558fa0395cea4f29de77bf6d8a5f08cab",
+    ("none", 1.5): "17297f0a56947af72b977d1ae7fb3cc43be35765bc9e6cd2a0c64a9ba0495057",
+    ("low_degree", 1.0): "791d1b472894636612ecdc624a173c3f1c906f39038d6d90e2a260ad9a1246d3",
+    ("low_degree", 1.5): "511816ebc08b24dbd9f1c0dca449598c73c85abbd46bbdda2ecb3e84fbd7273b",
+    ("few_common_neighbors", 1.0):
+        "db64fafd33866fa88a3c59bc9df480f589b07dd5726a45879ef17421e38e5c6f",
+    ("few_common_neighbors", 1.5):
+        "dc2aba7e9cca819c63d33e2890c96e6d1a9ab0e36b3a8bf83c13e32f62aeb63b",
+}
+
+
+@pytest.mark.parametrize("bias, exponent", sorted(PINNED_STREAMS))
+def test_stream_matches_pinned_digest(bias, exponent):
+    tel = generate(GenConfig(seed=5, n_nodes=80, n_add_events=600,
+                             attach_exponent=exponent, decay_bias=bias))
+    buffer = io.StringIO()
+    tel.write(buffer)
+    digest = hashlib.sha256(buffer.getvalue().encode("utf-8")).hexdigest()
+    assert digest == PINNED_STREAMS[bias, exponent]
 
 
 def test_different_seeds_differ():

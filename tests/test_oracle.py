@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from linkdecay import scoring
+from linkdecay import graph, scoring
 from linkdecay.datasets import (random_directed_graph, random_reciprocal_graph,
                                 swim_surf, swim_surf_events)
 from linkdecay.graph import DegreeCombination, Graph
@@ -99,6 +99,7 @@ def test_raw_evaluator_does_not_use_the_kernel(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("oracle called the scoring kernel")
 
+    monkeypatch.setattr(graph, "pair_features", refuse)
     monkeypatch.setattr(scoring, "pair_features", refuse)
     monkeypatch.setattr(scoring, "_decay_scores", refuse)
     rng = np.random.default_rng(71)

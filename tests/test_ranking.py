@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import reference_evaluation as reference
 from linkdecay.evaluation import (EdgeLifetimes, average_precision, evaluate,
-                                  survival_curve, temporal_split)
+                                  survival_curve, sweep, temporal_split)
 from linkdecay.generate import GenConfig, generate
 from linkdecay.graph import snapshot_at
 from linkdecay.scoring import all_specs, score_batch
@@ -106,7 +106,8 @@ def test_evaluate_matches_reference_over_score_batch_for_all_specs():
     g1 = snapshot_at(tel, split.t1)
     pairs = np.vstack((split.test_set, split.zero_test_set))
     labels = ["test"] * len(split.test_set) + ["zero"] * len(split.zero_test_set)
-    for spec in all_specs():
+    swept = {tie_break: sweep(tel, split, tie_break) for tie_break in TIE_BREAKS}
+    for k, spec in enumerate(all_specs()):
         scored = score_batch(g1, pairs, spec)
         items = [((e.src, e.dst), e.score, label)
                  for e, label in zip(scored, labels)]
@@ -115,3 +116,4 @@ def test_evaluate_matches_reference_over_score_batch_for_all_specs():
             want = reference.average_precision(items, tie_break)
             assert _bits(got.ap) == _bits(want.ap), (str(spec), tie_break)
             assert got.ranking == want.ranking
+            assert _bits(swept[tie_break][k]) == _bits(want.ap), (str(spec), tie_break)
