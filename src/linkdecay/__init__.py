@@ -26,7 +26,7 @@ from .oracle import (OracleReport, brute_force_g2, check_closed_form,
                      materialize_complement, raw_measure, symmetrize)
 from .scoring import (Measure, ScoredEdge, ScoreModel, ScoreSpec, all_specs,
                       complement_network_score, complement_score, decay_score,
-                      link_prediction_score, score_batch)
+                      link_prediction_score, score_batch, score_matrix)
 
 __version__ = "0.1.0"
 
@@ -72,6 +72,7 @@ __all__ = [
     "read_events",
     "read_id_map",
     "score_batch",
+    "score_matrix",
     "snapshot_at",
     "solve_window_span",
     "survival_curve",

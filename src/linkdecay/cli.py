@@ -38,7 +38,7 @@ from .events import EventFormatError, _opened, read_events
 from .generate import GenConfig, deletion_share, generate
 from .graph import snapshot_at
 from .oracle import check_closed_form
-from .scoring import ScoreSpec, all_specs, score_batch
+from .scoring import ScoreSpec, all_specs, score_matrix
 
 __all__ = ["main"]
 
@@ -219,7 +219,7 @@ def _cmd_snapshot(args) -> int:
     return 0
 
 
-def _load_pairs(path, tel) -> list[tuple[int, int]]:
+def _load_pairs(path, tel) -> np.ndarray:
     index = {token: k for k, token in enumerate(tel.node_ids)}
     pairs = []
     with _open_in(path) as handle:
@@ -235,28 +235,24 @@ def _load_pairs(path, tel) -> list[tuple[int, int]]:
             except KeyError as exc:
                 raise ValueError(
                     f"{path}: line {lineno}: unknown node {exc.args[0]!r}") from None
-    return pairs
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
 
 
 def _cmd_score(args) -> int:
     tel = _read_input(args)
     at = tel.time_last if args.at is None else args.at
     g = snapshot_at(tel, at)
-    if args.pairs_file is not None:
-        pairs = _load_pairs(args.pairs_file, tel)
-    else:
-        pairs = g.edges()
+    pairs = g.edges() if args.pairs_file is None else _load_pairs(args.pairs_file, tel)
     spec = _spec_from_args(args)
-    scored = score_batch(g, pairs, spec)
+    scores = score_matrix(g, pairs, [spec])[0]
     ids = tel.node_ids
     with _open_out(args.output) as handle:
         handle.write("# src\tdst\tscore\n")
-        for edge in scored:
-            handle.write(f"{ids[edge.src]}\t{ids[edge.dst]}\t"
-                         f"{_SCORE_FMT % edge.score}\n")
+        for (a, b), score in zip(pairs.tolist(), scores.tolist()):
+            handle.write(f"{ids[a]}\t{ids[b]}\t{_SCORE_FMT % score}\n")
     _write_manifest(args)
     items = list(spec.fields().items())
-    items += [("at", _fmt_value(at)), ("pairs", len(scored))]
+    items += [("at", _fmt_value(at)), ("pairs", len(scores))]
     _emit(_summary_stream(args), items)
     return 0
 

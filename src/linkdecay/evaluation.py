@@ -7,9 +7,10 @@ set; an equal-size seeded sample of edges that survived forms the zero
 ranking measures how well decayed edges float to the top.  A creation-side
 twin (:func:`evaluate_link_prediction`) ranks newly formed edges against
 never-present pairs with the raw measures, so decay and creation
-difficulty can be compared on the same stream.  :func:`sweep` runs all 40
-specs on one split with one ``t1`` snapshot and one pair-feature pass per
-degree combination; :func:`evaluate` is the same body for one spec.
+difficulty can be compared on the same stream.  Every protocol scores its
+pairs with one :func:`~linkdecay.scoring.score_matrix` call on the ``t1``
+snapshot; :func:`sweep` passes all 40 specs at once, so they share one
+snapshot and one pair-feature pass per degree combination.
 
 Every protocol ranks through one array path: the pairs, their float
 scores and a positive mask go to one ``np.lexsort`` (descending score,
@@ -25,14 +26,14 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .events import TemporalEdgeList
 from .graph import snapshot_at
 from .scoring import (Measure, ScoreModel, ScoreSpec, DegreeCombination,
-                      _decay_scores, all_specs)
+                      all_specs, score_matrix)
 
 __all__ = [
     "APResult",
@@ -247,21 +248,6 @@ def _labeled(test: np.ndarray, zero: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return pairs, np.arange(len(pairs)) < len(test)
 
 
-def _protocol(tel: TemporalEdgeList, split: EvaluationSplit, specs: Sequence[ScoreSpec],
-              tie_break: str) -> Iterator[tuple[int, APResult]]:
-    """Rank a split's pairs under each spec, from one ``t1`` snapshot and
-    one pair-feature pass per degree combination.  Yields ``(position in
-    specs, result)`` grouped by combination, so that one combination's
-    scores and one ranking are alive at a time."""
-    pairs, positive = _labeled(split.test_set, split.zero_test_set)
-    g1 = snapshot_at(tel, split.t1)
-    for combo in dict.fromkeys(spec.combo for spec in specs):
-        group = [k for k, spec in enumerate(specs) if spec.combo is combo]
-        scores = _decay_scores(g1, pairs, [specs[k] for k in group])
-        for k, row in zip(group, scores):
-            yield k, _rank(pairs, row, positive, tie_break)
-
-
 def evaluate(tel: TemporalEdgeList, spec: ScoreSpec, fraction: float = 0.75, *,
              seed: int, tie_break: str = "lexicographic",
              split: EvaluationSplit | None = None) -> APResult:
@@ -278,7 +264,8 @@ def evaluate(tel: TemporalEdgeList, spec: ScoreSpec, fraction: float = 0.75, *,
     seed : int
         Drives the zero-test-set sample; everything else is deterministic.
     tie_break : str
-        Passed to :func:`average_precision`.
+        How the ranking scores ties: ``"lexicographic"`` or ``"expected"``,
+        as in :func:`average_precision`.
     split : EvaluationSplit, optional
         Reuse an existing split (skips recomputation); its seed wins.
 
@@ -288,14 +275,17 @@ def evaluate(tel: TemporalEdgeList, spec: ScoreSpec, fraction: float = 0.75, *,
     """
     if split is None:
         split = temporal_split(tel, fraction, seed=seed)
-    return next(_protocol(tel, split, [spec], tie_break))[1]
+    pairs, positive = _labeled(split.test_set, split.zero_test_set)
+    scores = score_matrix(snapshot_at(tel, split.t1), pairs, [spec])[0]
+    return _rank(pairs, scores, positive, tie_break)
 
 
 def sweep(tel: TemporalEdgeList, split: EvaluationSplit,
           tie_break: str = "lexicographic") -> list[float]:
     """AP of each spec of :func:`all_specs` on one split, in that order."""
-    aps = {k: result.ap for k, result in _protocol(tel, split, all_specs(), tie_break)}
-    return [aps[k] for k in sorted(aps)]
+    pairs, positive = _labeled(split.test_set, split.zero_test_set)
+    scores = score_matrix(snapshot_at(tel, split.t1), pairs, all_specs())
+    return [_rank(pairs, row, positive, tie_break).ap for row in scores]
 
 
 def random_baseline(split: EvaluationSplit, *, seed: int,
@@ -348,7 +338,7 @@ def evaluate_link_prediction(tel: TemporalEdgeList, measure: Measure,
                                _keys_to_pairs(negative_keys, n))
     # The score model's decay score is the negated raw measure.
     spec = ScoreSpec(ScoreModel.COMPLEMENT_SCORE, measure, combo)
-    scores = -_decay_scores(snapshot_at(tel, t1), pairs, [spec])[0]
+    scores = -score_matrix(snapshot_at(tel, t1), pairs, [spec])[0]
     return _rank(pairs, scores, positive, tie_break)
 
 

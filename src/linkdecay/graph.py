@@ -255,10 +255,6 @@ class DegreeCombination(str, Enum):
             valid = ", ".join(m.value for m in cls)
             raise ValueError(f"unknown combo {text!r} (expected one of: {valid})") from None
 
-    def endpoint_degrees(self, g: Graph, i: int, j: int) -> tuple[int, int]:
-        s1, s2 = self.endpoint_sets(g, i, j)
-        return len(s1), len(s2)
-
     def endpoint_sets(self, g: Graph, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
         first, second = _SLOTS[self][0]
         return g.neighbors(i, first), g.neighbors(j, second)
@@ -266,11 +262,6 @@ class DegreeCombination(str, Enum):
     def slot_csr(self, g: Graph) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """``(indptr, indices)`` of the first and the second slot's rows."""
         return tuple(g._csr(direction) for direction in _SLOTS[self][0])
-
-    def degree_arrays(self, g: Graph) -> tuple[np.ndarray, np.ndarray]:
-        """Whole-graph endpoint-degree vectors (first slot, second slot)."""
-        first, second = self.slot_csr(g)
-        return np.diff(first[0]), np.diff(second[0])
 
     def weight_degrees(self, g: Graph) -> np.ndarray:
         """Per-node degrees used to weight common neighbors."""

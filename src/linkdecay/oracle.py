@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .graph import DegreeCombination, Graph, _check_pair
-from .scoring import Measure, ScoreModel, ScoreSpec, score_batch
+from .scoring import Measure, ScoreModel, ScoreSpec, score_matrix
 # Kept as a module attribute: perfbench's traced oracle run patches
 # ``oracle.complement_network_score``.
 from .scoring import complement_network_score  # noqa: F401
@@ -250,8 +250,8 @@ def check_closed_form(g: Graph, spec: ScoreSpec, pairs: str = "edges",
     worst: Optional[tuple[int, int]] = None
     max_dev = 0.0
     edge_exact = True
-    closed_forms = [e.score for e in score_batch(g, candidates, spec)]
-    for (i, j), closed in zip(candidates.tolist(), closed_forms):
+    closed_forms = score_matrix(g, candidates, [spec])[0]
+    for (i, j), closed in zip(candidates.tolist(), closed_forms.tolist()):
         brute = evaluator.score(i, j, spec.measure, spec.combo)
         dev = abs(closed - brute)
         if dev > max_dev:

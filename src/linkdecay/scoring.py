@@ -16,17 +16,18 @@ neighbors.  All of them are parameterized by a
 :class:`~linkdecay.graph.DegreeCombination` that adapts the undirected
 definitions to directed graphs.
 
-Every scorer reads one feature pass per degree combination.
-:func:`~linkdecay.graph.pair_features` gives, for a block of pairs at
-once, the two endpoint degrees and the common neighbours; the 10 specs of
-that combination are formulas over those columns (a 10-row table, 2
-models x 5 measures), and the ``score`` model's decay score is ``-raw``.
-Batches are split into blocks of bounded size.  The one-pair functions
+:func:`score_matrix` is the array entry point: it scores a ``(k, 2)``
+batch under any list of specs, one row per spec, with one feature pass
+per degree combination.  :func:`~linkdecay.graph.pair_features` gives,
+for a block of pairs at once, the two endpoint degrees and the common
+neighbours; the 10 specs of a combination are formulas over those
+columns (a 10-row table, 2 models x 5 measures), and the ``score``
+model's decay score is ``-raw``.  :func:`score_batch` wraps one row in
+:class:`ScoredEdge` objects, and the one-pair functions
 (:func:`decay_score`, :func:`link_prediction_score`,
-:func:`complement_score`, :func:`complement_network_score`) are wrappers
-over a batch of one.  The float arithmetic follows the per-pair
-definitions operation for operation, so batched and one-pair scores agree
-bit for bit.
+:func:`complement_score`, :func:`complement_network_score`) read a batch
+of one.  The float arithmetic follows the per-pair definitions operation
+for operation, so batched and one-pair scores agree bit for bit.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -52,6 +53,7 @@ __all__ = [
     "link_prediction_score",
     "pair_features",
     "score_batch",
+    "score_matrix",
 ]
 
 
@@ -145,8 +147,11 @@ class ScoredEdge:
 _BLOCK_ENTRIES = 1 << 16
 
 
-def _node_weights(g: Graph, spec: ScoreSpec) -> Optional[np.ndarray]:
-    """Per-node weights ``1 / log(d)`` (0 for ``d <= 1``) of an ``adad`` spec, else None.
+def _node_weights(g: Graph, pairs: np.ndarray, spec: ScoreSpec):
+    """Per-node weights ``w = 1 / log(d)`` (0 for ``d <= 1``) of an ``adad``
+    spec, else None.  For ``network/adad``, ``(w, outer)``: ``outer`` is
+    ``sum_V w - sum_N(i) w - sum_N(j) w`` of each pair, summed once for the
+    whole batch as ``w[...].sum()`` would.
 
     ``math.log`` and ``np.log`` differ in the last bit for some arguments.
     The ``score`` model has always used ``math.log``, so it goes through a
@@ -164,7 +169,9 @@ def _node_weights(g: Graph, spec: ScoreSpec) -> Optional[np.ndarray]:
     weights = np.zeros(len(degrees), dtype=np.float64)
     mask = degrees > 1
     weights[mask] = 1.0 / np.log(degrees[mask])
-    return weights
+    first, second = spec.combo.slot_csr(g)
+    return weights, (float(weights.sum()) - _row_sums(weights, *first, pairs[:, 0])
+                     - _row_sums(weights, *second, pairs[:, 1]))
 
 
 def _run_sums(values: np.ndarray, counts: np.ndarray,
@@ -202,9 +209,10 @@ def _row_sums(weights: np.ndarray, indptr: np.ndarray, indices: np.ndarray,
 class _Block:
     """One combination's pair features for a block: what its formulas read."""
 
-    def __init__(self, g: Graph, pairs: np.ndarray, combo: DegreeCombination):
-        self.g, self.pairs, self.combo = g, pairs, combo
-        self.d1, self.d2, self.cn, self.common = pair_features(g, pairs, combo)
+    def __init__(self, g: Graph, pairs: np.ndarray, combo: DegreeCombination,
+                 where: slice):
+        self.g, self.where = g, where
+        self.d1, self.d2, self.cn, self.common = pair_features(g, pairs[where], combo)
 
     @property
     def union(self) -> np.ndarray:
@@ -227,14 +235,11 @@ class _Block:
         """Weights of the common neighbours, added in ascending node order."""
         return _run_sums(w[self.common], self.cn, pairwise=False)
 
-    def network_adad(self, w: np.ndarray) -> np.ndarray:
-        """``sum_V w - sum_N(i) w - sum_N(j) w + sum_common w``, each term
-        summed as ``weights[...].sum()`` would."""
-        (ptr1, idx1), (ptr2, idx2) = self.combo.slot_csr(self.g)
-        return (float(w.sum())
-                - _row_sums(w, ptr1, idx1, self.pairs[:, 0])
-                - _row_sums(w, ptr2, idx2, self.pairs[:, 1])
-                + _run_sums(w[self.common], self.cn, pairwise=True))
+    def network_adad(self, weights: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        """The batch's ``sum_V w - sum_N(i) w - sum_N(j) w`` of this block's
+        pairs plus their ``sum_common w``, summed as ``w[...].sum()`` would."""
+        w, outer = weights
+        return outer[self.where] + _run_sums(w[self.common], self.cn, pairwise=True)
 
 
 def _ratio(numerator: np.ndarray, denominator: np.ndarray,
@@ -280,28 +285,63 @@ def _blocks(g: Graph, pairs: np.ndarray, combo: DegreeCombination) -> list[slice
     return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
-def _decay_scores(g: Graph, pairs: np.ndarray, specs: Sequence[ScoreSpec]) -> np.ndarray:
-    """Decay scores of validated, non-empty ``(k, 2)`` pairs, one row per
-    spec.  The specs share one degree combination, so each block's pair
-    features are computed once and read by every spec's formula."""
+def _decay_scores(g: Graph, pairs: np.ndarray, specs: Sequence[ScoreSpec],
+                  rows: Sequence[np.ndarray]) -> None:
+    """Write the decay scores of validated, non-empty ``(k, 2)`` pairs into
+    ``rows``, one per spec.  The specs share one degree combination, so
+    each block's pair features are read by every spec's formula."""
     combo = specs[0].combo
     assert all(spec.combo is combo for spec in specs), "specs must share a combo"
-    weights = [_node_weights(g, spec) for spec in specs]
-    scores = np.empty((len(specs), len(pairs)), dtype=np.float64)
+    weights = [_node_weights(g, pairs, spec) for spec in specs]
     for block in _blocks(g, pairs, combo):
-        b = _Block(g, pairs[block], combo)
-        for row, spec, w in zip(scores, specs, weights):
+        b = _Block(g, pairs, combo, block)
+        for row, spec, w in zip(rows, specs, weights):
             row[block] = _FORMULAS[spec.model, spec.measure](b, w)
-    for row, spec in zip(scores, specs):
+    for row, spec in zip(rows, specs):
         if spec.model is ScoreModel.COMPLEMENT_SCORE:
             np.negative(row, out=row)
+
+
+def _as_pairs(pairs: Iterable[Sequence[int]]) -> np.ndarray:
+    """``pairs`` as a ``(k, 2)`` int64 array; empty input is zero pairs."""
+    arr = np.asarray(pairs if isinstance(pairs, np.ndarray) else list(pairs),
+                     dtype=np.int64)
+    if arr.size == 0:
+        return np.empty((0, 2), dtype=np.int64)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise ValueError(f"pairs must have shape (k, 2), got {arr.shape}")
+    return arr
+
+
+def score_matrix(g: Graph, pairs: Iterable[Sequence[int]],
+                 specs: Sequence[ScoreSpec]) -> np.ndarray:
+    """Decay scores of ``(k, 2)`` pairs under each spec, as a float array
+    of shape ``(len(specs), k)`` in input order.  A bad pair raises the
+    error :func:`decay_score` would, with its position prepended; input not
+    shaped ``(k, 2)`` raises ``ValueError``."""
+    arr = _as_pairs(pairs)
+    i, j = arr[:, 0], arr[:, 1]
+    n = g.node_count
+    bad = np.flatnonzero((i < 0) | (i >= n) | (j < 0) | (j >= n) | (i == j))
+    for k in bad[:1].tolist():
+        a, b = arr[k].tolist()
+        try:
+            _check_pair(g, a, b)
+        except (ValueError, IndexError) as exc:
+            raise type(exc)(f"pair {k} = ({a}, {b}): {exc}") from exc
+    scores = np.empty((len(specs), len(arr)), dtype=np.float64)
+    if len(arr):
+        for combo in dict.fromkeys(spec.combo for spec in specs):
+            group = [s for s, spec in enumerate(specs) if spec.combo is combo]
+            _decay_scores(g, arr, [specs[s] for s in group],
+                          [scores[s] for s in group])
     return scores
 
 
 def decay_score(g: Graph, i: int, j: int, spec: ScoreSpec) -> float:
     """Score one pair under a fully resolved :class:`ScoreSpec`."""
     _check_pair(g, i, j)
-    return float(_decay_scores(g, np.array([[i, j]], dtype=np.int64), [spec])[0, 0])
+    return float(score_matrix(g, np.array([[i, j]], dtype=np.int64), [spec])[0, 0])
 
 
 def complement_score(g: Graph, i: int, j: int, measure: Measure,
@@ -402,27 +442,8 @@ def complement_network_score(g: Graph, i: int, j: int, measure: Measure,
 
 def score_batch(g: Graph, pairs: Iterable[Sequence[int]],
                 spec: ScoreSpec) -> list[ScoredEdge]:
-    """Score many pairs under one spec, preserving input order.
-
-    A bad pair raises the same error :func:`decay_score` would, with its
-    position prepended, so a bad row in a large batch is easy to locate.
-    """
-    if not isinstance(pairs, np.ndarray):
-        pairs = list(pairs)
-    arr = np.asarray(pairs, dtype=np.int64)
-    if arr.size == 0:
-        return []
-    arr = arr.reshape(len(arr), -1)[:, :2]
-    i, j = arr[:, 0], arr[:, 1]
-    n = g.node_count
-    bad = np.flatnonzero((i < 0) | (i >= n) | (j < 0) | (j >= n) | (i == j))
-    if len(bad):
-        k = int(bad[0])
-        a, b = int(i[k]), int(j[k])
-        try:
-            _check_pair(g, a, b)
-        except (ValueError, IndexError) as exc:
-            raise type(exc)(f"pair {k} = ({a}, {b}): {exc}") from exc
-    scores = _decay_scores(g, arr, [spec])[0]
-    return [ScoredEdge(a, b, s)
-            for a, b, s in zip(i.tolist(), j.tolist(), scores.tolist())]
+    """Score many pairs under one spec, preserving input order: the one
+    row of :func:`score_matrix` as :class:`ScoredEdge` objects."""
+    arr = _as_pairs(pairs)
+    scores = score_matrix(g, arr, [spec])[0]
+    return [ScoredEdge(a, b, s) for a, b, s in zip(*arr.T.tolist(), scores.tolist())]

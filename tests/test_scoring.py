@@ -17,7 +17,7 @@ from linkdecay.graph import DegreeCombination, Graph, snapshot_at
 from linkdecay.scoring import (Measure, ScoreModel, ScoreSpec, all_specs,
                                complement_network_score, complement_score,
                                decay_score, link_prediction_score, pair_features,
-                               score_batch)
+                               score_batch, score_matrix)
 
 SYM = DegreeCombination.SYM
 COMBOS = list(DegreeCombination)
@@ -297,6 +297,16 @@ def test_batch_reports_offending_pair_index():
     spec = ScoreSpec(ScoreModel.COMPLEMENT_SCORE, Measure.PA, SYM)
     with pytest.raises(ValueError, match="pair 1"):
         score_batch(g, [(0, 1), (2, 2)], spec)
+    with pytest.raises(ValueError, match="pair 1"):
+        score_matrix(g, [(0, 1), (2, 2)], [spec])
+    # input not shaped (k, 2) is rejected, not indexed or truncated
+    for pairs, shape in ((np.array([1, 2]), r"\(2,\)"), ([[1]], r"\(1, 1\)"),
+                         ([(1, 2, 0)], r"\(1, 3\)"),
+                         (np.zeros((2, 2, 2), np.int64), r"\(2, 2, 2\)")):
+        with pytest.raises(ValueError, match=rf"shape \(k, 2\), got {shape}"):
+            score_batch(g, pairs, spec)
+        with pytest.raises(ValueError, match=rf"shape \(k, 2\), got {shape}"):
+            score_matrix(g, pairs, [spec])
 
 
 def test_batch_reports_unknown_node_as_index_error():
@@ -320,13 +330,19 @@ def _bits(x):
 
 
 def _assert_matches_reference(g, pairs, specs=SPECS_AND_ACW):
+    """Every spec through ``score_batch``, and all of them at once through
+    ``score_matrix`` in reversed order, match the reference bit for bit."""
     pairs = [(int(a), int(b)) for a, b in pairs]
+    wants = {spec: [reference.decay_score(g, a, b, spec) for a, b in pairs]
+             for spec in specs}
     for spec in specs:
         scored = score_batch(g, pairs, spec)
         assert [(e.src, e.dst) for e in scored] == pairs
-        for (a, b), e in zip(pairs, scored):
-            want = reference.decay_score(g, a, b, spec)
-            assert _bits(e.score) == _bits(want), (str(spec), a, b, e.score, want)
+        assert [_bits(e.score) for e in scored] == [_bits(w) for w in wants[spec]], str(spec)
+    matrix = score_matrix(g, pairs, specs[::-1])
+    assert matrix.shape == (len(specs), len(pairs))
+    for spec, row in zip(specs[::-1], matrix):
+        assert [_bits(x) for x in row.tolist()] == [_bits(w) for w in wants[spec]], str(spec)
 
 
 def _all_pairs(n):
@@ -337,6 +353,9 @@ def test_kernel_empty_graph_and_empty_batch():
     for spec in SPECS_AND_ACW:
         assert score_batch(Graph(0, [], []), [], spec) == []
         assert score_batch(Graph(3, [], []), np.empty((0, 2), np.int64), spec) == []
+    for g in (Graph(0, [], []), Graph(3, [], [])):
+        for empty in ([], np.empty((0, 2), np.int64)):
+            assert score_matrix(g, empty, SPECS_AND_ACW).shape == (len(SPECS_AND_ACW), 0)
     _assert_matches_reference(Graph(3, [], []), _all_pairs(3))
 
 
