@@ -7,6 +7,16 @@ emitted for edges whose lifetime ends inside the simulated window; edges
 outliving the window are simply never deleted, which is what keeps the
 share of delete events well below one half.
 
+Endpoints are drawn from a Fenwick (binary indexed) tree over the
+attachment weights ``degree + 1``, raised to ``attach_exponent``.  Each
+degree change updates the tree and each draw searches it in O(log n)
+work, so an add costs no pass over all nodes.  When the weights are
+integers (exponents 0 and 1) every prefix sum is exact, and the draws are
+those of ``np.searchsorted(np.cumsum(weights), u * total, side="right")``.
+Other exponents give float weights, which the tree adds in another order
+than a cumulative sum would; a draw can then differ only where ``u * total``
+falls within rounding error of a prefix boundary.
+
 A decay bias can multiply the hazard of a structural class of edges so
 that evaluation pipelines have a planted, recoverable signal:
 
@@ -113,6 +123,49 @@ def solve_window_span(share_target: float, half_life: float) -> float:
     return x / rate
 
 
+class _Fenwick:
+    """Binary indexed tree (Fenwick 1994) over ``n`` non-negative weights.
+
+    ``add`` changes one weight and ``search`` inverts the prefix sums, each
+    in O(log n).  ``total`` is the running sum of all weights.
+    """
+
+    def __init__(self, n: int, initial: float) -> None:
+        # 1-based: tree[k] holds the sum of the weights k - lowbit(k) .. k - 1.
+        self.tree = [initial * (k & -k) for k in range(n + 1)]
+        self.n = n
+        self.total = initial * n
+        self.top = 1 << (n.bit_length() - 1)
+
+    def add(self, i: int, delta: float) -> None:
+        """Add ``delta`` to weight ``i`` (0-based)."""
+        tree, n = self.tree, self.n
+        k = i + 1
+        while k <= n:
+            tree[k] += delta
+            k += k & -k
+        self.total += delta
+
+    def search(self, x: float) -> int:
+        """Index of the first weight whose prefix sum exceeds ``x``, as
+        ``np.searchsorted(np.cumsum(w), x, side="right")`` finds it.
+
+        The result is capped at ``n - 1``: for ``x < total`` the exact answer
+        is below ``n``, and float weights summed along the search path in
+        another order than ``total`` must not push it there.
+        """
+        tree, n = self.tree, self.n
+        pos, acc, step = 0, 0, self.top
+        while step:
+            nxt = pos + step
+            if nxt < n:
+                s = acc + tree[nxt]
+                if s <= x:
+                    pos, acc = nxt, s
+            step >>= 1
+        return pos
+
+
 def generate(config: GenConfig) -> TemporalEdgeList:
     """Simulate one synthetic event stream.
 
@@ -126,7 +179,14 @@ def generate(config: GenConfig) -> TemporalEdgeList:
     rate = math.log(2.0) / config.decay_half_life
     add_times = np.sort(rng.integers(0, window + 1, size=config.n_add_events))
 
-    degree = np.zeros(n, dtype=np.int64)
+    # weight[d]: attachment weight of a node of total degree d <= 2(n-1).
+    if config.attach_exponent == 1.0:
+        weight = range(1, 2 * n)
+    else:
+        weight = (np.arange(1, 2 * n, dtype=np.float64)
+                  ** config.attach_exponent).tolist()
+    tree = _Fenwick(n, weight[0])
+    degree = [0] * n
     live: set[tuple[int, int]] = set()
     # neighbor -> number of live directed edges touching it (1 or 2), kept
     # only for the common-neighbor bias class.
@@ -140,10 +200,15 @@ def generate(config: GenConfig) -> TemporalEdgeList:
     records: list[tuple[int, int, int, int]] = []
     counter = 0
 
+    def shift_degree(v: int, step: int) -> None:
+        d = degree[v]
+        degree[v] = d + step
+        tree.add(v, weight[d + step] - weight[d])
+
     def drop_edge(i: int, j: int) -> None:
         live.discard((i, j))
-        degree[i] -= 1
-        degree[j] -= 1
+        shift_degree(i, -1)
+        shift_degree(j, -1)
         if track_cn:
             for a, b in ((i, j), (j, i)):
                 left = neighbor_counts[a][b] - 1
@@ -157,14 +222,9 @@ def generate(config: GenConfig) -> TemporalEdgeList:
             t_del, _, i, j = heapq.heappop(death_heap)
             records.append((i, j, -1, t_del))
             drop_edge(i, j)
-        weights = (degree + 1).astype(np.float64)
-        if config.attach_exponent != 1.0:
-            weights **= config.attach_exponent
-        cumulative = np.cumsum(weights)
-        total = cumulative[-1]
         for _ in range(1000):
-            i = int(np.searchsorted(cumulative, rng.random() * total, side="right"))
-            j = int(np.searchsorted(cumulative, rng.random() * total, side="right"))
+            i = tree.search(rng.random() * tree.total)
+            j = tree.search(rng.random() * tree.total)
             if i != j and (i, j) not in live:
                 break
         else:
@@ -176,8 +236,8 @@ def generate(config: GenConfig) -> TemporalEdgeList:
         if track_median:
             if added % _MEDIAN_REFRESH == 0 and recent_endpoint_degrees:
                 median_degree = float(np.median(recent_endpoint_degrees))
-            recent_endpoint_degrees.append(int(degree[i]))
-            recent_endpoint_degrees.append(int(degree[j]))
+            recent_endpoint_degrees.append(degree[i])
+            recent_endpoint_degrees.append(degree[j])
             biased = degree[i] < median_degree or degree[j] < median_degree
         elif track_cn:
             biased = not (neighbor_counts[i].keys() & neighbor_counts[j].keys())
@@ -185,8 +245,8 @@ def generate(config: GenConfig) -> TemporalEdgeList:
         lifetime = max(1, int(round(rng.exponential(1.0 / hazard))))
         records.append((i, j, 1, t_add))
         live.add((i, j))
-        degree[i] += 1
-        degree[j] += 1
+        shift_degree(i, 1)
+        shift_degree(j, 1)
         if track_cn:
             for a, b in ((i, j), (j, i)):
                 neighbor_counts[a][b] = neighbor_counts[a].get(b, 0) + 1

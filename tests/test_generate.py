@@ -10,12 +10,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import spearmanr
 
 import linkdecay
+import reference_generate as reference
 from linkdecay.evaluation import (edge_lifetimes, fit_exponential_half_life,
                                   temporal_split)
-from linkdecay.generate import (GenConfig, deletion_share, generate,
+from linkdecay.generate import (GenConfig, _Fenwick, deletion_share, generate,
                                 solve_window_span)
 from linkdecay.graph import snapshot_at
 
@@ -52,6 +55,93 @@ def test_stream_matches_pinned_digest(bias, exponent):
     tel.write(buffer)
     digest = hashlib.sha256(buffer.getvalue().encode("utf-8")).hexdigest()
     assert digest == PINNED_STREAMS[bias, exponent]
+
+
+def _stream_or_error(generator, config: GenConfig) -> str:
+    """The canonical event file, or the saturation error's message."""
+    try:
+        tel = generator(config)
+    except RuntimeError as exc:
+        return f"RuntimeError: {exc}"
+    buffer = io.StringIO()
+    tel.write(buffer)
+    return buffer.getvalue()
+
+
+#: Hubs this steep leave no free pair among the likely draws.
+_SATURATED = GenConfig(seed=0, n_nodes=20, n_add_events=100, attach_exponent=4.0)
+
+
+@pytest.mark.parametrize("config", [
+    *(GenConfig(seed=seed, n_nodes=120, n_add_events=1500,
+                attach_exponent=exponent, decay_bias=bias)
+      for bias in ("none", "low_degree", "few_common_neighbors")
+      for exponent in (0.0, 1.0, 1.5) for seed in (3, 4)),
+    _SATURATED,
+], ids=lambda c: f"{c.decay_bias}-{c.attach_exponent}-{c.seed}")
+def test_stream_matches_cumsum_reference(config):
+    """The Fenwick-tree sampler draws the endpoints the full cumulative sum
+    drew, so every stream, and the saturation error, are unchanged."""
+    expected = _stream_or_error(reference.generate, config)
+    assert _stream_or_error(generate, config) == expected
+    if config == _SATURATED:
+        assert expected.startswith("RuntimeError: could not place a new edge")
+
+
+def _fenwick_of(weights) -> _Fenwick:
+    tree = _Fenwick(len(weights), weights[0])
+    for i, w in enumerate(weights):
+        tree.add(i, w - weights[0])
+    return tree
+
+
+_SIZES = st.one_of(st.sampled_from([1, 2, 4, 8, 16, 64]), st.integers(1, 70))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(st.data())
+def test_fenwick_search_matches_searchsorted(data):
+    """With integer weights, ``search`` is ``searchsorted(cumsum(w), x,
+    side="right")`` at 0, on every prefix boundary and between them, also
+    after interleaved +-1 updates."""
+    n = data.draw(_SIZES, label="n")
+    weights = data.draw(st.lists(st.integers(0, 6), min_size=n, max_size=n),
+                        label="weights")
+    updates = data.draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                           st.sampled_from([-1, 1])),
+                                 max_size=20), label="updates")
+    tree = _fenwick_of(weights)
+    for step in [None, *updates]:
+        if step is not None:
+            i, delta = step
+            if weights[i] + delta < 0:
+                continue
+            weights[i] += delta
+            tree.add(i, delta)
+        cumulative = np.cumsum(weights)
+        total = int(cumulative[-1])
+        assert tree.total == total
+        if total == 0:
+            continue
+        probes = {0, *(int(c) for c in cumulative if c < total),
+                  total - 0.5, (1 - 2 ** -53) * total,
+                  data.draw(st.floats(0, total, exclude_max=True), label="x")}
+        for x in sorted(probes):
+            expected = int(np.searchsorted(cumulative, x, side="right"))
+            assert tree.search(x) == expected, (x, weights)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(st.data())
+def test_fenwick_search_stays_below_n(data):
+    """The largest draw, ``u = 1 - 2**-53``, never picks index ``n``, also
+    when float weights round the tree's total and the search's running sum
+    differently."""
+    n = data.draw(_SIZES, label="n")
+    weights = data.draw(st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n),
+                        label="weights")
+    tree = _fenwick_of(weights)
+    assert tree.search((1 - 2 ** -53) * tree.total) < n
 
 
 def test_different_seeds_differ():
