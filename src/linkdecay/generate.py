@@ -235,7 +235,10 @@ def generate(config: GenConfig) -> TemporalEdgeList:
         biased = False
         if track_median:
             if added % _MEDIAN_REFRESH == 0 and recent_endpoint_degrees:
-                median_degree = float(np.median(recent_endpoint_degrees))
+                # The int64 array np.median(deque) builds, without converting
+                # the deque element by element.
+                median_degree = float(np.median(np.fromiter(
+                    recent_endpoint_degrees, np.int64, len(recent_endpoint_degrees))))
             recent_endpoint_degrees.append(degree[i])
             recent_endpoint_degrees.append(degree[j])
             biased = degree[i] < median_degree or degree[j] < median_degree

@@ -218,6 +218,16 @@ def _csr(n: int, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return indptr.astype(np.int64, copy=False), np.remainder(keys, n, out=keys)
 
 
+def _parse_choice(choices: type[Enum], noun: str, text: str):
+    """The member of ``choices`` whose value is ``text``; else ``ValueError``
+    naming the ``noun`` and listing the valid values."""
+    try:
+        return choices(text)
+    except ValueError:
+        valid = ", ".join(m.value for m in choices)
+        raise ValueError(f"unknown {noun} {text!r} (expected one of: {valid})") from None
+
+
 class DegreeCombination(str, Enum):
     """How the two endpoint degrees and neighbor sets of a candidate edge
     ``(i, j)`` are read off a directed graph.
@@ -249,11 +259,7 @@ class DegreeCombination(str, Enum):
 
     @classmethod
     def parse(cls, text: str) -> "DegreeCombination":
-        try:
-            return cls(text)
-        except ValueError:
-            valid = ", ".join(m.value for m in cls)
-            raise ValueError(f"unknown combo {text!r} (expected one of: {valid})") from None
+        return _parse_choice(cls, "combo", text)
 
     def endpoint_sets(self, g: Graph, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
         first, second = _SLOTS[self][0]

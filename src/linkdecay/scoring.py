@@ -20,11 +20,14 @@ definitions to directed graphs.
 batch under any list of specs, one row per spec, with one feature pass
 per degree combination.  :func:`~linkdecay.graph.pair_features` gives,
 for a block of pairs at once, the two endpoint degrees and the common
-neighbours; the 10 specs of a combination are formulas over those
-columns (a 10-row table, 2 models x 5 measures), and the ``score``
-model's decay score is ``-raw``.  :func:`score_batch` wraps one row in
-:class:`ScoredEdge` objects, and the one-pair functions
-(:func:`decay_score`, :func:`link_prediction_score`,
+neighbours.  Each of pa, cn, cos and jacc is one formula over a block's
+``(d1, d2, cn, union)`` columns: the ``score`` model reads the graph's,
+the ``network`` model the complement's closed forms
+``(n-1-d1, n-1-d2, n-d1-d2+cn, union)``, which keep the original union.
+``adad`` sums node weights over neighbour rows, with one row reduction
+per distinct row length.  The ``score`` model's decay score is ``-raw``.
+:func:`score_batch` wraps one row in :class:`ScoredEdge` objects, and the
+one-pair functions (:func:`decay_score`, :func:`link_prediction_score`,
 :func:`complement_score`, :func:`complement_network_score`) read a batch
 of one.  The float arithmetic follows the per-pair definitions operation
 for operation, so batched and one-pair scores agree bit for bit.
@@ -35,11 +38,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graph import DegreeCombination, Graph, _check_pair, _gather_rows, pair_features
+from .graph import (DegreeCombination, Graph, _check_pair, _gather_rows, _parse_choice,
+                    pair_features)
 
 __all__ = [
     "Measure",
@@ -68,11 +72,7 @@ class Measure(str, Enum):
 
     @classmethod
     def parse(cls, text: str) -> "Measure":
-        try:
-            return cls(text)
-        except ValueError:
-            valid = ", ".join(m.value for m in cls)
-            raise ValueError(f"unknown measure {text!r} (expected one of: {valid})") from None
+        return _parse_choice(cls, "measure", text)
 
 
 class ScoreModel(str, Enum):
@@ -83,11 +83,7 @@ class ScoreModel(str, Enum):
 
     @classmethod
     def parse(cls, text: str) -> "ScoreModel":
-        try:
-            return cls(text)
-        except ValueError:
-            valid = ", ".join(m.value for m in cls)
-            raise ValueError(f"unknown model {text!r} (expected one of: {valid})") from None
+        return _parse_choice(cls, "model", text)
 
 
 @dataclass(frozen=True)
@@ -148,8 +144,9 @@ _BLOCK_ENTRIES = 1 << 16
 
 
 def _node_weights(g: Graph, pairs: np.ndarray, spec: ScoreSpec):
-    """Per-node weights ``w = 1 / log(d)`` (0 for ``d <= 1``) of an ``adad``
-    spec, else None.  For ``network/adad``, ``(w, outer)``: ``outer`` is
+    """``(w, outer)`` of a spec.  ``w`` holds the per-node weights
+    ``1 / log(d)`` (0 for ``d <= 1``) of an ``adad`` spec, else None.
+    ``outer`` is None except for ``network/adad``, where it is
     ``sum_V w - sum_N(i) w - sum_N(j) w`` of each pair, summed once for the
     whole batch as ``w[...].sum()`` would.
 
@@ -158,12 +155,12 @@ def _node_weights(g: Graph, pairs: np.ndarray, spec: ScoreSpec):
     table indexed by degree; the ``network`` model uses ``np.log``.
     """
     if spec.measure is not Measure.ADAD:
-        return None
+        return None, None
     degrees = spec.combo.weight_degrees(g)
     if spec.model is ScoreModel.COMPLEMENT_SCORE:
         table = [0.0 if d <= 1 else 1.0 / math.log(d)
                  for d in range(int(degrees.max(initial=0)) + 1)]
-        return np.array(table, dtype=np.float64)[degrees]
+        return np.array(table, dtype=np.float64)[degrees], None
     if spec.adad_complement_weights:
         degrees = g.node_count - 1 - degrees
     weights = np.zeros(len(degrees), dtype=np.float64)
@@ -185,23 +182,22 @@ def _run_sums(values: np.ndarray, counts: np.ndarray,
               pairwise: bool) -> np.ndarray:
     """Sum of each consecutive run of ``values`` (run lengths ``counts``).
 
-    Runs add left to right from 0.0, as a Python loop does.  With
-    ``pairwise``, runs of 8 or more call ``.sum()`` instead: numpy adds
-    shorter runs left to right as well but longer ones pairwise, so this
-    reproduces ``values[run].sum()`` bit for bit.
+    The runs of one length are the rows of one C-contiguous matrix, so the
+    only loop is over distinct lengths.  Without ``pairwise`` a row adds
+    left to right, as a Python ``+=`` loop from 0.0 does (``np.cumsum``
+    along the row).  With ``pairwise`` a row is reduced by ``.sum(axis=1)``,
+    which on a contiguous float64 row gives the bits of ``values[run].sum()``:
+    left to right below 8 entries, numpy's pairwise blocks from 8 on.
     """
     starts = np.cumsum(counts) - counts
-    looped = np.where(counts < 8, counts, 0) if pairwise else counts
-    order = np.argsort(looped, kind="stable")
-    first = np.searchsorted(looped[order], np.arange(int(looped.max(initial=0))),
-                            side="right")
+    order = np.argsort(counts, kind="stable")
+    lengths, first = np.unique(counts[order], return_index=True)
     totals = np.zeros(len(counts))
-    for k, lo in enumerate(first.tolist()):
-        live = order[lo:]
-        totals[live] += values[starts[live] + k]
-    if pairwise:
-        for p in np.flatnonzero(counts >= 8).tolist():
-            totals[p] = values[starts[p]:starts[p] + counts[p]].sum()
+    for length, runs in zip(lengths.tolist(), np.split(order, first[1:])):
+        if length == 0:
+            continue
+        rows = values[starts[runs, None] + np.arange(length)]
+        totals[runs] = rows.sum(axis=1) if pairwise else np.cumsum(rows, axis=1)[:, -1]
     return totals
 
 
@@ -213,42 +209,6 @@ def _row_sums(weights: np.ndarray, indptr: np.ndarray, indices: np.ndarray,
     return _run_sums(weights[rows], lengths, pairwise=True)[inverse]
 
 
-class _Block:
-    """One combination's pair features for a block: what its formulas read."""
-
-    def __init__(self, g: Graph, pairs: np.ndarray, combo: DegreeCombination,
-                 where: slice):
-        self.g, self.where = g, where
-        self.d1, self.d2, self.cn, self.common = pair_features(g, pairs[where], combo)
-
-    @property
-    def union(self) -> np.ndarray:
-        return self.d1 + self.d2 - self.cn
-
-    @property
-    def net_cn(self) -> np.ndarray:
-        """Common-neighbour count on the complement (closed form)."""
-        return self.g.node_count - self.d1 - self.d2 + self.cn
-
-    @property
-    def net_d1(self) -> np.ndarray:
-        return self.g.node_count - 1 - self.d1
-
-    @property
-    def net_d2(self) -> np.ndarray:
-        return self.g.node_count - 1 - self.d2
-
-    def common_weight_sums(self, w: np.ndarray) -> np.ndarray:
-        """Weights of the common neighbours, added in ascending node order."""
-        return _run_sums(w[self.common], self.cn, pairwise=False)
-
-    def network_adad(self, weights: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-        """The batch's ``sum_V w - sum_N(i) w - sum_N(j) w`` of this block's
-        pairs plus their ``sum_common w``, summed as ``w[...].sum()`` would."""
-        w, outer = weights
-        return outer[self.where] + _run_sums(w[self.common], self.cn, pairwise=True)
-
-
 def _ratio(numerator: np.ndarray, denominator: np.ndarray,
            defined: np.ndarray) -> np.ndarray:
     """``numerator / denominator`` where ``defined``, else 0."""
@@ -257,25 +217,18 @@ def _ratio(numerator: np.ndarray, denominator: np.ndarray,
     return out
 
 
-_SCORE, _NETWORK = ScoreModel.COMPLEMENT_SCORE, ScoreModel.COMPLEMENT_NETWORK
-
-#: (model, measure) -> raw value from a block and the spec's node weights.
-#: The ``score`` model's decay score is ``-raw``; the ``network`` model's is ``raw``.
-_FORMULAS: dict[tuple[ScoreModel, Measure], Callable[..., np.ndarray]] = {
-    (_SCORE, Measure.PA): lambda b, _: b.d1 * b.d2,
-    (_SCORE, Measure.CN): lambda b, _: b.cn,
-    (_SCORE, Measure.COS): lambda b, _: _ratio(
-        b.cn, np.sqrt(b.d1) * np.sqrt(b.d2), (b.d1 > 0) & (b.d2 > 0)),
-    (_SCORE, Measure.JACC): lambda b, _: _ratio(b.cn, b.union, b.union != 0),
-    (_SCORE, Measure.ADAD): _Block.common_weight_sums,
-    (_NETWORK, Measure.PA): lambda b, _: b.net_d1 * b.net_d2,
-    (_NETWORK, Measure.CN): lambda b, _: b.net_cn,
-    (_NETWORK, Measure.COS): lambda b, _: _ratio(
-        b.net_cn, np.sqrt(b.net_d1) * np.sqrt(b.net_d2),
-        (b.net_d1 > 0) & (b.net_d2 > 0)),
-    (_NETWORK, Measure.JACC): lambda b, _: _ratio(b.net_cn, b.union, b.union != 0),
-    (_NETWORK, Measure.ADAD): _Block.network_adad,
-}
+def _formula(measure: Measure, d1: np.ndarray, d2: np.ndarray, cn: np.ndarray,
+             union: np.ndarray) -> np.ndarray:
+    """Raw pa, cn, cos or jacc of a block from its ``(d1, d2, cn, union)``
+    columns: the graph's for the ``score`` model, the complement's closed
+    forms for ``network``."""
+    if measure is Measure.PA:
+        return d1 * d2
+    if measure is Measure.CN:
+        return cn
+    if measure is Measure.COS:
+        return _ratio(cn, np.sqrt(d1) * np.sqrt(d2), (d1 > 0) & (d2 > 0))
+    return _ratio(cn, union, union != 0)
 
 
 def _blocks(g: Graph, pairs: np.ndarray, combo: DegreeCombination) -> list[slice]:
@@ -299,11 +252,23 @@ def _decay_scores(g: Graph, pairs: np.ndarray, specs: Sequence[ScoreSpec],
     each block's pair features are read by every spec's formula."""
     combo = specs[0].combo
     assert all(spec.combo is combo for spec in specs), "specs must share a combo"
+    n = g.node_count
     weights = [_node_weights(g, pairs, spec) for spec in specs]
     for block in _blocks(g, pairs, combo):
-        b = _Block(g, pairs, combo, block)
-        for row, spec, w in zip(rows, specs, weights):
-            row[block] = _FORMULAS[spec.model, spec.measure](b, w)
+        d1, d2, cn, common = pair_features(g, pairs[block], combo)
+        union = d1 + d2 - cn
+        columns = {ScoreModel.COMPLEMENT_SCORE: (d1, d2, cn, union),
+                   ScoreModel.COMPLEMENT_NETWORK:
+                       (n - 1 - d1, n - 1 - d2, n - d1 - d2 + cn, union)}
+        for row, spec, (w, outer) in zip(rows, specs, weights):
+            if spec.measure is not Measure.ADAD:
+                row[block] = _formula(spec.measure, *columns[spec.model])
+            elif outer is None:
+                # score: the common neighbours' weights in ascending node order.
+                row[block] = _run_sums(w[common], cn, pairwise=False)
+            else:
+                # network: plus their sum as ``w[common].sum()`` gives it.
+                row[block] = outer[block] + _run_sums(w[common], cn, pairwise=True)
     for row, spec in zip(rows, specs):
         if spec.model is ScoreModel.COMPLEMENT_SCORE:
             np.negative(row, out=row)

@@ -7,6 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import reference_scoring as reference
 from linkdecay import scoring
@@ -405,6 +407,33 @@ def test_kernel_batch_crosses_the_real_block_budget():
     pairs = np.array(_all_pairs(160))[rng.choice(160 * 159, size=700, replace=False)]
     assert len(scoring._blocks(g, pairs, SYM)) >= 2
     _assert_matches_reference(g, pairs)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(lengths=st.lists(st.integers(0, 600), max_size=20),
+       seed=st.integers(0, 2**32 - 1), zero_share=st.sampled_from((0.0, 0.3, 1.0)))
+@example(lengths=[5000], seed=1, zero_share=0.0)
+@example(lengths=[9] * 3000 + [130] * 500, seed=2, zero_share=0.3)
+@example(lengths=[], seed=3, zero_share=0.0)
+def test_run_sums_match_sum_and_python_loop(lengths, seed, zero_share):
+    """Pairwise run sums have the bits of ``.sum()``; the others those of a
+    Python ``+=`` loop from 0.0.  Runs of 8 or more tell the two apart."""
+    rng = np.random.default_rng(seed)
+    counts = np.array(lengths, dtype=np.int64)
+    degrees = rng.integers(0, 3000, size=int(counts.sum()))
+    values = np.where(degrees > 1, 1.0 / np.log(np.maximum(degrees, 2)), 0.0)
+    values[rng.random(len(values)) < zero_share] = 0.0
+    starts = (np.cumsum(counts) - counts).tolist()
+    pairwise = scoring._run_sums(values, counts, pairwise=True)
+    looped = scoring._run_sums(values, counts, pairwise=False)
+    assert pairwise.shape == looped.shape == (len(lengths),)
+    for k, (start, length) in enumerate(zip(starts, lengths)):
+        run = values[start:start + length]
+        total = 0.0
+        for x in run.tolist():
+            total += x
+        assert _bits(pairwise[k]) == _bits(run.sum()), (k, length)
+        assert _bits(looped[k]) == _bits(total), (k, length)
 
 
 def test_pair_features_columns():
