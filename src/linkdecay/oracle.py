@@ -16,6 +16,15 @@ Per degree combination the complement view is:
   complementation do not commute, and the symmetric reading of the
   measures lives on the symmetrized structure, so the complement must be
   taken there.
+
+A check builds one complement view and one :class:`_RawEvaluator`, and
+does each per-node and per-graph computation once rather than once per
+pair: a node's neighbor sets and adad weight, whether each candidate is an
+edge (one ``np.isin`` over pair keys), and the validation of the
+candidates (``score_matrix`` already rejects a bad pair).  Nothing lives
+across calls.  Every score sums the same terms in the same
+``sorted(common)`` order, so a report is bit-identical to one that
+evaluates each pair afresh.
 """
 
 from __future__ import annotations
@@ -29,7 +38,10 @@ import numpy as np
 from .graph import DegreeCombination, Graph, _check_pair
 from .scoring import Measure, ScoreModel, ScoreSpec, score_matrix
 # Kept as a module attribute: perfbench's traced oracle run patches
-# ``oracle.complement_network_score``.
+# ``oracle.complement_network_score``.  The patch records no pairs, because
+# ``check_closed_form`` scores through ``score_matrix`` and never calls it.
+# The re-export goes once perfbench reads library stage spans instead
+# (ROADMAP item 2).
 from .scoring import complement_network_score  # noqa: F401
 
 __all__ = [
@@ -91,12 +103,23 @@ def _complement_view(g: Graph, combo: DegreeCombination,
 
 
 class _RawEvaluator:
-    """Naive set-arithmetic evaluation of the raw measures on one graph."""
+    """Naive set-arithmetic evaluation of the raw measures on one graph.
+
+    A node's out and in sets are built the first time a pair needs them,
+    and its adad weight ``1/log(d_k)`` the first time it is a common
+    neighbor under a combination.  The weights are kept per combination,
+    because OUT, IN and the summed degree of SYM/ASYM weigh a node
+    differently.  A cached weight is the value the per-pair formula would
+    give, and the sum adds the same terms in the same ``sorted(common)``
+    order from 0.0, so every score keeps its bits.  :meth:`score` trusts
+    its pair; :func:`raw_measure` validates it.
+    """
 
     def __init__(self, g: Graph):
         self.g = g
         self._out: dict[int, set] = {}
         self._in: dict[int, set] = {}
+        self._weights: dict[DegreeCombination, dict[int, float]] = {}
 
     def _out_set(self, v: int) -> set:
         s = self._out.get(v)
@@ -131,7 +154,6 @@ class _RawEvaluator:
 
     def score(self, i: int, j: int, measure: Measure,
               combo: DegreeCombination) -> float:
-        _check_pair(self.g, i, j)
         s1, s2 = self._sets(combo, i, j)
         d1, d2 = len(s1), len(s2)
         if measure is Measure.PA:
@@ -149,10 +171,14 @@ class _RawEvaluator:
             if union == 0:
                 return 0.0
             return cn / union
+        weights = self._weights.setdefault(combo, {})
         total = 0.0
         for k in sorted(common):
-            dk = self._weight_degree(combo, k)
-            total += 0.0 if dk <= 1 else 1.0 / math.log(dk)
+            w = weights.get(k)
+            if w is None:
+                dk = self._weight_degree(combo, k)
+                w = weights[k] = 0.0 if dk <= 1 else 1.0 / math.log(dk)
+            total += w
         return total
 
 
@@ -164,7 +190,9 @@ def raw_measure(g: Graph, i: int, j: int, measure: Measure,
     :func:`~linkdecay.scoring.link_prediction_score`, implemented
     independently so the two can check each other.
     """
-    return _RawEvaluator(g).score(i, j, Measure(measure), DegreeCombination(combo))
+    measure, combo = Measure(measure), DegreeCombination(combo)
+    _check_pair(g, i, j)
+    return _RawEvaluator(g).score(i, j, measure, combo)
 
 
 def brute_force_g2(g: Graph, i: int, j: int, measure: Measure,
@@ -251,12 +279,19 @@ def check_closed_form(g: Graph, spec: ScoreSpec, pairs: str = "edges",
     max_dev = 0.0
     edge_exact = True
     closed_forms = score_matrix(g, candidates, [spec])[0]
-    for (i, j), closed in zip(candidates.tolist(), closed_forms.tolist()):
+    if pairs == "edges":
+        is_edge = np.ones(len(candidates), dtype=bool)
+    else:
+        n, edges = g.node_count, g.edges()
+        is_edge = np.isin(candidates[:, 0] * n + candidates[:, 1],
+                          edges[:, 0] * n + edges[:, 1])
+    for (i, j), closed, edge in zip(candidates.tolist(), closed_forms.tolist(),
+                                    is_edge.tolist()):
         brute = evaluator.score(i, j, spec.measure, spec.combo)
         dev = abs(closed - brute)
         if dev > max_dev:
             max_dev = dev
             worst = (i, j)
-        if dev != 0.0 and (pairs == "edges" or g.has_edge(i, j)):
+        if edge_exact and dev != 0.0 and edge:
             edge_exact = False
     return OracleReport(spec, len(candidates), max_dev, worst, edge_exact)

@@ -1,5 +1,7 @@
 """Brute-force complement oracle and closed-form verification."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -7,15 +9,20 @@ from linkdecay import graph, scoring
 from linkdecay.datasets import (random_directed_graph, random_reciprocal_graph,
                                 swim_surf, swim_surf_events)
 from linkdecay.graph import DegreeCombination, Graph
-from linkdecay.oracle import (brute_force_g2, check_closed_form,
+from linkdecay.oracle import (_RawEvaluator, brute_force_g2, check_closed_form,
                               materialize_complement, raw_measure, symmetrize)
-from linkdecay.scoring import (Measure, ScoreModel, ScoreSpec,
+from linkdecay.scoring import (Measure, ScoreModel, ScoreSpec, all_specs,
                                complement_network_score, complement_score,
-                               link_prediction_score)
+                               link_prediction_score, score_matrix)
 
 SYM = DegreeCombination.SYM
 COMBOS = list(DegreeCombination)
 MEASURES = list(Measure)
+NETWORK_SPECS = [s for s in all_specs() if s.model is ScoreModel.COMPLEMENT_NETWORK]
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
 
 
 # ---- materialization ----
@@ -110,6 +117,66 @@ def test_raw_evaluator_does_not_use_the_kernel(monkeypatch):
             brute_force_g2(g, 2, 3, measure, combo)
 
 
+def _low_degree_graph(rng, n):
+    """Random digraph whose last five nodes have out-degree 1, out-degree 0,
+    in-degree 1, in-degree 0 and degree 0; the first four are common
+    neighbors of several pairs, so their adad weights take the 0.0 branch."""
+    mask = rng.random((n, n)) < 0.3
+    mask[n - 1, :] = False
+    mask[n - 1, 0] = True
+    mask[n - 2, :] = False
+    mask[:4, n - 1] = mask[:4, n - 2] = True
+    mask[:, n - 3] = False
+    mask[1, n - 3] = True
+    mask[:, n - 4] = False
+    mask[n - 3, :4] = mask[n - 4, :4] = True
+    mask[n - 5, :] = mask[:, n - 5] = False
+    np.fill_diagonal(mask, False)
+    src, dst = np.nonzero(mask)
+    return Graph(n, src.astype(np.int64), dst.astype(np.int64))
+
+
+def test_shared_evaluator_matches_fresh_calls_bitwise():
+    """One evaluator serves a whole check, so its per-node tables are reused
+    across pairs; interleaving every measure and combination on each pair
+    also reuses them across combinations.  Each score must keep the bits of
+    a fresh evaluator's."""
+    rng = np.random.default_rng(83)
+    for _ in range(3):
+        g = _low_degree_graph(rng, int(rng.integers(9, 14)))
+        n = g.node_count
+        assert {g.out_degree(n - 1), g.out_degree(n - 2)} == {0, 1}
+        assert {g.in_degree(n - 3), g.in_degree(n - 4)} == {0, 1}
+        evaluator = _RawEvaluator(g)
+        for i in range(n):
+            for j in range(n):
+                if i == j:
+                    continue
+                for measure in MEASURES:
+                    for combo in COMBOS:
+                        shared = evaluator.score(i, j, measure, combo)
+                        fresh = raw_measure(g, i, j, measure, combo)
+                        assert _bits(shared) == _bits(fresh), (measure, combo, i, j)
+        for combo in (DegreeCombination.OUT, DegreeCombination.IN):
+            assert 0.0 in evaluator._weights[combo].values(), combo
+
+
+def test_oracle_rejects_bad_pairs():
+    g = random_directed_graph(5, 0.4, np.random.default_rng(3))
+    for oracle_fn in (raw_measure, brute_force_g2):
+        for measure in MEASURES:
+            for combo in COMBOS:
+                with pytest.raises(ValueError, match=r"distinct endpoints, got \(2, 2\)"):
+                    oracle_fn(g, 2, 2, measure, combo)
+                with pytest.raises(IndexError, match=r"unknown node 5 \(graph has 5 nodes\)"):
+                    oracle_fn(g, 0, 5, measure, combo)
+                with pytest.raises(IndexError, match="unknown node -1 "):
+                    oracle_fn(g, -1, 0, measure, combo)
+        # the measure is parsed before the pair is checked
+        with pytest.raises(ValueError, match="not a valid Measure"):
+            oracle_fn(g, 0, 5, "nope", SYM)
+
+
 def test_negation_duality_via_oracle():
     rng = np.random.default_rng(19)
     g = random_directed_graph(20, 0.3, rng)
@@ -200,6 +267,49 @@ def test_sampled_mode_bounded_and_deterministic():
     assert a.pairs_checked == 300
     assert a.max_abs_deviation == b.max_abs_deviation
     assert a.worst_pair == b.worst_pair
+
+
+def _per_pair_report(g, spec, pairs):
+    """A check's report recomputed pair by pair, with a fresh ``raw_measure``
+    on the complement view and ``g.has_edge`` for every candidate; also
+    whether each deviating candidate is an edge, in candidate order."""
+    n = g.node_count
+    cand = (g.edges().tolist() if pairs == "edges"
+            else [[i, j] for i in range(n) for j in range(n) if i != j])
+    view = materialize_complement(symmetrize(g) if spec.combo is SYM else g)
+    closed = score_matrix(g, np.array(cand, dtype=np.int64).reshape(-1, 2), [spec])[0]
+    max_dev, worst, deviating = 0.0, None, []
+    for (i, j), c in zip(cand, closed.tolist()):
+        dev = abs(c - raw_measure(view, i, j, spec.measure, spec.combo))
+        if dev > max_dev:
+            max_dev, worst = dev, (i, j)
+        if dev != 0.0:
+            deviating.append(g.has_edge(i, j))
+    return (len(cand), _bits(max_dev), worst, not any(deviating)), deviating
+
+
+def test_report_matches_per_pair_recomputation():
+    rng = np.random.default_rng(91)
+    graphs = {"directed": random_directed_graph(14, 0.3, rng),
+              "reciprocal": random_reciprocal_graph(14, 0.3, rng),
+              "empty": Graph.from_edges(6, []),
+              "one node": Graph.from_edges(1, [])}
+    seen = set()
+    for name, g in graphs.items():
+        for spec in NETWORK_SPECS:
+            for pairs in ("edges", "all"):
+                r = check_closed_form(g, spec, pairs=pairs)
+                got = (r.pairs_checked, _bits(r.max_abs_deviation), r.worst_pair,
+                       r.edge_exact)
+                expect, deviating = _per_pair_report(g, spec, pairs)
+                assert got == expect, (name, str(spec), pairs)
+                if pairs == "all" and deviating:
+                    seen.add((name, deviating[0], any(deviating)))
+    # a non-edge deviates before the first deviating edge
+    assert ("directed", False, True) in seen
+    # non-edges deviate and no edge does
+    assert ("reciprocal", False, False) in seen
+    assert ("empty", False, False) in seen
 
 
 def test_score_model_rejected():
