@@ -17,14 +17,17 @@ Per degree combination the complement view is:
   measures lives on the symmetrized structure, so the complement must be
   taken there.
 
-A check builds one complement view and one :class:`_RawEvaluator`, and
-does each per-node and per-graph computation once rather than once per
-pair: a node's neighbor sets and adad weight, whether each candidate is an
-edge (one ``np.isin`` over pair keys), and the validation of the
-candidates (``score_matrix`` already rejects a bad pair).  Nothing lives
-across calls.  Every score sums the same terms in the same
-``sorted(common)`` order, so a report is bit-identical to one that
-evaluates each pair afresh.
+A check builds one complement view and scores all its candidates as one
+batch: per block of pairs, each distinct endpoint's neighbor set becomes a
+boolean membership row over the nodes, and set sizes and intersections
+are row counts and ANDs.  Edge membership of the candidates is one
+``np.isin`` over pair keys, and ``score_matrix`` already rejects a bad
+pair.  A sampled candidate set is drawn in chunks that keep numpy's
+one-call-per-pair stream.  Nothing lives across calls.  Every score adds
+the same terms in the same ``sorted(common)`` order as a per-pair set
+loop, so a report is bit-identical to one that evaluates each pair
+afresh.  :func:`raw_measure` and :func:`brute_force_g2` score a batch of
+one through the same code, and none of it calls the scoring kernel.
 """
 
 from __future__ import annotations
@@ -102,89 +105,99 @@ def _complement_view(g: Graph, combo: DegreeCombination,
     return materialize_complement(g, limit=limit)
 
 
-class _RawEvaluator:
-    """Naive set-arithmetic evaluation of the raw measures on one graph.
+#: Membership cells (pairs x nodes) one block of a batch may hold; a block
+#: has at least one pair.
+BLOCK_CELLS = 1 << 18
 
-    A node's out and in sets are built the first time a pair needs them,
-    and its adad weight ``1/log(d_k)`` the first time it is a common
-    neighbor under a combination.  The weights are kept per combination,
-    because OUT, IN and the summed degree of SYM/ASYM weigh a node
-    differently.  A cached weight is the value the per-pair formula would
-    give, and the sum adds the same terms in the same ``sorted(common)``
-    order from 0.0, so every score keeps its bits.  :meth:`score` trusts
-    its pair; :func:`raw_measure` validates it.
+#: combo -> (first-slot directions, second-slot directions, directions
+#: summed into a node's adad weight degree).  A slot's set is the union of
+#: its directions' rows, so SYM unions out and in itself rather than read
+#: the graph's merged rows.
+_RULES = {
+    DegreeCombination.SYM: (("out", "in"), ("out", "in"), ("out", "in")),
+    DegreeCombination.ASYM: (("out",), ("in",), ("out", "in")),
+    DegreeCombination.IN: (("in",), ("in",), ("in",)),
+    DegreeCombination.OUT: (("out",), ("out",), ("out",)),
+}
+
+
+def _membership(g: Graph, nodes: np.ndarray,
+                directions: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Boolean rows over ``g``'s nodes, one per distinct entry of ``nodes``
+    in first-seen order, True on the union of the entry's ``directions``
+    rows; and the row of each entry of ``nodes``."""
+    row_of: dict[int, int] = {}
+    at = np.array([row_of.setdefault(v, len(row_of)) for v in nodes.tolist()],
+                  dtype=np.intp)
+    rows = np.zeros((len(row_of), g.node_count), dtype=bool)
+    for direction in directions:
+        indptr, indices = g._csr(direction)
+        for row, v in zip(rows, row_of):
+            row[indices[indptr[v]:indptr[v + 1]]] = True
+    return rows, at
+
+
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """``num / den``, and 0.0 where ``den`` is 0."""
+    out = np.zeros(len(num))
+    nonzero = den != 0
+    out[nonzero] = num[nonzero] / den[nonzero]
+    return out
+
+
+def _block_scores(g: Graph, block: np.ndarray, measure: Measure,
+                  combo: DegreeCombination) -> np.ndarray:
+    first, second, weighted = _RULES[combo]
+    rows1, at1 = _membership(g, block[:, 0], first)
+    rows2, at2 = _membership(g, block[:, 1], second)
+    d1 = np.count_nonzero(rows1, axis=1)[at1]
+    d2 = np.count_nonzero(rows2, axis=1)[at2]
+    if measure is Measure.PA:
+        return (d1 * d2).astype(np.float64)
+    common = rows1[at1] & rows2[at2]
+    cn = np.count_nonzero(common, axis=1)
+    if measure is Measure.CN:
+        return cn.astype(np.float64)
+    if measure is Measure.COS:
+        return _ratio(cn, np.sqrt(d1) * np.sqrt(d2))
+    if measure is Measure.JACC:
+        return _ratio(cn, d1 + d2 - cn)
+    ks = np.flatnonzero(common.any(axis=0))
+    if len(ks) == 0:
+        return np.zeros(len(block))
+    dk = 0
+    for direction in weighted:
+        indptr = g._csr(direction)[0]
+        dk = dk + indptr[ks + 1] - indptr[ks]
+    w = np.array([0.0 if d <= 1 else 1.0 / math.log(d) for d in dk.tolist()])
+    return np.cumsum(np.where(common[:, ks], w, 0.0), axis=1)[:, -1]
+
+
+def _raw_scores(g: Graph, pairs: np.ndarray, measure: Measure,
+                combo: DegreeCombination) -> np.ndarray:
+    """Raw measure of every pair of a ``(k, 2)`` batch on ``g``.
+
+    Each block of pairs gets boolean membership rows, built once per
+    distinct endpoint from ``g``'s rows.  Degrees and common-neighbour
+    counts are row counts, and pa, cn, cos and jacc are array arithmetic
+    with the per-pair formulas' operations.  adad sums the ``1/log(d_k)``
+    weights (``math.log``, 0.0 for ``d_k <= 1``) of the common neighbours
+    left to right in ascending node order, adding 0.0 for the other
+    columns, so every score has the bits of a ``sorted(common)`` loop.
+    Trusts its pairs: :func:`raw_measure` and :func:`check_closed_form`
+    validate them.
     """
-
-    def __init__(self, g: Graph):
-        self.g = g
-        self._out: dict[int, set] = {}
-        self._in: dict[int, set] = {}
-        self._weights: dict[DegreeCombination, dict[int, float]] = {}
-
-    def _out_set(self, v: int) -> set:
-        s = self._out.get(v)
-        if s is None:
-            s = set(self.g.out_neighbors(v).tolist())
-            self._out[v] = s
-        return s
-
-    def _in_set(self, v: int) -> set:
-        s = self._in.get(v)
-        if s is None:
-            s = set(self.g.in_neighbors(v).tolist())
-            self._in[v] = s
-        return s
-
-    def _sets(self, combo: DegreeCombination, i: int, j: int) -> tuple[set, set]:
-        if combo is DegreeCombination.SYM:
-            return (self._out_set(i) | self._in_set(i),
-                    self._out_set(j) | self._in_set(j))
-        if combo is DegreeCombination.ASYM:
-            return self._out_set(i), self._in_set(j)
-        if combo is DegreeCombination.IN:
-            return self._in_set(i), self._in_set(j)
-        return self._out_set(i), self._out_set(j)
-
-    def _weight_degree(self, combo: DegreeCombination, k: int) -> int:
-        if combo is DegreeCombination.OUT:
-            return len(self._out_set(k))
-        if combo is DegreeCombination.IN:
-            return len(self._in_set(k))
-        return len(self._out_set(k)) + len(self._in_set(k))
-
-    def score(self, i: int, j: int, measure: Measure,
-              combo: DegreeCombination) -> float:
-        s1, s2 = self._sets(combo, i, j)
-        d1, d2 = len(s1), len(s2)
-        if measure is Measure.PA:
-            return float(d1 * d2)
-        common = s1 & s2
-        cn = len(common)
-        if measure is Measure.CN:
-            return float(cn)
-        if measure is Measure.COS:
-            if d1 == 0 or d2 == 0:
-                return 0.0
-            return cn / (math.sqrt(d1) * math.sqrt(d2))
-        if measure is Measure.JACC:
-            union = len(s1) + len(s2) - cn
-            if union == 0:
-                return 0.0
-            return cn / union
-        weights = self._weights.setdefault(combo, {})
-        total = 0.0
-        for k in sorted(common):
-            w = weights.get(k)
-            if w is None:
-                dk = self._weight_degree(combo, k)
-                w = weights[k] = 0.0 if dk <= 1 else 1.0 / math.log(dk)
-            total += w
-        return total
+    out = np.empty(len(pairs))
+    step = max(1, BLOCK_CELLS // max(g.node_count, 1))
+    for lo in range(0, len(pairs), step):
+        out[lo:lo + step] = _block_scores(g, pairs[lo:lo + step], measure, combo)
+    return out
 
 
 def raw_measure(g: Graph, i: int, j: int, measure: Measure,
                 combo: DegreeCombination) -> float:
-    """Raw measure of ``(i, j)`` on ``g`` by direct set arithmetic.
+    """Raw measure of ``(i, j)`` on ``g`` by direct set arithmetic (a batch
+    of one for :func:`_raw_scores`).
 
     Functionally the same quantity as
     :func:`~linkdecay.scoring.link_prediction_score`, implemented
@@ -192,7 +205,7 @@ def raw_measure(g: Graph, i: int, j: int, measure: Measure,
     """
     measure, combo = Measure(measure), DegreeCombination(combo)
     _check_pair(g, i, j)
-    return _RawEvaluator(g).score(i, j, measure, combo)
+    return float(_raw_scores(g, np.array([[i, j]], dtype=np.int64), measure, combo)[0])
 
 
 def brute_force_g2(g: Graph, i: int, j: int, measure: Measure,
@@ -224,23 +237,58 @@ class OracleReport:
         return d
 
 
+def _draw_one_by_one(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
+    """``k`` pairs from ``k`` calls of ``rng.integers(0, n, size=2)``."""
+    return np.array([rng.integers(0, n, size=2) for _ in range(k)]).reshape(k, 2)
+
+
+def _sample_pairs(n: int, max_pairs: int, seed: int) -> np.ndarray:
+    """The sorted ``max_pairs`` distinct pairs of distinct nodes of
+    ``0..n-1`` that a loop of ``rng.integers(0, n, size=2)`` calls keeps,
+    skipping self-pairs and repeats, from ``default_rng(seed)``.
+
+    The pairs are drawn in chunks, ``rng.integers(0, n, size=(k, 2))``.
+    Without a rejection in Lemire's bounded draw, a pair takes one 64-bit
+    PCG64 word (two 32-bit halves) for ``n <= 2**32`` and two words above,
+    in a chunk and in a call alike; a chunk whose state advanced by exactly
+    that many words per pair is then the calls' pairs in order.  numpy does
+    not document how a rejection shifts the halves, so any other chunk is
+    drawn again, pair by pair, from the state before it.  The state is
+    compared without its buffered-half flag.
+    """
+    rng = np.random.default_rng(seed)
+    bitgen = rng.bit_generator
+    words = 1 if n <= 1 << 32 else 2
+    out: set[tuple[int, int]] = set()
+    while len(out) < max_pairs:
+        k = max_pairs - len(out)
+        before = bitgen.state
+        chunk = rng.integers(0, n, size=(k, 2))
+        after = bitgen.state
+        bitgen.state = before
+        bitgen.advance(words * k)
+        if bitgen.state["state"] == after["state"]:
+            bitgen.state = after
+        else:
+            bitgen.state = before
+            chunk = _draw_one_by_one(rng, n, k)
+        for i, j in chunk.tolist():
+            if i != j:
+                out.add((i, j))
+                if len(out) == max_pairs:
+                    break
+    return np.array(sorted(out), dtype=np.int64)
+
+
 def _candidate_pairs(g: Graph, pairs: str, max_pairs: int,
                      seed: int) -> np.ndarray:
     n = g.node_count
     if pairs == "edges":
         return g.edges()
-    if pairs != "all":
-        raise ValueError(f"pairs must be 'edges' or 'all', got {pairs!r}")
     if n * (n - 1) <= max_pairs or n <= 50:
-        grid = [(i, j) for i in range(n) for j in range(n) if i != j]
-        return np.array(grid, dtype=np.int64).reshape(-1, 2)
-    rng = np.random.default_rng(seed)
-    out = set()
-    while len(out) < max_pairs:
-        i, j = rng.integers(0, n, size=2)
-        if i != j:
-            out.add((int(i), int(j)))
-    return np.array(sorted(out), dtype=np.int64)
+        i, j = np.nonzero(~np.eye(n, dtype=bool))
+        return np.column_stack((i, j)).astype(np.int64)
+    return _sample_pairs(n, max_pairs, seed)
 
 
 def check_closed_form(g: Graph, spec: ScoreSpec, pairs: str = "edges",
@@ -258,40 +306,41 @@ def check_closed_form(g: Graph, spec: ScoreSpec, pairs: str = "edges",
         Check existing edges only, or all ordered pairs (exhaustive up to
         50 nodes, a seeded sample of ``max_pairs`` beyond that).
     max_pairs, seed : int
-        Sample size and seed for the large-graph 'all' mode.
+        Sample size (at least 1 in 'all' mode) and seed for the
+        large-graph 'all' mode.
 
     Returns
     -------
     OracleReport
-        Maximum absolute deviation with the pair attaining it, and whether
-        every *existing* edge among the checked pairs matched exactly.
-        Deviations are expected and recorded for ``jacc`` (original-graph
-        union denominator) and ``adad`` (original-degree weights and
-        endpoint handling); ``cn``/``pa`` agree exactly on reciprocated
-        existing edges.
+        Maximum absolute deviation with the first pair attaining it, and
+        whether every *existing* edge among the checked pairs matched
+        exactly.  Deviations are expected and recorded for ``jacc``
+        (original-graph union denominator) and ``adad`` (original-degree
+        weights and endpoint handling); ``cn``/``pa`` agree exactly on
+        reciprocated existing edges.
     """
     if spec.model is not ScoreModel.COMPLEMENT_NETWORK:
         raise ValueError("closed-form check applies to the 'network' model only")
+    if pairs not in ("edges", "all"):
+        raise ValueError(f"pairs must be 'edges' or 'all', got {pairs!r}")
+    if pairs == "all" and max_pairs < 1:
+        raise ValueError(f"max_pairs must be at least 1, got {max_pairs}")
     view = _complement_view(g, spec.combo)
-    evaluator = _RawEvaluator(view)
     candidates = _candidate_pairs(g, pairs, max_pairs, seed)
-    worst: Optional[tuple[int, int]] = None
-    max_dev = 0.0
-    edge_exact = True
     closed_forms = score_matrix(g, candidates, [spec])[0]
+    dev = np.abs(closed_forms - _raw_scores(view, candidates, spec.measure, spec.combo))
     if pairs == "edges":
         is_edge = np.ones(len(candidates), dtype=bool)
     else:
         n, edges = g.node_count, g.edges()
         is_edge = np.isin(candidates[:, 0] * n + candidates[:, 1],
                           edges[:, 0] * n + edges[:, 1])
-    for (i, j), closed, edge in zip(candidates.tolist(), closed_forms.tolist(),
-                                    is_edge.tolist()):
-        brute = evaluator.score(i, j, spec.measure, spec.combo)
-        dev = abs(closed - brute)
-        if dev > max_dev:
-            max_dev = dev
-            worst = (i, j)
-        if edge_exact and dev != 0.0 and edge:
-            edge_exact = False
+    worst: Optional[tuple[int, int]] = None
+    max_dev = 0.0
+    if len(dev):
+        at = int(np.argmax(dev))
+        if dev[at] > 0.0:
+            max_dev = float(dev[at])
+            worst = (int(candidates[at, 0]), int(candidates[at, 1]))
+    edge_exact = not np.any(is_edge & (dev != 0.0))
     return OracleReport(spec, len(candidates), max_dev, worst, edge_exact)

@@ -186,6 +186,14 @@ def test_verify_score_model_is_data_error(capsys, fixture_file):
                  "--model", "score", "--measure", "cn"]) == 2
 
 
+def test_verify_empty_sample_is_data_error(capsys):
+    assert main(["verify", "--random-nodes", "60", "--pairs", "all",
+                 "--max-pairs", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: max_pairs must be at least 1, got 0" in captured.err
+
+
 # ---- evaluate / evaluate-lp / survival ----
 
 def test_evaluate_fixture_ap_line(capsys, fixture_file, tmp_path):

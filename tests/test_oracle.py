@@ -1,15 +1,17 @@
 """Brute-force complement oracle and closed-form verification."""
 
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from linkdecay import graph, scoring
+import reference_oracle as reference
+from linkdecay import graph, oracle, scoring
 from linkdecay.datasets import (random_directed_graph, random_reciprocal_graph,
                                 swim_surf, swim_surf_events)
 from linkdecay.graph import DegreeCombination, Graph
-from linkdecay.oracle import (_RawEvaluator, brute_force_g2, check_closed_form,
+from linkdecay.oracle import (_raw_scores, brute_force_g2, check_closed_form,
                               materialize_complement, raw_measure, symmetrize)
 from linkdecay.scoring import (Measure, ScoreModel, ScoreSpec, all_specs,
                                complement_network_score, complement_score,
@@ -137,28 +139,80 @@ def _low_degree_graph(rng, n):
 
 
 def test_shared_evaluator_matches_fresh_calls_bitwise():
-    """One evaluator serves a whole check, so its per-node tables are reused
-    across pairs; interleaving every measure and combination on each pair
-    also reuses them across combinations.  Each score must keep the bits of
-    a fresh evaluator's."""
+    """The batch evaluator scores a check's pairs together, from membership
+    rows; every score must keep the bits of the per-pair set arithmetic it
+    replaced (``reference_oracle``), both in one batch of every ordered pair
+    and in the batches of one that ``raw_measure`` scores."""
     rng = np.random.default_rng(83)
     for _ in range(3):
         g = _low_degree_graph(rng, int(rng.integers(9, 14)))
         n = g.node_count
         assert {g.out_degree(n - 1), g.out_degree(n - 2)} == {0, 1}
         assert {g.in_degree(n - 3), g.in_degree(n - 4)} == {0, 1}
-        evaluator = _RawEvaluator(g)
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                for measure in MEASURES:
-                    for combo in COMBOS:
-                        shared = evaluator.score(i, j, measure, combo)
-                        fresh = raw_measure(g, i, j, measure, combo)
-                        assert _bits(shared) == _bits(fresh), (measure, combo, i, j)
+        assert g.neighbor_count(n - 5) == 0
+        pairs = np.array([(i, j) for i in range(n) for j in range(n) if i != j])
+        evaluator = reference._RawEvaluator(g)
+        for measure in MEASURES:
+            for combo in COMBOS:
+                batch = _raw_scores(g, pairs, measure, combo).tolist()
+                for (i, j), got in zip(pairs.tolist(), batch):
+                    expect = _bits(evaluator.score(i, j, measure, combo))
+                    assert _bits(got) == expect, (measure, combo, i, j)
+                    one = raw_measure(g, i, j, measure, combo)
+                    assert _bits(one) == expect, (measure, combo, i, j)
+        # the reference met common neighbours of weight degree 0 and 1
         for combo in (DegreeCombination.OUT, DegreeCombination.IN):
             assert 0.0 in evaluator._weights[combo].values(), combo
+
+
+def test_block_boundaries_keep_the_bits(monkeypatch):
+    """Blocks of a few pairs, with a ragged last block, give the same
+    scores and reports as the default block size."""
+    rng = np.random.default_rng(97)
+    g = random_directed_graph(60, 0.1, rng)
+    views = {combo: materialize_complement(symmetrize(g) if combo is SYM else g)
+             for combo in COMBOS}
+    sample = oracle._candidate_pairs(g, "all", 301, 4)
+
+    def run():
+        reports = [check_closed_form(g, spec, pairs=pairs, max_pairs=301, seed=4)
+                   for spec in NETWORK_SPECS for pairs in ("edges", "all")]
+        scores = [_raw_scores(views[combo], sample, measure, combo).tobytes()
+                  for measure in MEASURES for combo in COMBOS]
+        return [(r.pairs_checked, _bits(r.max_abs_deviation), r.worst_pair,
+                 r.edge_exact) for r in reports], scores
+
+    default = run()
+    assert oracle.BLOCK_CELLS // g.node_count >= len(sample)
+    monkeypatch.setattr(oracle, "BLOCK_CELLS", 300)
+    assert run() == default
+
+
+@pytest.mark.parametrize("n, redrawn", [(51, False), (400, False), (2000, False),
+                                        (3 * 2**30, True), (2**31 + 1, True),
+                                        (2**33 + 1, False)])
+def test_chunked_draw_matches_per_call_loop(monkeypatch, n, redrawn):
+    """The chunked sample equals the one-call-per-pair loop it replaced.
+    Lemire's bounded draw rejects a quarter of its draws for n = 3 * 2**30
+    and nearly half for 2**31 + 1, so their chunks are drawn again pair by
+    pair, and almost none for the other n; n above 2**32 takes two 64-bit
+    words per pair."""
+    calls = []
+    draw = oracle._draw_one_by_one
+
+    def counting(rng, n, k):
+        calls.append(k)
+        return draw(rng, n, k)
+
+    monkeypatch.setattr(oracle, "_draw_one_by_one", counting)
+    stand_in = SimpleNamespace(node_count=n)
+    for seed in range(20):
+        for max_pairs in (1, 2000 if n == 51 else 300):
+            got = oracle._sample_pairs(n, max_pairs, seed)
+            expect = reference._candidate_pairs(stand_in, "all", max_pairs, seed)
+            assert got.dtype == expect.dtype and got.shape == (max_pairs, 2)
+            assert np.array_equal(got, expect), (n, seed, max_pairs)
+    assert bool(calls) == redrawn
 
 
 def test_oracle_rejects_bad_pairs():
@@ -310,6 +364,23 @@ def test_report_matches_per_pair_recomputation():
     # non-edges deviate and no edge does
     assert ("reciprocal", False, False) in seen
     assert ("empty", False, False) in seen
+
+
+def test_bad_pairs_arguments_rejected_before_materializing():
+    spec = ScoreSpec(ScoreModel.COMPLEMENT_NETWORK, Measure.CN, SYM)
+    g = random_directed_graph(60, 0.1, np.random.default_rng(48))
+    for max_pairs in (0, -3):
+        with pytest.raises(ValueError, match="max_pairs must be at least 1, got"):
+            check_closed_form(g, spec, pairs="all", max_pairs=max_pairs)
+    # 'edges' mode takes no sample
+    report = check_closed_form(g, spec, pairs="edges", max_pairs=0)
+    assert report.pairs_checked == g.edge_count
+    # beyond the node limit the arguments are still what is reported
+    big = Graph.from_edges(2001, [])
+    with pytest.raises(ValueError, match="pairs must be 'edges' or 'all', got 'some'"):
+        check_closed_form(big, spec, pairs="some")
+    with pytest.raises(ValueError, match="max_pairs must be at least 1, got 0"):
+        check_closed_form(big, spec, pairs="all", max_pairs=0)
 
 
 def test_score_model_rejected():
