@@ -19,14 +19,14 @@ Per degree combination the complement view is:
 
 A check builds one complement view and scores all its candidates as one
 batch: per block of pairs, each distinct endpoint's neighbor set becomes a
-boolean membership row over the nodes, and set sizes and intersections
-are row counts and ANDs.  Edge membership of the candidates is one
-``np.isin`` over pair keys, and ``score_matrix`` already rejects a bad
-pair.  A sampled candidate set is drawn in chunks that keep numpy's
-one-call-per-pair stream.  Nothing lives across calls.  Every score adds
-the same terms in the same ``sorted(common)`` order as a per-pair set
-loop, so a report is bit-identical to one that evaluates each pair
-afresh.  :func:`raw_measure` and :func:`brute_force_g2` score a batch of
+boolean membership row over the nodes those sets hold (all nodes on a
+dense view), and set sizes and intersections are row counts and ANDs.
+Edge membership of the candidates is one ``np.isin`` over pair keys, and
+``score_matrix`` already rejects a bad pair.  A sampled candidate set is
+drawn in chunks that keep numpy's one-call-per-pair stream.  Nothing
+lives across calls.  Every score adds the same terms in the same
+``sorted(common)`` order as a per-pair set loop, so a report is
+bit-identical to one that evaluates each pair afresh.  :func:`raw_measure` and :func:`brute_force_g2` score a batch of
 one through the same code, and none of it calls the scoring kernel.
 """
 
@@ -121,20 +121,42 @@ _RULES = {
 }
 
 
-def _membership(g: Graph, nodes: np.ndarray,
-                directions: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Boolean rows over ``g``'s nodes, one per distinct entry of ``nodes``
-    in first-seen order, True on the union of the entry's ``directions``
-    rows; and the row of each entry of ``nodes``."""
+def _neighbours(g: Graph, nodes: np.ndarray,
+                directions: tuple[str, ...]) -> tuple[list, np.ndarray]:
+    """The distinct entries of ``nodes`` in first-seen order, each as the
+    entries of its ``directions`` rows in ``g`` (repeats allowed); and the
+    index of each entry of ``nodes`` among them."""
     row_of: dict[int, int] = {}
     at = np.array([row_of.setdefault(v, len(row_of)) for v in nodes.tolist()],
                   dtype=np.intp)
-    rows = np.zeros((len(row_of), g.node_count), dtype=bool)
-    for direction in directions:
-        indptr, indices = g._csr(direction)
-        for row, v in zip(rows, row_of):
-            row[indices[indptr[v]:indptr[v + 1]]] = True
-    return rows, at
+    csrs = [g._csr(direction) for direction in directions]
+    if len(csrs) == 1:
+        indptr, indices = csrs[0]
+        return [indices[indptr[v]:indptr[v + 1]] for v in row_of], at
+    return [np.concatenate([indices[indptr[v]:indptr[v + 1]]
+                            for indptr, indices in csrs]) for v in row_of], at
+
+
+def _columns(n: int, lists: list) -> tuple[np.ndarray, list]:
+    """Membership columns for neighbour lists over ``n`` nodes, ascending,
+    and each list as column numbers.  Lists holding ``n / 64`` entries or
+    more in all get a column per node, numbered as itself: rows over every
+    node then cost less than finding the nodes the lists hold (a dense
+    complement view, or any batch of one on a graph of a few thousand
+    nodes).  Fewer entries get only the nodes they hold, so a small batch
+    on a large sparse graph costs its degrees, not ``n``."""
+    if 64 * sum(map(len, lists)) >= n:
+        return np.arange(n), lists
+    cols = np.unique(np.concatenate(lists))
+    return cols, [np.searchsorted(cols, nodes) for nodes in lists]
+
+
+def _membership(lists: list, width: int) -> np.ndarray:
+    """One boolean row of ``width`` columns per list, True at its entries."""
+    rows = np.zeros((len(lists), width), dtype=bool)
+    for row, cols in zip(rows, lists):
+        row[cols] = True
+    return rows
 
 
 def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -148,14 +170,17 @@ def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
 def _block_scores(g: Graph, block: np.ndarray, measure: Measure,
                   combo: DegreeCombination) -> np.ndarray:
     first, second, weighted = _RULES[combo]
-    rows1, at1 = _membership(g, block[:, 0], first)
-    rows2, at2 = _membership(g, block[:, 1], second)
-    d1 = np.count_nonzero(rows1, axis=1)[at1]
-    d2 = np.count_nonzero(rows2, axis=1)[at2]
+    lists1, at1 = _neighbours(g, block[:, 0], first)
+    lists2, at2 = _neighbours(g, block[:, 1], second)
+    cols, lists = _columns(g.node_count, lists1 + lists2)
+    rows1 = _membership(lists[:len(lists1)], len(cols))
+    rows2 = _membership(lists[len(lists1):], len(cols))
+    d1 = rows1.sum(axis=1)[at1]
+    d2 = rows2.sum(axis=1)[at2]
     if measure is Measure.PA:
         return (d1 * d2).astype(np.float64)
     common = rows1[at1] & rows2[at2]
-    cn = np.count_nonzero(common, axis=1)
+    cn = common.sum(axis=1)
     if measure is Measure.CN:
         return cn.astype(np.float64)
     if measure is Measure.COS:
@@ -165,10 +190,11 @@ def _block_scores(g: Graph, block: np.ndarray, measure: Measure,
     ks = np.flatnonzero(common.any(axis=0))
     if len(ks) == 0:
         return np.zeros(len(block))
+    nodes = cols[ks]
     dk = 0
     for direction in weighted:
         indptr = g._csr(direction)[0]
-        dk = dk + indptr[ks + 1] - indptr[ks]
+        dk = dk + indptr[nodes + 1] - indptr[nodes]
     w = np.array([0.0 if d <= 1 else 1.0 / math.log(d) for d in dk.tolist()])
     return np.cumsum(np.where(common[:, ks], w, 0.0), axis=1)[:, -1]
 
@@ -178,12 +204,14 @@ def _raw_scores(g: Graph, pairs: np.ndarray, measure: Measure,
     """Raw measure of every pair of a ``(k, 2)`` batch on ``g``.
 
     Each block of pairs gets boolean membership rows, built once per
-    distinct endpoint from ``g``'s rows.  Degrees and common-neighbour
-    counts are row counts, and pa, cn, cos and jacc are array arithmetic
-    with the per-pair formulas' operations.  adad sums the ``1/log(d_k)``
-    weights (``math.log``, 0.0 for ``d_k <= 1``) of the common neighbours
-    left to right in ascending node order, adding 0.0 for the other
-    columns, so every score has the bits of a ``sorted(common)`` loop.
+    distinct endpoint from ``g``'s rows, over the block's columns from
+    :func:`_columns`.  Degrees and common-neighbour counts are row counts,
+    and pa, cn, cos and jacc are array arithmetic with the per-pair
+    formulas' operations.  adad sums the ``1/log(d_k)`` weights
+    (``math.log``, 0.0 for ``d_k <= 1``) of the common neighbours left to
+    right in ascending node order (the columns are ascending), adding 0.0
+    for the other columns, so every score has the bits of a
+    ``sorted(common)`` loop.
     Trusts its pairs: :func:`raw_measure` and :func:`check_closed_form`
     validate them.
     """
@@ -237,41 +265,22 @@ class OracleReport:
         return d
 
 
-def _draw_one_by_one(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
-    """``k`` pairs from ``k`` calls of ``rng.integers(0, n, size=2)``."""
-    return np.array([rng.integers(0, n, size=2) for _ in range(k)]).reshape(k, 2)
-
-
 def _sample_pairs(n: int, max_pairs: int, seed: int) -> np.ndarray:
     """The sorted ``max_pairs`` distinct pairs of distinct nodes of
     ``0..n-1`` that a loop of ``rng.integers(0, n, size=2)`` calls keeps,
     skipping self-pairs and repeats, from ``default_rng(seed)``.
 
     The pairs are drawn in chunks, ``rng.integers(0, n, size=(k, 2))``.
-    Without a rejection in Lemire's bounded draw, a pair takes one 64-bit
-    PCG64 word (two 32-bit halves) for ``n <= 2**32`` and two words above,
-    in a chunk and in a call alike; a chunk whose state advanced by exactly
-    that many words per pair is then the calls' pairs in order.  numpy does
-    not document how a rejection shifts the halves, so any other chunk is
-    drawn again, pair by pair, from the state before it.  The state is
-    compared without its buffered-half flag.
+    numpy's bounded draw (Lemire's method) takes its values from one
+    stream of 32-bit halves (``n <= 2**32``) or 64-bit words, whose
+    buffered half lives in the bit generator, so a chunk gives the calls'
+    pairs in order, rejections included.  numpy does not document this;
+    the draw test in ``tests/test_oracle.py`` compares the two.
     """
     rng = np.random.default_rng(seed)
-    bitgen = rng.bit_generator
-    words = 1 if n <= 1 << 32 else 2
     out: set[tuple[int, int]] = set()
     while len(out) < max_pairs:
-        k = max_pairs - len(out)
-        before = bitgen.state
-        chunk = rng.integers(0, n, size=(k, 2))
-        after = bitgen.state
-        bitgen.state = before
-        bitgen.advance(words * k)
-        if bitgen.state["state"] == after["state"]:
-            bitgen.state = after
-        else:
-            bitgen.state = before
-            chunk = _draw_one_by_one(rng, n, k)
+        chunk = rng.integers(0, n, size=(max_pairs - len(out), 2))
         for i, j in chunk.tolist():
             if i != j:
                 out.add((i, j))

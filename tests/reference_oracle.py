@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from linkdecay.graph import DegreeCombination, Graph, _check_pair
+from linkdecay.graph import DegreeCombination, Graph
 from linkdecay.scoring import Measure
 
 
@@ -28,7 +28,7 @@ class _RawEvaluator:
     differently.  A cached weight is the value the per-pair formula would
     give, and the sum adds the same terms in the same ``sorted(common)``
     order from 0.0, so every score keeps its bits.  :meth:`score` trusts
-    its pair; :func:`raw_measure` validates it.
+    its pair.
     """
 
     def __init__(self, g: Graph):
@@ -96,14 +96,6 @@ class _RawEvaluator:
                 w = weights[k] = 0.0 if dk <= 1 else 1.0 / math.log(dk)
             total += w
         return total
-
-
-def raw_measure(g: Graph, i: int, j: int, measure: Measure,
-                combo: DegreeCombination) -> float:
-    """Raw measure of ``(i, j)`` on ``g`` by direct set arithmetic."""
-    measure, combo = Measure(measure), DegreeCombination(combo)
-    _check_pair(g, i, j)
-    return _RawEvaluator(g).score(i, j, measure, combo)
 
 
 def _candidate_pairs(g: Graph, pairs: str, max_pairs: int,

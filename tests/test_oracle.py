@@ -142,7 +142,9 @@ def test_shared_evaluator_matches_fresh_calls_bitwise():
     """The batch evaluator scores a check's pairs together, from membership
     rows; every score must keep the bits of the per-pair set arithmetic it
     replaced (``reference_oracle``), both in one batch of every ordered pair
-    and in the batches of one that ``raw_measure`` scores."""
+    and in the batches of one that ``raw_measure`` scores.  The same graph
+    as nodes 4000 and up of a 5000-node graph gives its pairs the same
+    scores from columns for their own nodes only."""
     rng = np.random.default_rng(83)
     for _ in range(3):
         g = _low_degree_graph(rng, int(rng.integers(9, 14)))
@@ -150,6 +152,8 @@ def test_shared_evaluator_matches_fresh_calls_bitwise():
         assert {g.out_degree(n - 1), g.out_degree(n - 2)} == {0, 1}
         assert {g.in_degree(n - 3), g.in_degree(n - 4)} == {0, 1}
         assert g.neighbor_count(n - 5) == 0
+        edges = g.edges()
+        big = Graph(5000, edges[:, 0] + 4000, edges[:, 1] + 4000)
         pairs = np.array([(i, j) for i in range(n) for j in range(n) if i != j])
         evaluator = reference._RawEvaluator(g)
         for measure in MEASURES:
@@ -159,6 +163,8 @@ def test_shared_evaluator_matches_fresh_calls_bitwise():
                     expect = _bits(evaluator.score(i, j, measure, combo))
                     assert _bits(got) == expect, (measure, combo, i, j)
                     one = raw_measure(g, i, j, measure, combo)
+                    assert _bits(one) == expect, (measure, combo, i, j)
+                    one = raw_measure(big, i + 4000, j + 4000, measure, combo)
                     assert _bits(one) == expect, (measure, combo, i, j)
         # the reference met common neighbours of weight degree 0 and 1
         for combo in (DegreeCombination.OUT, DegreeCombination.IN):
@@ -188,31 +194,23 @@ def test_block_boundaries_keep_the_bits(monkeypatch):
     assert run() == default
 
 
-@pytest.mark.parametrize("n, redrawn", [(51, False), (400, False), (2000, False),
-                                        (3 * 2**30, True), (2**31 + 1, True),
-                                        (2**33 + 1, False)])
-def test_chunked_draw_matches_per_call_loop(monkeypatch, n, redrawn):
-    """The chunked sample equals the one-call-per-pair loop it replaced.
-    Lemire's bounded draw rejects a quarter of its draws for n = 3 * 2**30
-    and nearly half for 2**31 + 1, so their chunks are drawn again pair by
-    pair, and almost none for the other n; n above 2**32 takes two 64-bit
-    words per pair."""
-    calls = []
-    draw = oracle._draw_one_by_one
-
-    def counting(rng, n, k):
-        calls.append(k)
-        return draw(rng, n, k)
-
-    monkeypatch.setattr(oracle, "_draw_one_by_one", counting)
+@pytest.mark.parametrize("n", [5, 50, 51, 400, 2000, 3 * 2**30, 2**31 + 1,
+                               2**33 + 1])
+def test_chunked_draw_matches_per_call_loop(n):
+    """The candidate set of 'all' mode equals the one-call-per-pair loop it
+    replaced.  Up to 50 nodes, and for 51 nodes with 2550 pairs, it is the
+    grid of every ordered pair; otherwise a chunked sample.  Lemire's
+    bounded draw rejects a quarter of its draws for n = 3 * 2**30 and
+    nearly half for 2**31 + 1, and almost none for the other n; n above
+    2**32 takes two 64-bit words per pair."""
     stand_in = SimpleNamespace(node_count=n)
+    sizes = (1, 2000, 2550) if n == 51 else (1, 300)
     for seed in range(20):
-        for max_pairs in (1, 2000 if n == 51 else 300):
-            got = oracle._sample_pairs(n, max_pairs, seed)
+        for max_pairs in sizes:
+            got = oracle._candidate_pairs(stand_in, "all", max_pairs, seed)
             expect = reference._candidate_pairs(stand_in, "all", max_pairs, seed)
-            assert got.dtype == expect.dtype and got.shape == (max_pairs, 2)
+            assert got.dtype == expect.dtype and got.shape == expect.shape
             assert np.array_equal(got, expect), (n, seed, max_pairs)
-    assert bool(calls) == redrawn
 
 
 def test_oracle_rejects_bad_pairs():
