@@ -141,9 +141,9 @@ def _columns(n: int, lists: list) -> tuple[np.ndarray, list]:
     """Membership columns for neighbour lists over ``n`` nodes, ascending,
     and each list as column numbers.  Lists holding ``n / 64`` entries or
     more in all get a column per node, numbered as itself: rows over every
-    node then cost less than finding the nodes the lists hold (a dense
-    complement view, or any batch of one on a graph of a few thousand
-    nodes).  Fewer entries get only the nodes they hold, so a small batch
+    node then cost less than finding the nodes the lists hold (every
+    block of a dense complement view, and a batch of one with tens of
+    entries on up to a few thousand nodes).  Fewer entries get only the nodes they hold, so a small batch
     on a large sparse graph costs its degrees, not ``n``."""
     if 64 * sum(map(len, lists)) >= n:
         return np.arange(n), lists
