@@ -2,10 +2,10 @@
 
 The scoring module computes complement-graph measures through closed forms
 that never build the complement.  This module is the check on that
-arithmetic: it *does* build the complement (dense, hence the node-count
-limit), evaluates the raw measures on it with naive set arithmetic, and
-reports the deviation from the closed forms.  The two paths share only the
-graph structure, so agreement is meaningful.
+arithmetic: it *does* build the complement (a dense matrix, hence the
+node-count limit), evaluates the raw measures on it with naive set
+arithmetic, and reports the deviation from the closed forms.  The two
+paths share only the graph structure, so agreement is meaningful.
 
 Per degree combination the complement view is:
 
@@ -17,24 +17,32 @@ Per degree combination the complement view is:
   measures lives on the symmetrized structure, so the complement must be
   taken there.
 
-A check builds one complement view and scores all its candidates as one
-batch: per block of pairs, each distinct endpoint's neighbor set becomes a
-boolean membership row over the nodes those sets hold (all nodes on a
-dense view), and set sizes and intersections are row counts and ANDs.
-Edge membership of the candidates is one ``np.isin`` over pair keys, and
+A check builds its view as one ``n x n`` boolean complement matrix, not as
+a ``Graph``: ``~A``, or ``~(A | A.T)`` for SYM, with the diagonal cleared.
+It scores all its candidates as one batch, in blocks of pairs.  Each pair's
+two neighbour sets are boolean rows: a node's out-row is its row of the
+matrix and its in-row its row of the transpose, so every row spans all
+nodes in ascending order.  Set sizes and intersections are row sums and
+ANDs, and adad weight degrees are row sums of the matrix and of its
+transpose.  :func:`raw_measure` scores a sparse graph instead, from its CSR
+rows (over a small batch's own nodes on a large graph, so the node limit
+does not apply), and both row sources feed one scoring body.  Edge
+membership of the candidates is one ``np.isin`` over pair keys, and
 ``score_matrix`` already rejects a bad pair.  A sampled candidate set is
-drawn in chunks that keep numpy's one-call-per-pair stream.  Nothing
-lives across calls.  Every score adds the same terms in the same
+drawn in chunks that keep numpy's one-call-per-pair stream.  Nothing lives
+across calls.  Every score adds the same terms in the same
 ``sorted(common)`` order as a per-pair set loop, so a report is
-bit-identical to one that evaluates each pair afresh.  :func:`raw_measure` and :func:`brute_force_g2` score a batch of
-one through the same code, and none of it calls the scoring kernel.
+bit-identical to one that evaluates each pair afresh on a materialized
+complement.  :func:`brute_force_g2` scores a batch of one from the matrix,
+and none of this calls the scoring kernel.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -70,12 +78,13 @@ def _dense(g: Graph) -> np.ndarray:
     return a
 
 
-def materialize_complement(g: Graph, limit: int = COMPLEMENT_NODE_LIMIT) -> Graph:
-    """Explicit directed complement: (i, j) present iff absent in ``g``
-    (i != j).
+def _complement_matrix(g: Graph, symmetric: bool,
+                       limit: int = COMPLEMENT_NODE_LIMIT) -> np.ndarray:
+    """The complement view's ``n x n`` boolean adjacency matrix: ``~A``, or
+    ``~(A | A.T)`` when ``symmetric``, with the diagonal cleared.
 
-    Raises ``ValueError`` beyond ``limit`` nodes: the result has
-    ``n*(n-1) - m`` edges, which is dense for any sparse input.
+    Raises ``ValueError`` beyond ``limit`` nodes, before anything of size
+    ``n^2`` is allocated: the complement of a sparse graph is dense.
     """
     n = g.node_count
     if n > limit:
@@ -83,26 +92,34 @@ def materialize_complement(g: Graph, limit: int = COMPLEMENT_NODE_LIMIT) -> Grap
             f"refusing to materialize the complement of a {n}-node graph "
             f"(limit {limit}): the complement is dense"
         )
-    comp = ~_dense(g)
-    np.fill_diagonal(comp, False)
-    src, dst = np.nonzero(comp)
-    return Graph(n, src.astype(np.int64), dst.astype(np.int64), validate=False)
-
-
-def symmetrize(g: Graph) -> Graph:
-    """Symmetric closure: both directions present iff either was."""
     a = _dense(g)
-    both = a | a.T
-    src, dst = np.nonzero(both)
+    if symmetric:
+        a = a | a.T
+    np.logical_not(a, out=a)
+    np.fill_diagonal(a, False)
+    return a
+
+
+def materialize_complement(g: Graph, limit: int = COMPLEMENT_NODE_LIMIT) -> Graph:
+    """Explicit directed complement: (i, j) present iff absent in ``g``
+    (i != j).
+
+    Raises ``ValueError`` beyond ``limit`` nodes: the result has
+    ``n*(n-1) - m`` edges, which is dense for any sparse input.
+    """
+    src, dst = np.nonzero(_complement_matrix(g, False, limit))
     return Graph(g.node_count, src.astype(np.int64), dst.astype(np.int64),
                  validate=False)
 
 
-def _complement_view(g: Graph, combo: DegreeCombination,
-                     limit: int = COMPLEMENT_NODE_LIMIT) -> Graph:
-    if combo is DegreeCombination.SYM:
-        return materialize_complement(symmetrize(g), limit=limit)
-    return materialize_complement(g, limit=limit)
+def symmetrize(g: Graph) -> Graph:
+    """Symmetric closure: both directions present iff either was.  Built
+    from the edge list, so it works at any size."""
+    n, edges = g.node_count, g.edges()
+    keys = np.unique(np.concatenate((edges[:, 0] * n + edges[:, 1],
+                                     edges[:, 1] * n + edges[:, 0])))
+    src, dst = np.divmod(keys, n)
+    return Graph(n, src, dst, validate=False)
 
 
 #: Membership cells (pairs x nodes) one block of a batch may hold; a block
@@ -139,12 +156,14 @@ def _neighbours(g: Graph, nodes: np.ndarray,
 
 def _columns(n: int, lists: list) -> tuple[np.ndarray, list]:
     """Membership columns for neighbour lists over ``n`` nodes, ascending,
-    and each list as column numbers.  Lists holding ``n / 64`` entries or
-    more in all get a column per node, numbered as itself: rows over every
-    node then cost less than finding the nodes the lists hold (every
-    block of a dense complement view, and a batch of one with tens of
-    entries on up to a few thousand nodes).  Fewer entries get only the nodes they hold, so a small batch
-    on a large sparse graph costs its degrees, not ``n``."""
+    and each list as column numbers.
+
+    Lists holding ``n / 64`` entries or more in all get a column per node,
+    numbered as itself: rows over every node then cost less than finding
+    the nodes the lists hold (a batch of one with tens of entries on up to
+    a few thousand nodes).  Fewer entries get only the nodes they hold, so
+    a small batch on a large sparse graph costs its degrees, not ``n``.
+    """
     if 64 * sum(map(len, lists)) >= n:
         return np.arange(n), lists
     cols = np.unique(np.concatenate(lists))
@@ -167,14 +186,23 @@ def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return out
 
 
-def _block_scores(g: Graph, block: np.ndarray, measure: Measure,
-                  combo: DegreeCombination) -> np.ndarray:
-    first, second, weighted = _RULES[combo]
-    lists1, at1 = _neighbours(g, block[:, 0], first)
-    lists2, at2 = _neighbours(g, block[:, 1], second)
-    cols, lists = _columns(g.node_count, lists1 + lists2)
-    rows1 = _membership(lists[:len(lists1)], len(cols))
-    rows2 = _membership(lists[len(lists1):], len(cols))
+def _block_scores(cols: np.ndarray, slot1: tuple, slot2: tuple,
+                  weight_degrees: Callable[[np.ndarray], np.ndarray],
+                  measure: Measure) -> np.ndarray:
+    """Raw measure of each pair of a block from its slot rows.
+
+    A slot is ``(rows, at)``: boolean neighbour-set rows over the nodes
+    ``cols`` (ascending), and the row of each pair's endpoint.
+    ``weight_degrees(nodes)`` gives the nodes' adad weight degrees.
+    Degrees and common-neighbour counts are row sums of the rows and of
+    their AND, and pa, cn, cos and jacc are array arithmetic with the
+    per-pair formulas' operations.  adad sums the ``1/log(d_k)`` weights
+    (``math.log``, 0.0 for ``d_k <= 1``) of the common neighbours left to
+    right in ascending node order, adding 0.0 for the other columns, so
+    every score has the bits of a ``sorted(common)`` loop whichever nodes
+    the columns span.
+    """
+    (rows1, at1), (rows2, at2) = slot1, slot2
     d1 = rows1.sum(axis=1)[at1]
     d2 = rows2.sum(axis=1)[at2]
     if measure is Measure.PA:
@@ -189,37 +217,78 @@ def _block_scores(g: Graph, block: np.ndarray, measure: Measure,
         return _ratio(cn, d1 + d2 - cn)
     ks = np.flatnonzero(common.any(axis=0))
     if len(ks) == 0:
-        return np.zeros(len(block))
-    nodes = cols[ks]
-    dk = 0
-    for direction in weighted:
-        indptr = g._csr(direction)[0]
-        dk = dk + indptr[nodes + 1] - indptr[nodes]
+        return np.zeros(len(at1))
+    dk = weight_degrees(cols[ks])
     w = np.array([0.0 if d <= 1 else 1.0 / math.log(d) for d in dk.tolist()])
     return np.cumsum(np.where(common[:, ks], w, 0.0), axis=1)[:, -1]
 
 
+def _blocked(n: int, pairs: np.ndarray,
+             score: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """``score`` of each block of at most ``BLOCK_CELLS // n`` pairs (at
+    least one), concatenated."""
+    out = np.empty(len(pairs))
+    step = max(1, BLOCK_CELLS // max(n, 1))
+    for lo in range(0, len(pairs), step):
+        out[lo:lo + step] = score(pairs[lo:lo + step])
+    return out
+
+
 def _raw_scores(g: Graph, pairs: np.ndarray, measure: Measure,
                 combo: DegreeCombination) -> np.ndarray:
-    """Raw measure of every pair of a ``(k, 2)`` batch on ``g``.
+    """Raw measure of every pair of a ``(k, 2)`` batch on a sparse ``g``.
 
-    Each block of pairs gets boolean membership rows, built once per
-    distinct endpoint from ``g``'s rows, over the block's columns from
-    :func:`_columns`.  Degrees and common-neighbour counts are row counts,
-    and pa, cn, cos and jacc are array arithmetic with the per-pair
-    formulas' operations.  adad sums the ``1/log(d_k)`` weights
-    (``math.log``, 0.0 for ``d_k <= 1``) of the common neighbours left to
-    right in ascending node order (the columns are ascending), adding 0.0
-    for the other columns, so every score has the bits of a
-    ``sorted(common)`` loop.
-    Trusts its pairs: :func:`raw_measure` and :func:`check_closed_form`
-    validate them.
+    The rows come from ``g``'s CSR rows: per block of pairs, each distinct
+    endpoint's neighbour list becomes one boolean membership row over the
+    block's columns from :func:`_columns`, so a small batch on a large
+    graph costs its degrees, not ``n``.  Trusts its pairs:
+    :func:`raw_measure` validates them.
     """
-    out = np.empty(len(pairs))
-    step = max(1, BLOCK_CELLS // max(g.node_count, 1))
-    for lo in range(0, len(pairs), step):
-        out[lo:lo + step] = _block_scores(g, pairs[lo:lo + step], measure, combo)
-    return out
+    first, second, weighted = _RULES[combo]
+
+    def weight_degrees(nodes):
+        return sum(indptr[nodes + 1] - indptr[nodes]
+                   for indptr, _ in map(g._csr, weighted))
+
+    def score(block):
+        lists1, at1 = _neighbours(g, block[:, 0], first)
+        lists2, at2 = _neighbours(g, block[:, 1], second)
+        cols, lists = _columns(g.node_count, lists1 + lists2)
+        rows1 = _membership(lists[:len(lists1)], len(cols))
+        rows2 = _membership(lists[len(lists1):], len(cols))
+        return _block_scores(cols, (rows1, at1), (rows2, at2),
+                             weight_degrees, measure)
+
+    return _blocked(g.node_count, pairs, score)
+
+
+def _complement_scores(comp: np.ndarray, pairs: np.ndarray, measure: Measure,
+                       combo: DegreeCombination) -> np.ndarray:
+    """Raw measure of every pair of a ``(k, 2)`` batch on the complement
+    view whose adjacency matrix is ``comp`` (from :func:`_complement_matrix`).
+
+    A node's out-row is its row of ``comp`` and its in-row its row of
+    ``comp.T``, so every row spans all nodes, ascending; a slot's row is
+    the OR of its directions' rows, taken per block for the block's
+    distinct endpoints.  Adad weight degrees are row sums of ``comp`` and
+    of ``comp.T``.  Trusts its pairs.
+    """
+    n = len(comp)
+    by_direction = {"out": comp, "in": np.ascontiguousarray(comp.T)}
+    first, second, weighted = _RULES[combo]
+    slot1, slot2 = (functools.reduce(np.logical_or,
+                                     [by_direction[d] for d in directions])
+                    for directions in (first, second))
+    degrees = sum(by_direction[d].sum(axis=1) for d in weighted)
+    cols = np.arange(n)
+
+    def rows(slot, nodes):
+        distinct, at = np.unique(nodes, return_inverse=True)
+        return slot[distinct], at
+
+    return _blocked(n, pairs, lambda block: _block_scores(
+        cols, rows(slot1, block[:, 0]), rows(slot2, block[:, 1]),
+        degrees.__getitem__, measure))
 
 
 def raw_measure(g: Graph, i: int, j: int, measure: Measure,
@@ -233,14 +302,20 @@ def raw_measure(g: Graph, i: int, j: int, measure: Measure,
     """
     measure, combo = Measure(measure), DegreeCombination(combo)
     _check_pair(g, i, j)
-    return float(_raw_scores(g, np.array([[i, j]], dtype=np.int64), measure, combo)[0])
+    pair = np.array([[i, j]], dtype=np.int64)
+    return float(_raw_scores(g, pair, measure, combo)[0])
 
 
 def brute_force_g2(g: Graph, i: int, j: int, measure: Measure,
                    combo: DegreeCombination) -> float:
-    """Complement-graph measure of ``(i, j)`` by explicit materialization."""
-    view = _complement_view(g, DegreeCombination(combo))
-    return raw_measure(view, i, j, measure, combo)
+    """Complement-graph measure of ``(i, j)`` by explicit set arithmetic on
+    the boolean complement matrix."""
+    combo = DegreeCombination(combo)
+    comp = _complement_matrix(g, combo is DegreeCombination.SYM)
+    measure = Measure(measure)
+    _check_pair(g, i, j)
+    pair = np.array([[i, j]], dtype=np.int64)
+    return float(_complement_scores(comp, pair, measure, combo)[0])
 
 
 @dataclass
@@ -304,10 +379,16 @@ def check_closed_form(g: Graph, spec: ScoreSpec, pairs: str = "edges",
                       max_pairs: int = 1000, seed: int = 0) -> OracleReport:
     """Compare the closed-form scores against brute force over many pairs.
 
+    The brute-force scores read their rows off one boolean complement
+    matrix per check (:func:`_complement_matrix`), never a complement
+    ``Graph``; the node limit is checked before that matrix is allocated.
+    They have the bits of :func:`raw_measure`'s CSR rows on the
+    materialized view.
+
     Parameters
     ----------
     g : Graph
-        Graph under test (complement materialization limits apply).
+        Graph under test (at most ``COMPLEMENT_NODE_LIMIT`` nodes).
     spec : ScoreSpec
         Must use the ``network`` model; the ``score`` model has no closed
         form to verify.
@@ -334,10 +415,11 @@ def check_closed_form(g: Graph, spec: ScoreSpec, pairs: str = "edges",
         raise ValueError(f"pairs must be 'edges' or 'all', got {pairs!r}")
     if pairs == "all" and max_pairs < 1:
         raise ValueError(f"max_pairs must be at least 1, got {max_pairs}")
-    view = _complement_view(g, spec.combo)
+    comp = _complement_matrix(g, spec.combo is DegreeCombination.SYM)
     candidates = _candidate_pairs(g, pairs, max_pairs, seed)
     closed_forms = score_matrix(g, candidates, [spec])[0]
-    dev = np.abs(closed_forms - _raw_scores(view, candidates, spec.measure, spec.combo))
+    brute = _complement_scores(comp, candidates, spec.measure, spec.combo)
+    dev = np.abs(closed_forms - brute)
     if pairs == "edges":
         is_edge = np.ones(len(candidates), dtype=bool)
     else:

@@ -1,5 +1,7 @@
 """Brute-force complement oracle and closed-form verification."""
 
+import hashlib
+import json
 import struct
 from types import SimpleNamespace
 
@@ -69,6 +71,39 @@ def test_symmetrize_adds_reverse_edges():
     g = symmetrize(Graph.from_edges(3, [(0, 1)]))
     assert g.has_edge(0, 1) and g.has_edge(1, 0)
     assert g.edge_count == 2
+
+
+def test_symmetrize_matches_dense_construction():
+    """The closure built from the edge list equals ``A | A.T`` read off a
+    dense matrix, reciprocated edges included."""
+    rng = np.random.default_rng(5)
+    graphs = [Graph.from_edges(0, []), Graph.from_edges(4, []),
+              random_reciprocal_graph(12, 0.3, rng)]
+    graphs += [random_directed_graph(int(rng.integers(2, 40)),
+                                     float(rng.uniform(0.05, 0.6)), rng)
+               for _ in range(20)]
+    for g in graphs:
+        a = oracle._dense(g)
+        src, dst = np.nonzero(a | a.T)
+        assert symmetrize(g) == Graph(g.node_count, src, dst)
+
+
+def test_node_limit_checked_before_any_dense_matrix(monkeypatch):
+    """Beyond the node limit every combination, SYM included, is refused
+    before an n x n matrix is built."""
+    def refuse(g):
+        raise AssertionError("built a dense matrix")
+
+    monkeypatch.setattr(oracle, "_dense", refuse)
+    big = Graph.from_edges(2001, [])
+    assert symmetrize(big) == big
+    for combo in COMBOS:
+        spec = ScoreSpec(ScoreModel.COMPLEMENT_NETWORK, Measure.CN, combo)
+        for pairs in ("edges", "all"):
+            with pytest.raises(ValueError, match="dense"):
+                check_closed_form(big, spec, pairs=pairs)
+        with pytest.raises(ValueError, match="dense"):
+            brute_force_g2(big, 0, 1, Measure.CN, combo)
 
 
 # ---- brute force values ----
@@ -169,6 +204,59 @@ def test_shared_evaluator_matches_fresh_calls_bitwise():
         # the reference met common neighbours of weight degree 0 and 1
         for combo in (DegreeCombination.OUT, DegreeCombination.IN):
             assert 0.0 in evaluator._weights[combo].values(), combo
+
+
+def test_complement_matrix_rows_match_csr_rows_bitwise():
+    """Checks read their rows off the boolean complement matrix; the scores
+    must keep the bits of CSR rows of the materialized view and of the
+    per-pair reference, on views with nodes of out- and in-degree 0 and 1
+    (the input is the complement of such a graph), so that adad's
+    ``d <= 1`` weight fires on the complement."""
+    rng = np.random.default_rng(89)
+    for _ in range(3):
+        low = _low_degree_graph(rng, int(rng.integers(9, 14)))
+        g = materialize_complement(low)
+        n = g.node_count
+        pairs = np.array([(i, j) for i in range(n) for j in range(n) if i != j])
+        for combo in COMBOS:
+            comp = oracle._complement_matrix(g, combo is SYM)
+            view = materialize_complement(symmetrize(g) if combo is SYM else g)
+            assert view == low or combo is SYM
+            evaluator = reference._RawEvaluator(view)
+            for measure in MEASURES:
+                dense = oracle._complement_scores(comp, pairs, measure, combo)
+                csr = _raw_scores(view, pairs, measure, combo)
+                assert dense.tobytes() == csr.tobytes(), (measure, combo)
+                for (i, j), got in zip(pairs.tolist(), dense.tolist()):
+                    expect = _bits(evaluator.score(i, j, measure, combo))
+                    assert _bits(got) == expect, (measure, combo, i, j)
+            if combo in (DegreeCombination.OUT, DegreeCombination.IN):
+                assert 0.0 in evaluator._weights[combo].values(), combo
+    # an edgeless graph has no candidates in 'edges' mode
+    g = Graph.from_edges(7, [])
+    none = g.edges()
+    for combo in COMBOS:
+        comp = oracle._complement_matrix(g, combo is SYM)
+        view = materialize_complement(g)
+        for measure in MEASURES:
+            dense = oracle._complement_scores(comp, none, measure, combo)
+            assert dense.shape == (0,)
+            assert dense.tobytes() == _raw_scores(view, none, measure, combo).tobytes()
+
+
+@pytest.mark.parametrize("seed, digest", [
+    (0, "fe694b1f69e3b72e683812139a7502fe91523fe55ebaa1c6c9b34f0a6fcf907a"),
+    (1, "e1adff0561c6a06e5c7ecdb2f7c147d7431ceebb3c13084f5ea0eb2432de1667"),
+    (2, "8a1c1cc2831585bc2a8044588459bfcf2b033a9a0091e20cdf295db779b126f4"),
+])
+def test_oracle_verify_report_digests(seed, digest):
+    """The 20 network-spec reports of a sampled 'all' check on a 400-node
+    digraph keep their pinned bytes."""
+    g = random_directed_graph(400, 0.05, np.random.default_rng(seed))
+    rows = [check_closed_form(g, spec, pairs="all", max_pairs=2000,
+                              seed=seed).as_dict() for spec in NETWORK_SPECS]
+    got = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+    assert got == digest
 
 
 def test_block_boundaries_keep_the_bits(monkeypatch):
