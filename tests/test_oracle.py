@@ -234,10 +234,9 @@ def test_complement_matrix_rows_match_csr_rows_bitwise():
                 assert 0.0 in evaluator._weights[combo].values(), combo
     # an edgeless graph has no candidates in 'edges' mode
     g = Graph.from_edges(7, [])
-    none = g.edges()
+    none, view = g.edges(), materialize_complement(g)
     for combo in COMBOS:
         comp = oracle._complement_matrix(g, combo is SYM)
-        view = materialize_complement(g)
         for measure in MEASURES:
             dense = oracle._complement_scores(comp, none, measure, combo)
             assert dense.shape == (0,)
