@@ -37,7 +37,7 @@ from .evaluation import (_cut, edge_lifetimes, evaluate,
 from .events import EventFormatError, _opened, read_events
 from .generate import GenConfig, deletion_share, generate
 from .graph import snapshot_at
-from .oracle import check_closed_form
+from .oracle import _check_request, check_closed_form
 from .scoring import ScoreSpec, all_specs, score_matrix
 
 __all__ = ["main"]
@@ -152,8 +152,9 @@ def _write_manifest(args) -> None:
 
 
 def _read_input(args, **kwargs):
-    with _open_in(args.input) as handle:
-        return read_events(handle, **kwargs)
+    """Read ``--input``; a path, not a handle, so canonical files take
+    ``read_events``' block parser."""
+    return read_events(sys.stdin if args.input == "-" else args.input, **kwargs)
 
 
 def _require_seed(args) -> None:
@@ -258,14 +259,17 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    spec = _spec_from_args(args)
     if args.random_nodes is not None:
+        # The draw is an n x n matrix: refuse what the check would refuse
+        # before drawing.
+        _check_request(args.random_nodes, spec, args.pairs, args.max_pairs)
         rng = np.random.default_rng(0 if args.seed is None else args.seed)
         make = random_reciprocal_graph if args.reciprocal else random_directed_graph
         g = make(args.random_nodes, args.density, rng)
     else:
         tel = _read_input(args)
         g = snapshot_at(tel, tel.time_last if args.at is None else args.at)
-    spec = _spec_from_args(args)
     report = check_closed_form(g, spec, pairs=args.pairs,
                                max_pairs=args.max_pairs,
                                seed=0 if args.seed is None else args.seed)

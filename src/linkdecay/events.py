@@ -13,6 +13,18 @@ Node identifiers are arbitrary tokens; they are compacted to integer
 indices ``0..n-1`` in first-seen order, and the token -> index mapping can
 be persisted as a two-column ``node<TAB>index`` file.
 
+A file read by path is first parsed in blocks of bytes with numpy when it
+is canonical, as ``write``, ``gen`` and ``ingest`` emit it: every line is
+four fields split by single tabs; nodes are ASCII decimals of 1-18 digits
+with no leading zero except ``0`` itself; the sign is ``+1``, ``1`` or
+``-1``; the time is 1-18 ASCII digits.  Anything else (blank lines,
+comments, spaces, ``\\r\\n``, a BOM, non-ASCII or other tokens, longer
+numbers, malformed lines) and a self-loop under ``self_loops='error'``
+send the whole file to the line loop, which gives the same stream and
+every error with its line number.  File objects always take the line
+loop, and so does a path that cannot seek.  ``write`` formats rows in
+byte chunks for every target.
+
 Loading replays the time-sorted stream once, in one vectorized pass, into
 a presence-interval table (:class:`PresenceIntervals`): one row
 ``(key, start, end)`` per interval in which an edge is present, with
@@ -26,10 +38,12 @@ read off this one table.
 
 from __future__ import annotations
 
+import io
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO, Union
+from typing import (BinaryIO, Iterable, Iterator, NamedTuple, Sequence, TextIO,
+                    Union)
 
 import numpy as np
 
@@ -90,6 +104,153 @@ def _opened(target: PathOrFile, mode: str) -> Iterator[TextIO]:
             yield handle
     else:
         yield target
+
+
+#: Bytes the canonical-file kernel reads per block; each block is cut at its
+#: last newline.
+_BLOCK = 1 << 18
+#: The longest canonical line: two 18-digit nodes, a sign, an 18-digit time
+#: and four separators.  A longer run of bytes without a newline is not
+#: canonical.
+_MAX_LINE = 60
+#: Rows ``write`` formats per chunk.
+_WRITE_ROWS = 1 << 13
+_POW10 = 10 ** np.arange(1, 20, dtype=np.uint64)
+
+
+def _parse_block(data: bytes) -> tuple[np.ndarray, ...] | None:
+    """``(pairs, sign, time)`` of a block of canonical lines, with the node
+    values as ``(src, dst)`` rows of ``pairs``; None if any line is not
+    canonical.
+
+    A canonical line is ``src<TAB>dst<TAB>sign<TAB>time<NEWLINE>``: the
+    nodes are ASCII decimals of 1-18 digits with no leading zero (so each
+    token is ``str`` of its value), the sign is ``+1``, ``1`` or ``-1`` and
+    the time is 1-18 ASCII digits.  Numbers are read by digit position, so
+    the work arrays are per field, not per byte.
+    """
+    b = np.frombuffer(data, dtype=np.uint8)
+    plus_minus = (b == 43) | (b == 45)
+    seps = np.flatnonzero((b == 9) | (b == 10))
+    if (len(seps) % 4
+            or np.count_nonzero(b - np.uint8(48) < 10) + len(seps)
+            + np.count_nonzero(plus_minus) != len(b)):
+        return None
+    if not (b[seps].reshape(-1, 4) == (9, 9, 9, 10)).all():
+        return None
+    ends = seps.reshape(-1, 4)
+    starts = np.empty_like(seps)
+    starts[0] = 0
+    starts[1:] = seps[:-1] + 1
+    starts = starts.reshape(-1, 4)
+    lengths = ends - starts
+    signed = lengths[:, 2] == 2
+    fields = starts[:, [0, 1, 3]]
+    widths = lengths[:, [0, 1, 3]]
+    # Every other byte is a digit, a separator or a '+'/'-'; the '+'/'-'
+    # bytes must be exactly the first bytes of the two-byte signs.
+    if not (lengths.min() >= 1 and lengths[:, 2].max() <= 2
+            and widths.max() <= 18
+            and (b[ends[:, 2] - 1] == 49).all()
+            and (plus_minus[starts[:, 2]] == signed).all()
+            and np.count_nonzero(signed) == np.count_nonzero(plus_minus)
+            and ((b[starts[:, :2]] != 48) | (lengths[:, :2] == 1)).all()):
+        return None
+    values = np.zeros(fields.shape, dtype=np.int64)
+    for k in range(int(widths.max())):
+        digit = np.take(b, fields + k, mode="clip") - np.uint8(48)
+        values = np.where(widths > k, values * 10 + digit, values)
+    sign = np.where(b[starts[:, 2]] == 45, -1, 1).astype(np.int64)
+    return values[:, :2], sign, values[:, 2]
+
+
+def _canonical_columns(handle: BinaryIO) -> list[np.ndarray] | None:
+    """``(pairs, sign, time)`` of every line of a canonical event file in
+    file order (see :func:`_parse_block`), or None at the first block that
+    is not canonical.  A missing final newline is allowed."""
+    blocks = []
+    carry = b""
+    while True:
+        chunk = handle.read(_BLOCK)
+        data = carry + chunk
+        # Cut after the last newline; at the end of the file, after all,
+        # with the last line's newline added if the file lacks it.
+        cut = data.rfind(b"\n") + 1 if chunk else len(data)
+        if chunk and not cut and len(data) > _MAX_LINE:
+            return None
+        data, carry = data[:cut], data[cut:]
+        if data:
+            block = _parse_block(data if chunk else data + b"\n")
+            if block is None:
+                return None
+            blocks.append(block)
+        if not chunk:
+            break
+    if not blocks:
+        empty = np.empty(0, dtype=np.int64)
+        return [empty.reshape(0, 2), empty, empty]
+    return [np.concatenate(column) for column in zip(*blocks)]
+
+
+def _first_seen_ids(values: np.ndarray) -> tuple[np.ndarray, list[str]]:
+    """Indices of node ``values`` numbered in first-seen (C) order, and the
+    token ``str(value)`` of each index."""
+    unique, first, inverse = np.unique(values, return_index=True,
+                                       return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty(len(unique), dtype=np.int64)
+    rank[order] = np.arange(len(unique))
+    return (rank[inverse].reshape(values.shape),
+            [str(value) for value in unique[order].tolist()])
+
+
+def _decimals(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``str`` of each int64 value as ASCII: ``(table, start, length)``
+    with value ``i`` at ``table[start[i]:start[i] + length[i]]``."""
+    negative = values < 0
+    magnitude = np.abs(values).astype(np.uint64)
+    length = 1 + np.searchsorted(_POW10, magnitude, side="right") + negative
+    width = int(length.max())
+    digits = np.empty((len(values), width), dtype=np.uint8)
+    for k in range(width - 1, -1, -1):
+        digits[:, k] = magnitude % 10 + 48
+        magnitude //= 10
+    start = np.arange(len(values)) * width + width - length
+    digits.ravel()[start[negative]] = 45
+    return digits.ravel(), start, length
+
+
+def _copy_spans(out: np.ndarray, at: np.ndarray, table: np.ndarray,
+                start: np.ndarray, length: np.ndarray) -> None:
+    """``out[at[i]:at[i] + length[i]] = table[start[i]:start[i] + length[i]]``
+    for every ``i``."""
+    first = np.cumsum(length) - length
+    offset = np.arange(int(length.sum())) - np.repeat(first, length)
+    out[np.repeat(at, length) + offset] = table[np.repeat(start, length) + offset]
+
+
+def _format_rows(tokens: np.ndarray, token_start: np.ndarray,
+                 token_length: np.ndarray, src: np.ndarray, dst: np.ndarray,
+                 sign: np.ndarray, time: np.ndarray) -> bytes:
+    """Canonical lines of a non-empty run of events, as UTF-8 bytes."""
+    times, time_start, time_length = _decimals(time)
+    src_length, dst_length = token_length[src], token_length[dst]
+    row = src_length + dst_length + time_length + 6
+    end = np.cumsum(row)
+    out = np.empty(int(end[-1]), dtype=np.uint8)
+    at = end - row
+    _copy_spans(out, at, tokens, token_start[src], src_length)
+    at += src_length
+    out[at] = 9
+    _copy_spans(out, at + 1, tokens, token_start[dst], dst_length)
+    at += dst_length + 1
+    out[at] = 9
+    out[at + 1] = np.where(sign > 0, 43, 45)
+    out[at + 2] = 49
+    out[at + 3] = 9
+    _copy_spans(out, at + 4, times, time_start, time_length)
+    out[end - 1] = 10
+    return out.tobytes()
 
 
 #: ``PresenceIntervals.end`` of an interval still open after the last event.
@@ -232,8 +393,40 @@ class TemporalEdgeList:
     def read(cls, source: PathOrFile, *, self_loops: str = "skip",
              strict_deletes: bool = False) -> "TemporalEdgeList":
         """Parse an event file; see :func:`read_events`."""
-        with _opened(source, "r") as handle:
-            return cls._parse(handle, self_loops, strict_deletes)
+        if not isinstance(source, (str, Path)):
+            return cls._parse(source, self_loops, strict_deletes)
+        with open(source, "rb") as raw:
+            if self_loops in ("skip", "error") and raw.seekable():
+                tel = cls._read_canonical(raw, self_loops, strict_deletes)
+                if tel is not None:
+                    return tel
+                raw.seek(0)
+            return cls._parse(io.TextIOWrapper(raw, encoding="utf-8"),
+                              self_loops, strict_deletes)
+
+    @classmethod
+    def _read_canonical(cls, raw: BinaryIO, self_loops: str,
+                        strict_deletes: bool) -> "TemporalEdgeList | None":
+        """The stream of a canonical event file, parsed in blocks; None if
+        the file is not canonical or holds a self-loop under ``'error'``,
+        so that the line loop reads it and reports what it finds."""
+        columns = _canonical_columns(raw)
+        if columns is None:
+            return None
+        pairs, sign, time = columns
+        del columns
+        loops = pairs[:, 0] == pairs[:, 1]
+        skipped = int(np.count_nonzero(loops))
+        if skipped:
+            if self_loops == "error":
+                return None
+            pairs, sign, time = pairs[~loops], sign[~loops], time[~loops]
+        # Rebinding ``pairs`` frees the node values before the replay.
+        pairs, node_ids = _first_seen_ids(pairs)
+        tel = cls._finish(pairs[:, 0], pairs[:, 1], sign, time, node_ids,
+                          strict_deletes)
+        tel.stats.self_loops_skipped = skipped
+        return tel
 
     @classmethod
     def _parse(cls, handle: TextIO, self_loops: str,
@@ -340,12 +533,19 @@ class TemporalEdgeList:
 
     def write(self, target: PathOrFile) -> None:
         """Write the canonical event file (tab-separated, original tokens)."""
-        ids = self.node_ids
+        encoded = [f"{token}".encode("utf-8", "surrogatepass")
+                   for token in self.node_ids]
+        token_length = np.fromiter(map(len, encoded), dtype=np.int64,
+                                   count=len(encoded))
+        token_start = np.cumsum(token_length) - token_length
+        tokens = np.frombuffer(b"".join(encoded), dtype=np.uint8)
         with _opened(target, "w") as handle:
-            handle.writelines(
-                f"{ids[u]}\t{ids[v]}\t{'+1' if s > 0 else '-1'}\t{t}\n"
-                for u, v, s, t in zip(self.src.tolist(), self.dst.tolist(),
-                                      self.sign.tolist(), self.time.tolist()))
+            for lo in range(0, len(self.src), _WRITE_ROWS):
+                rows = slice(lo, lo + _WRITE_ROWS)
+                data = _format_rows(tokens, token_start, token_length,
+                                    self.src[rows], self.dst[rows],
+                                    self.sign[rows], self.time[rows])
+                handle.write(data.decode("utf-8", "surrogatepass"))
 
     def write_id_map(self, target: PathOrFile) -> None:
         """Persist the token -> index map as ``node<TAB>index`` lines."""
@@ -362,7 +562,12 @@ def read_events(source: PathOrFile, *, self_loops: str = "skip",
     ----------
     source : path or file object
         Event file in ``src<TAB>dst<TAB>sign<TAB>time`` format.  Any
-        whitespace separates fields on input; the writer emits tabs.
+        whitespace separates fields on input; the writer emits tabs.  A
+        path to a canonical file (single tabs, decimal node ids without
+        leading zeros, ``+1``/``1``/``-1`` signs, digit times, at most 18
+        digits per number) is parsed in blocks with numpy; any other file,
+        and any file object, is read line by line.  Both give the same
+        stream and the same errors.
     self_loops : {'skip', 'error'}
         Policy for events with ``src == dst``.  ``'skip'`` drops the record
         and counts it in ``stats.self_loops_skipped``; ``'error'`` raises.

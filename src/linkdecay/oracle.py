@@ -78,6 +78,27 @@ def _dense(g: Graph) -> np.ndarray:
     return a
 
 
+def _check_node_limit(n: int, limit: int = COMPLEMENT_NODE_LIMIT) -> None:
+    if n > limit:
+        raise ValueError(
+            f"refusing to materialize the complement of a {n}-node graph "
+            f"(limit {limit}): the complement is dense"
+        )
+
+
+def _check_request(n: int, spec: ScoreSpec, pairs: str, max_pairs: int) -> None:
+    """Raise the ``ValueError`` that :func:`check_closed_form` raises for
+    these arguments on an ``n``-node graph, if any, in the same order; a
+    caller can ask before it builds the graph."""
+    if spec.model is not ScoreModel.COMPLEMENT_NETWORK:
+        raise ValueError("closed-form check applies to the 'network' model only")
+    if pairs not in ("edges", "all"):
+        raise ValueError(f"pairs must be 'edges' or 'all', got {pairs!r}")
+    if pairs == "all" and max_pairs < 1:
+        raise ValueError(f"max_pairs must be at least 1, got {max_pairs}")
+    _check_node_limit(n)
+
+
 def _complement_matrix(g: Graph, symmetric: bool,
                        limit: int = COMPLEMENT_NODE_LIMIT) -> np.ndarray:
     """The complement view's ``n x n`` boolean adjacency matrix: ``~A``, or
@@ -86,12 +107,7 @@ def _complement_matrix(g: Graph, symmetric: bool,
     Raises ``ValueError`` beyond ``limit`` nodes, before anything of size
     ``n^2`` is allocated: the complement of a sparse graph is dense.
     """
-    n = g.node_count
-    if n > limit:
-        raise ValueError(
-            f"refusing to materialize the complement of a {n}-node graph "
-            f"(limit {limit}): the complement is dense"
-        )
+    _check_node_limit(g.node_count, limit)
     a = _dense(g)
     if symmetric:
         a = a | a.T
@@ -409,12 +425,7 @@ def check_closed_form(g: Graph, spec: ScoreSpec, pairs: str = "edges",
         weights and endpoint handling); ``cn``/``pa`` agree exactly on
         reciprocated existing edges.
     """
-    if spec.model is not ScoreModel.COMPLEMENT_NETWORK:
-        raise ValueError("closed-form check applies to the 'network' model only")
-    if pairs not in ("edges", "all"):
-        raise ValueError(f"pairs must be 'edges' or 'all', got {pairs!r}")
-    if pairs == "all" and max_pairs < 1:
-        raise ValueError(f"max_pairs must be at least 1, got {max_pairs}")
+    _check_request(g.node_count, spec, pairs, max_pairs)
     comp = _complement_matrix(g, spec.combo is DegreeCombination.SYM)
     candidates = _candidate_pairs(g, pairs, max_pairs, seed)
     closed_forms = score_matrix(g, candidates, [spec])[0]
