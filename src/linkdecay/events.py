@@ -396,6 +396,8 @@ class TemporalEdgeList:
         if not isinstance(source, (str, Path)):
             return cls._parse(source, self_loops, strict_deletes)
         with open(source, "rb") as raw:
+            # The loop reports a bad policy; a fallback must read again
+            # from the start.
             if self_loops in ("skip", "error") and raw.seekable():
                 tel = cls._read_canonical(raw, self_loops, strict_deletes)
                 if tel is not None:

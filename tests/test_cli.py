@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, manifests, configs."""
 
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -192,6 +193,31 @@ def test_verify_empty_sample_is_data_error(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error: max_pairs must be at least 1, got 0" in captured.err
+
+
+def test_verify_refuses_a_large_random_graph_before_drawing_it(capsys):
+    tracemalloc.start()
+    try:
+        code = main(["verify", "--random-nodes", "100000", "--density", "0.001"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "error: refusing to materialize the complement of a 100000-node graph "
+        "(limit 2000): the complement is dense\n")
+    assert peak < 16e6
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--pairs", "all", "--max-pairs", "0"], "max_pairs must be at least 1, got 0"),
+    (["--model", "score"], "closed-form check applies to the 'network' model only"),
+])
+def test_verify_large_random_graph_keeps_error_precedence(capsys, flags, message):
+    assert main(["verify", "--random-nodes", "100000", *flags]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 # ---- evaluate / evaluate-lp / survival ----

@@ -8,7 +8,6 @@ byte chunks; its output is compared with ``tests/reference_events.py``.
 """
 
 import io
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -278,34 +277,9 @@ def test_decimals_are_str_of_every_int64():
         == [str(v) for v in values.tolist()]
 
 
-# ---- the CLI reads paths ----
+# ---- standard input ----
 
-def test_verify_refuses_a_large_random_graph_before_drawing_it(capsys):
-    tracemalloc.start()
-    try:
-        code = main(["verify", "--random-nodes", "100000", "--density", "0.001"])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err == (
-        "error: refusing to materialize the complement of a 100000-node graph "
-        "(limit 2000): the complement is dense\n")
-    assert peak < 16e6
-
-
-@pytest.mark.parametrize("flags,message", [
-    (["--pairs", "all", "--max-pairs", "0"], "max_pairs must be at least 1, got 0"),
-    (["--model", "score"], "closed-form check applies to the 'network' model only"),
-])
-def test_verify_large_random_graph_keeps_error_precedence(capsys, flags, message):
-    assert main(["verify", "--random-nodes", "100000", *flags]) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
-
-
-def test_ingest_from_stdin_takes_the_loop(capsys, monkeypatch, tmp_path):
+def test_ingest_from_stdin_takes_the_loop(monkeypatch, tmp_path):
     monkeypatch.setattr("sys.stdin", io.StringIO("x\ty\t1\t2\n\ny\tx\t+1\t1\n"))
     out = tmp_path / "out.tsv"
     assert main(["ingest", "--input", "-", "--output", str(out)]) == 0
