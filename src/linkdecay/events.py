@@ -403,8 +403,8 @@ class TemporalEdgeList:
                 if tel is not None:
                     return tel
                 raw.seek(0)
-            return cls._parse(io.TextIOWrapper(raw, encoding="utf-8"),
-                              self_loops, strict_deletes)
+            with io.TextIOWrapper(raw, encoding="utf-8") as handle:
+                return cls._parse(handle, self_loops, strict_deletes)
 
     @classmethod
     def _read_canonical(cls, raw: BinaryIO, self_loops: str,

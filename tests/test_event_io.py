@@ -7,7 +7,9 @@ of the same text, results and errors alike.  ``write`` formats rows in
 byte chunks; its output is compared with ``tests/reference_events.py``.
 """
 
+import gc
 import io
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -128,6 +130,16 @@ def test_block_parser_stops_at_an_overlong_line(tmp_path):
     with open(path, "rb") as raw, mock.patch.object(events, "_BLOCK", 16):
         assert events._canonical_columns(raw) is None
         assert raw.tell() <= 16 + events._MAX_LINE + 16
+
+
+def test_fallback_closes_what_it_opens(tmp_path):
+    path = tmp_path / "words.tsv"
+    path.write_text("swim\tsurf\t+1\t3\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        read_events(str(path))
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_self_loop_under_error_falls_back_for_the_line_number(tmp_path):
