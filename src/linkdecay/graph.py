@@ -11,8 +11,9 @@ or before ``t`` and is censored or closed after ``t``.
 Pairwise queries are parameterized by a :class:`DegreeCombination`, which
 fixes how a directed graph's two degrees and two neighbor sets are
 assigned to the endpoints of a candidate edge ``(i, j)``.  One kernel,
-:func:`pair_features`, intersects both endpoints' rows for a block of
-pairs; the decay scorers and the pairwise queries read its columns.
+:func:`pair_features`, intersects both endpoints' rows for a block of pairs
+by the sorted-run merge that also builds each node's both-row (out ∪ in);
+the decay scorers and the pairwise queries read its columns.
 """
 
 from __future__ import annotations
@@ -59,7 +60,8 @@ class Graph:
         if validate and np.any(out_keys[1:] == out_keys[:-1]):
             raise ValueError("duplicate edges are not allowed")
         in_keys = _sorted_keys(n, dst, src)
-        both_keys = _union_keys(out_keys, in_keys)
+        merged, repeated = _merge_runs(out_keys, in_keys)
+        both_keys = merged[~repeated]
         self._out_indptr, self._out_indices = _csr(n, out_keys)
         self._in_indptr, self._in_indices = _csr(n, in_keys)
         self._both_indptr, self._both_indices = _csr(n, both_keys)
@@ -199,17 +201,16 @@ def _sorted_keys(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return keys
 
 
-def _union_keys(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Sorted union of two sorted key arrays.
-
-    The stable sort (timsort) of two sorted runs side by side is a linear
-    merge; dropping adjacent duplicates then leaves the union.
-    """
+def _merge_runs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Two sorted runs of distinct keys merged, and which entries equal their
+    successor.  The stable sort (timsort) of the runs side by side is a
+    linear merge; a key of both runs is marked once, so the unmarked entries
+    are the union and the marked ones the intersection."""
     keys = np.concatenate((a, b))
     keys.sort(kind="stable")
-    if len(keys) == 0:
-        return keys
-    return keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    repeated = np.zeros(len(keys), dtype=bool)
+    np.equal(keys[:-1], keys[1:], out=repeated[:-1])
+    return keys, repeated
 
 
 def _csr(n: int, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -341,21 +342,16 @@ def pair_features(g: Graph, pairs: np.ndarray,
     -------
     PairFeatures
         Both endpoints' rows flatten to sorted ``pair * n + neighbour`` keys;
-        one ``searchsorted`` of the first into the second finds the common
-        neighbours, already grouped by pair and ascending within each.
+        the keys their merge repeats are the common neighbours (a repeated
+        pair has keys of its own), grouped by pair and ascending within each.
     """
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     n = g.node_count
     (ptr1, idx1), (ptr2, idx2) = DegreeCombination(combo).slot_csr(g)
     rows1, d1 = _gather_rows(ptr1, idx1, pairs[:, 0])
     rows2, d2 = _gather_rows(ptr2, idx2, pairs[:, 1])
-    keys1, keys2 = _pair_keys(rows1, d1, n), _pair_keys(rows2, d2, n)
-    if len(keys2):
-        hit = keys2[np.minimum(np.searchsorted(keys2, keys1), len(keys2) - 1)] == keys1
-        common = keys1[hit]
-    else:
-        common = keys2
-    owner, common = np.divmod(common, n)
+    keys, repeated = _merge_runs(_pair_keys(rows1, d1, n), _pair_keys(rows2, d2, n))
+    owner, common = np.divmod(keys[repeated], n)
     return PairFeatures(d1, d2, np.bincount(owner, minlength=len(pairs)), common)
 
 

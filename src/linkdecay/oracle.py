@@ -78,11 +78,11 @@ def _dense(g: Graph) -> np.ndarray:
     return a
 
 
-def _check_node_limit(n: int, limit: int = COMPLEMENT_NODE_LIMIT) -> None:
-    if n > limit:
+def _check_node_limit(n: int) -> None:
+    if n > COMPLEMENT_NODE_LIMIT:
         raise ValueError(
             f"refusing to materialize the complement of a {n}-node graph "
-            f"(limit {limit}): the complement is dense"
+            f"(limit {COMPLEMENT_NODE_LIMIT}): the complement is dense"
         )
 
 
@@ -99,15 +99,15 @@ def _check_request(n: int, spec: ScoreSpec, pairs: str, max_pairs: int) -> None:
     _check_node_limit(n)
 
 
-def _complement_matrix(g: Graph, symmetric: bool,
-                       limit: int = COMPLEMENT_NODE_LIMIT) -> np.ndarray:
+def _complement_matrix(g: Graph, symmetric: bool) -> np.ndarray:
     """The complement view's ``n x n`` boolean adjacency matrix: ``~A``, or
     ``~(A | A.T)`` when ``symmetric``, with the diagonal cleared.
 
-    Raises ``ValueError`` beyond ``limit`` nodes, before anything of size
-    ``n^2`` is allocated: the complement of a sparse graph is dense.
+    Raises ``ValueError`` beyond ``COMPLEMENT_NODE_LIMIT`` nodes, before
+    anything of size ``n^2`` is allocated: the complement of a sparse graph
+    is dense.
     """
-    _check_node_limit(g.node_count, limit)
+    _check_node_limit(g.node_count)
     a = _dense(g)
     if symmetric:
         a = a | a.T
@@ -116,26 +116,24 @@ def _complement_matrix(g: Graph, symmetric: bool,
     return a
 
 
-def materialize_complement(g: Graph, limit: int = COMPLEMENT_NODE_LIMIT) -> Graph:
+def materialize_complement(g: Graph) -> Graph:
     """Explicit directed complement: (i, j) present iff absent in ``g``
     (i != j).
 
-    Raises ``ValueError`` beyond ``limit`` nodes: the result has
-    ``n*(n-1) - m`` edges, which is dense for any sparse input.
+    Raises ``ValueError`` beyond ``COMPLEMENT_NODE_LIMIT`` nodes: the
+    result has ``n*(n-1) - m`` edges, which is dense for any sparse input.
     """
-    src, dst = np.nonzero(_complement_matrix(g, False, limit))
+    src, dst = np.nonzero(_complement_matrix(g, False))
     return Graph(g.node_count, src.astype(np.int64), dst.astype(np.int64),
                  validate=False)
 
 
 def symmetrize(g: Graph) -> Graph:
-    """Symmetric closure: both directions present iff either was.  Built
-    from the edge list, so it works at any size."""
-    n, edges = g.node_count, g.edges()
-    keys = np.unique(np.concatenate((edges[:, 0] * n + edges[:, 1],
-                                     edges[:, 1] * n + edges[:, 0])))
-    src, dst = np.divmod(keys, n)
-    return Graph(n, src, dst, validate=False)
+    """Symmetric closure: both directions present iff either was.  Its
+    out-rows are ``g``'s both-rows, so it works at any size."""
+    indptr, indices = g._csr("both")
+    src = np.repeat(np.arange(g.node_count, dtype=np.int64), np.diff(indptr))
+    return Graph(g.node_count, src, indices, validate=False)
 
 
 #: Membership cells (pairs x nodes) one block of a batch may hold; a block

@@ -2,6 +2,7 @@
 
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -108,7 +109,7 @@ def test_ingest_summary_and_id_map(capsys, fixture_file, tmp_path):
     assert values["self-loops-skipped"] == "0"
     assert "water\t0" in ids.read_text()
     # normalization is a fixed point on already-canonical files
-    assert out.read_text() == open(fixture_file).read()
+    assert out.read_text() == Path(fixture_file).read_text()
 
 
 def test_snapshot_edges(capsys, fixture_file, tmp_path):

@@ -73,19 +73,34 @@ def test_symmetrize_adds_reverse_edges():
     assert g.edge_count == 2
 
 
+def _same_csrs(a: Graph, b: Graph) -> bool:
+    return a.node_count == b.node_count and all(
+        np.array_equal(x, y) for direction in ("out", "in", "both")
+        for x, y in zip(a._csr(direction), b._csr(direction)))
+
+
 def test_symmetrize_matches_dense_construction():
-    """The closure built from the edge list equals ``A | A.T`` read off a
-    dense matrix, reciprocated edges included."""
+    """The closure read off the both-rows equals ``A | A.T`` read off a
+    dense matrix and the closure of the edge list in both directions, in
+    all three CSRs, reciprocated edges included; its out-rows are the
+    both-rows."""
     rng = np.random.default_rng(5)
-    graphs = [Graph.from_edges(0, []), Graph.from_edges(4, []),
-              random_reciprocal_graph(12, 0.3, rng)]
-    graphs += [random_directed_graph(int(rng.integers(2, 40)),
-                                     float(rng.uniform(0.05, 0.6)), rng)
-               for _ in range(20)]
+    graphs = [Graph.from_edges(0, []), Graph.from_edges(1, []),
+              Graph.from_edges(4, []), random_reciprocal_graph(12, 0.3, rng)]
+    graphs += [random_directed_graph(int(rng.integers(0, 40)),
+                                     float(rng.uniform(0.0, 0.6)), rng)
+               for _ in range(60)]
     for g in graphs:
+        sym = symmetrize(g)
+        n, edges = g.node_count, g.edges()
+        keys = np.unique(np.concatenate((edges[:, 0] * n + edges[:, 1],
+                                         edges[:, 1] * n + edges[:, 0])))
+        assert _same_csrs(sym, Graph(n, *np.divmod(keys, n), validate=False))
         a = oracle._dense(g)
         src, dst = np.nonzero(a | a.T)
-        assert symmetrize(g) == Graph(g.node_count, src, dst)
+        assert _same_csrs(sym, Graph(n, src, dst))
+        for v in range(n):
+            assert np.array_equal(sym.out_neighbors(v), g.all_neighbors(v))
 
 
 def test_node_limit_checked_before_any_dense_matrix(monkeypatch):

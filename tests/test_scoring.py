@@ -409,6 +409,50 @@ def test_kernel_batch_crosses_the_real_block_budget():
     _assert_matches_reference(g, pairs)
 
 
+def _one_way_graph():
+    """Node 0 only sends, node 1 only receives, node 5 is isolated, so
+    every combo has pairs with an empty first-slot or second-slot row."""
+    return Graph.from_edges(6, [(0, 1), (0, 2), (0, 3), (2, 1), (2, 3), (3, 4),
+                                (4, 2), (4, 1)])
+
+
+def _merge_case(name):
+    """``(graph, pairs, block budget or None)`` of one edge case of the
+    sorted-run merge in ``pair_features``."""
+    rng = np.random.default_rng(71)
+    if name == "repeated pairs":
+        # repeats side by side and apart; their keys differ only by position
+        g = _random_graph(rng, n=12, density=0.5)
+        pairs = _all_pairs(12)[:30]
+        return g, [pairs[0]] * 4 + pairs + pairs[::-3] + [pairs[5]] * 3, None
+    if name == "empty slot rows":
+        return _one_way_graph(), _all_pairs(6), None
+    if name == "every second-slot row empty":
+        return _one_way_graph(), [(i, 5) for i in range(5)], None
+    # several blocks, repeats straddling their boundaries
+    g = _random_graph(rng, n=30, density=0.4)
+    pairs = _all_pairs(30)[::5]
+    return g, pairs + pairs[::-1] + pairs, 300
+
+
+@pytest.mark.parametrize("case", ["repeated pairs", "empty slot rows",
+                                  "every second-slot row empty", "several blocks"])
+def test_kernel_merge_edge_cases(case, monkeypatch):
+    g, pairs, budget = _merge_case(case)
+    if budget is not None:
+        monkeypatch.setattr(scoring, "_BLOCK_ENTRIES", budget)
+        assert len(scoring._blocks(g, np.array(pairs), SYM)) >= 3
+    for combo in COMBOS:
+        f = pair_features(g, np.array(pairs), combo)
+        want = [len(np.intersect1d(*combo.endpoint_sets(g, a, b))) for a, b in pairs]
+        assert f.cn.tolist() == want, combo
+        if case == "every second-slot row empty":
+            assert not f.d2.any() and f.d1.any() and len(f.common) == 0, combo
+        if case == "empty slot rows":
+            assert not (f.d1.all() and f.d2.all()), combo
+    _assert_matches_reference(g, pairs)
+
+
 @settings(derandomize=True, deadline=None, max_examples=300, database=None)
 @given(lengths=st.lists(st.integers(0, 600), max_size=20),
        seed=st.integers(0, 2**32 - 1), zero_share=st.sampled_from((0.0, 0.3, 1.0)))
