@@ -12,12 +12,15 @@ pairs with one :func:`~linkdecay.scoring.score_matrix` call on the ``t1``
 snapshot; :func:`sweep` passes all 40 specs at once, so they share one
 snapshot and one pair-feature pass per degree combination.
 
-Every protocol ranks through one array path: the pairs, their float
-scores and a positive mask go to one ``np.lexsort`` (descending score,
-ties by endpoint pair), precision is ``cumsum(positive) / rank``, and the
-expected AP under random tie order is a closed form per tie block.  Sums
-run left to right with ``np.cumsum``, so AP has the bits of a plain loop
-over the ranking.  :class:`APResult` keeps the ranking as arrays.
+Every protocol ranks through one array path.  The pairs are put in their
+stable lexicographic order once; each score row then gets one stable
+``argsort`` by descending score over that order, so ties fall by endpoint
+pair and then by input position.  Precision is ``cumsum(positive) /
+rank``, and the expected AP under random tie order is a closed form per
+tie block.  :func:`sweep` ranks its 40 rows against one shared pair
+order.  Sums run left to right with ``np.cumsum``, so AP has the bits of
+a plain loop over the ranking.  :class:`APResult` keeps the ranking as
+arrays.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -177,43 +180,66 @@ class APResult:
         return (np.cumsum(self.positive) / ranks).tolist()
 
 
-def _rank(pairs: np.ndarray, scores: np.ndarray, positive: np.ndarray,
-          tie_break: str) -> APResult:
-    """Rank ``(k, 2)`` pairs by descending score, ties by endpoint pair,
-    and compute AP under ``tie_break``.
-
-    Every sum runs left to right in rank order (``np.cumsum``), so the AP
-    bits equal those of a plain ``+=`` loop over the ranking.
-    """
+def _check_tie_break(tie_break: str) -> None:
     if tie_break not in ("lexicographic", "expected"):
         raise ValueError(f"tie_break must be 'lexicographic' or 'expected', got {tie_break!r}")
+
+
+def _pair_order(pairs: np.ndarray) -> np.ndarray:
+    """Stable lexicographic order of ``(k, 2)`` pairs: by source, then
+    target, then input position."""
+    return np.lexsort((pairs[:, 1], pairs[:, 0]))
+
+
+def _rank_rows(pairs: np.ndarray, rows: Iterable[np.ndarray],
+               positive: np.ndarray, tie_break: str) -> Iterator[APResult]:
+    """Rank ``(k, 2)`` pairs by each score row in turn, descending, ties
+    by endpoint pair, and yield each row's AP under ``tie_break``.
+
+    The pair order is computed once; a stable ``argsort`` of each row's
+    negated scores in that order breaks ties as ``np.lexsort((dst, src,
+    -score))`` would, with ``0.0`` and ``-0.0`` tied and NaN last.  Every
+    sum runs left to right in rank order (``np.cumsum``), so the AP bits
+    equal those of a plain ``+=`` loop over the ranking.
+    """
+    _check_tie_break(tie_break)
     positives = int(np.count_nonzero(positive))
     if positives == 0:
         raise ValueError("average precision needs at least one 'test' item")
-    order = np.lexsort((pairs[:, 1], pairs[:, 0], -scores))
-    pairs, scores, positive = pairs[order], scores[order], positive[order]
-    hits = np.cumsum(positive)
-    rank = np.arange(1, len(scores) + 1)
-    if tie_break == "lexicographic":
-        total = np.cumsum((hits / rank)[positive])[-1]
-    else:
-        # Expected AP when tied items are ordered uniformly at random.  A
-        # positive lands at in-block rank r of a block holding t positives
-        # among `size` items with probability t/size; conditioned on that,
-        # (r-1)(t-1)/(size-1) other positives precede it in the block.
-        first = np.flatnonzero(np.r_[True, scores[1:] != scores[:-1]])
-        size = np.diff(np.r_[first, len(scores)])
-        seen = np.r_[0, hits]       # seen[k]: positives among the first k items
-        above = np.repeat(first, size)
-        above_pos = np.repeat(seen[first], size)
-        t = np.repeat(seen[first + size] - seen[first], size)
-        size = np.repeat(size, size)
-        r = rank - above
-        # In a block of one, r - 1 is 0, so the guarded divisor gives 0.
-        within = (r - 1) * (t - 1) / np.maximum(size - 1, 1)
-        total = np.cumsum((t / size) * (above_pos + 1 + within) / (above + r))[-1]
-    return APResult(ap=float(total / positives), pairs=pairs, scores=scores,
-                    positive=positive, positives=positives, tie_break=tie_break)
+    by_pair = _pair_order(pairs)
+    rank = np.arange(1, len(by_pair) + 1)
+    for row in rows:
+        order = by_pair[np.argsort(-row[by_pair], kind="stable")]
+        scores, ranked = row[order], positive[order]
+        hits = np.cumsum(ranked)
+        if tie_break == "lexicographic":
+            total = np.cumsum((hits / rank)[ranked])[-1]
+        else:
+            # Expected AP when tied items are ordered uniformly at random.
+            # A positive lands at in-block rank r of a block holding t
+            # positives among `size` items with probability t/size;
+            # conditioned on that, (r-1)(t-1)/(size-1) other positives
+            # precede it in the block.
+            first = np.flatnonzero(np.r_[True, scores[1:] != scores[:-1]])
+            size = np.diff(np.r_[first, len(scores)])
+            seen = np.r_[0, hits]   # seen[k]: positives among the first k items
+            above = np.repeat(first, size)
+            above_pos = np.repeat(seen[first], size)
+            t = np.repeat(seen[first + size] - seen[first], size)
+            size = np.repeat(size, size)
+            r = rank - above
+            # In a block of one, r - 1 is 0, so the guarded divisor gives 0.
+            within = (r - 1) * (t - 1) / np.maximum(size - 1, 1)
+            total = np.cumsum((t / size) * (above_pos + 1 + within) / (above + r))[-1]
+        yield APResult(ap=float(total / positives), pairs=pairs[order],
+                       scores=scores, positive=ranked, positives=positives,
+                       tie_break=tie_break)
+
+
+def _rank(pairs: np.ndarray, scores: np.ndarray, positive: np.ndarray,
+          tie_break: str) -> APResult:
+    """:func:`_rank_rows` for one score row."""
+    return next(_rank_rows(pairs, (scores,), positive, tie_break))
 
 
 def average_precision(scored: Iterable[tuple], tie_break: str = "lexicographic") -> APResult:
@@ -273,6 +299,7 @@ def evaluate(tel: TemporalEdgeList, spec: ScoreSpec, fraction: float = 0.75, *,
     -------
     APResult
     """
+    _check_tie_break(tie_break)
     if split is None:
         split = temporal_split(tel, fraction, seed=seed)
     pairs, positive = _labeled(split.test_set, split.zero_test_set)
@@ -283,9 +310,10 @@ def evaluate(tel: TemporalEdgeList, spec: ScoreSpec, fraction: float = 0.75, *,
 def sweep(tel: TemporalEdgeList, split: EvaluationSplit,
           tie_break: str = "lexicographic") -> list[float]:
     """AP of each spec of :func:`all_specs` on one split, in that order."""
+    _check_tie_break(tie_break)
     pairs, positive = _labeled(split.test_set, split.zero_test_set)
     scores = score_matrix(snapshot_at(tel, split.t1), pairs, all_specs())
-    return [_rank(pairs, row, positive, tie_break).ap for row in scores]
+    return [result.ap for result in _rank_rows(pairs, scores, positive, tie_break)]
 
 
 def random_baseline(split: EvaluationSplit, *, seed: int,
@@ -295,6 +323,7 @@ def random_baseline(split: EvaluationSplit, *, seed: int,
     With equal-size test and zero sets this hovers around 0.5; it is the
     floor any real scorer has to beat.
     """
+    _check_tie_break(tie_break)
     pairs, positive = _labeled(split.test_set, split.zero_test_set)
     scores = np.random.default_rng(seed).random(len(pairs))
     return _rank(pairs, scores, positive, tie_break)
@@ -310,6 +339,7 @@ def evaluate_link_prediction(tel: TemporalEdgeList, measure: Measure,
     that never occur anywhere in the stream.  Pairs are ranked by the raw
     link-prediction measure on the ``t1`` snapshot (no negation).
     """
+    _check_tie_break(tie_break)
     t1, t_end, k1, k_end = _cut(tel, fraction)
     n = tel.node_count
     new_keys = np.setdiff1d(k_end, k1, assume_unique=True)

@@ -194,9 +194,15 @@ def _canonical_columns(handle: BinaryIO) -> list[np.ndarray] | None:
 
 def _first_seen_ids(values: np.ndarray) -> tuple[np.ndarray, list[str]]:
     """Indices of node ``values`` numbered in first-seen (C) order, and the
-    token ``str(value)`` of each index."""
-    unique, first, inverse = np.unique(values, return_index=True,
-                                       return_inverse=True)
+    token ``str(value)`` of each index.
+
+    ``np.unique`` numbers the distinct values in sorted order without a
+    stable sort; ``np.minimum.at`` then finds each one's first position.
+    """
+    unique, inverse = np.unique(values, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    first = np.full(len(unique), len(inverse), dtype=np.int64)
+    np.minimum.at(first, inverse, np.arange(len(inverse)))
     order = np.argsort(first)
     rank = np.empty(len(unique), dtype=np.int64)
     rank[order] = np.arange(len(unique))

@@ -6,6 +6,7 @@ runtime is dominated by the ten planted-signal streams (criteria 06/07)
 and stays around a minute.
 """
 
+import hashlib
 import struct
 import time
 import warnings
@@ -24,6 +25,7 @@ from linkdecay.evaluation import (
     evaluate_link_prediction,
     fit_exponential_half_life,
     random_baseline,
+    sweep,
     temporal_split,
 )
 from linkdecay.generate import GenConfig, deletion_share, generate
@@ -204,6 +206,22 @@ def test_criterion_07_decay_harder_than_creation(planted_suite):
     print(f"\ncriterion 07 PASS: creation CN > decay CN in {wins}/10 seeds "
           f"(mean gap {np.mean(gaps):+.4f})")
 
+
+#: SHA-256 of the 80 ``<d`` AP bits of the seed-0 planted stream's 40-spec
+#: sweep, lexicographic rows first, then expected.
+PLANTED_SWEEP_SHA256 = \
+    "88af97cddb9782b852647bf4d64f5605fb01996efecc419956df00a91553c83d"
+
+
+def test_planted_sweep_ap_bits_are_pinned(planted_suite):
+    entry = planted_suite[0]
+    assert entry["seed"] == 0
+    digest = hashlib.sha256()
+    for tie_break in ("lexicographic", "expected"):
+        aps = sweep(entry["tel"], entry["split"], tie_break)
+        assert len(aps) == 40
+        digest.update(b"".join(map(_bits, aps)))
+    assert digest.hexdigest() == PLANTED_SWEEP_SHA256
 
 def test_criterion_08_half_life_recovery_and_memorylessness():
     tel = generate(GenConfig(seed=0, n_nodes=1000, n_add_events=100_000))

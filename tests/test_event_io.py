@@ -14,7 +14,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from linkdecay import events
@@ -287,6 +287,43 @@ def test_decimals_are_str_of_every_int64():
     table, start, length = events._decimals(values)
     assert [table[s:s + k].tobytes().decode() for s, k in zip(start, length)] \
         == [str(v) for v in values.tolist()]
+
+
+@st.composite
+def node_values(draw):
+    """Node values as ``(k, 2)`` pairs, as the block parser hands them
+    over, or flat; small values repeat, and ``10**18 - 1`` is the largest
+    a canonical token holds."""
+    values = draw(st.lists(st.one_of(st.integers(0, 5), st.just(10**18 - 1),
+                                     st.integers(0, 10**18 - 1)),
+                           max_size=40))
+    if draw(st.booleans()):
+        return np.array(values[:len(values) // 2 * 2],
+                        dtype=np.int64).reshape(-1, 2)
+    return np.array(values, dtype=np.int64)
+
+
+@SETTINGS
+@given(node_values())
+@example(np.empty((0, 2), dtype=np.int64))
+@example(np.empty(0, dtype=np.int64))
+@example(np.array([7], dtype=np.int64))
+@example(np.array([[3, 3], [3, 3]], dtype=np.int64))
+@example(np.array([[10**18 - 1, 0], [0, 10**18 - 1]], dtype=np.int64))
+def test_first_seen_ids_match_the_stable_unique(values):
+    # The construction the numbering replaced: a stable np.unique with
+    # return_index, then the distinct values ranked by first position.
+    unique, first, inverse = np.unique(values, return_index=True,
+                                       return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty(len(unique), dtype=np.int64)
+    rank[order] = np.arange(len(unique))
+    want = rank[inverse].reshape(values.shape)
+    ids, tokens = events._first_seen_ids(values)
+    assert ids.shape == values.shape
+    assert ids.dtype == want.dtype
+    assert np.array_equal(ids, want)
+    assert tokens == [str(value) for value in unique[order].tolist()]
 
 
 # ---- standard input ----

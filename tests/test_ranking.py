@@ -5,8 +5,11 @@ Inputs are drawn tie-heavy: scores from a three-value set holding both
 with different labels), single items, all-positive lists, and lists of
 distinct scores (tie blocks of size 1).  AP must equal the reference bit
 for bit under both tie policies, and so must every score in the ranking.
+Several score rows over one pair list go through the path ``sweep`` takes,
+which ranks all of them against one shared pair order.
 """
 
+import math
 import struct
 import warnings
 
@@ -16,7 +19,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_evaluation as reference
+from linkdecay import evaluation
 from linkdecay.evaluation import (EdgeLifetimes, average_precision, evaluate,
+                                  evaluate_link_prediction, random_baseline,
                                   survival_curve, sweep, temporal_split)
 from linkdecay.generate import GenConfig, generate
 from linkdecay.graph import snapshot_at
@@ -30,16 +35,33 @@ def _bits(x: float) -> bytes:
     return struct.pack("<d", x)
 
 
+PAIR = st.tuples(st.integers(0, 2), st.integers(0, 2))
+LABEL = st.sampled_from(("test", "zero"))
+
+
+def _row_scores(draw):
+    """Scores for one row: often three values, ``0.0`` and ``-0.0`` among
+    them, so ties are heavy; otherwise any finite floats."""
+    if draw(st.booleans()):
+        return st.sampled_from((0.0, -0.0, draw(finite)))
+    return finite
+
+
 @st.composite
 def scored_items(draw):
-    if draw(st.booleans()):
-        score = st.sampled_from((0.0, -0.0, draw(finite)))
-    else:
-        score = finite
-    pair = st.tuples(st.integers(0, 2), st.integers(0, 2))
-    return draw(st.lists(
-        st.tuples(pair, score, st.sampled_from(("test", "zero"))),
-        min_size=1, max_size=40))
+    return draw(st.lists(st.tuples(PAIR, _row_scores(draw), LABEL),
+                         min_size=1, max_size=40))
+
+
+@st.composite
+def shared_pairs(draw):
+    """One labeled pair list, pairs repeating under different labels, and
+    several score rows over it, each tie-heavy or not on its own."""
+    labeled = draw(st.lists(st.tuples(PAIR, LABEL), min_size=1, max_size=40))
+    rows = [draw(st.lists(_row_scores(draw), min_size=len(labeled),
+                          max_size=len(labeled)))
+            for _ in range(draw(st.integers(1, 5)))]
+    return labeled, rows
 
 
 def _assert_same_as_reference(items, tie_break):
@@ -50,7 +72,10 @@ def _assert_same_as_reference(items, tie_break):
             average_precision(items, tie_break)
         assert str(caught.value) == str(err)
         return
-    got = average_precision(items, tie_break)
+    _assert_same_result(average_precision(items, tie_break), want, tie_break)
+
+
+def _assert_same_result(got, want, tie_break):
     assert _bits(got.ap) == _bits(want.ap)
     assert got.ranking == want.ranking
     assert [_bits(s) for _, s, _ in got.ranking] == \
@@ -70,6 +95,96 @@ def _assert_same_as_reference(items, tie_break):
 def test_average_precision_matches_reference(items):
     for tie_break in TIE_BREAKS:
         _assert_same_as_reference(items, tie_break)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(shared_pairs())
+@example(([((0, 1), "test"), ((0, 1), "zero"), ((0, 1), "test")],
+          [[0.0, -0.0, 0.0], [1.0, 1.0, 1.0], [2.0, 1.0, 0.0]]))
+@example(([((1, 1), "zero"), ((0, 2), "zero")], [[0.5, 0.5], [1.0, 2.0]]))
+def test_rows_ranked_against_one_pair_order_match_reference(case):
+    labeled, rows = case
+    pairs = np.array([pair for pair, _ in labeled], dtype=np.int64)
+    labels = [label for _, label in labeled]
+    positive = np.array(labels) == "test"
+    scores = np.array(rows, dtype=np.float64)
+    items = [list(zip(map(tuple, pairs.tolist()), row, labels)) for row in rows]
+    for tie_break in TIE_BREAKS:
+        if not positive.any():
+            with pytest.raises(ValueError) as caught:
+                list(evaluation._rank_rows(pairs, scores, positive, tie_break))
+            with pytest.raises(ValueError) as want:
+                reference.average_precision(items[0], tie_break)
+            assert str(caught.value) == str(want.value)
+            continue
+        got = list(evaluation._rank_rows(pairs, scores, positive, tie_break))
+        assert len(got) == len(rows)
+        for result, row_items in zip(got, items):
+            _assert_same_result(
+                result, reference.average_precision(row_items, tie_break),
+                tie_break)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(st.lists(st.tuples(PAIR, st.one_of(
+    st.sampled_from((0.0, -0.0, math.nan, math.inf, -math.inf)), st.floats())),
+    min_size=1, max_size=40))
+def test_rank_order_equals_the_three_key_lexsort(items):
+    # NaN scores included: the reference sort cannot order them, but the
+    # three-key lexsort the shared order replaced can.
+    pairs = np.array([pair for pair, _ in items], dtype=np.int64)
+    scores = np.array([score for _, score in items], dtype=np.float64)
+    positive = np.arange(len(items)) % 2 == 0
+    order = np.lexsort((pairs[:, 1], pairs[:, 0], -scores))
+    got = next(evaluation._rank_rows(pairs, [scores], positive, "lexicographic"))
+    assert np.array_equal(got.pairs, pairs[order])
+    assert got.scores.tobytes() == scores[order].tobytes()
+    assert np.array_equal(got.positive, positive[order])
+
+
+@pytest.fixture(scope="module")
+def small_split():
+    tel = generate(GenConfig(seed=3, n_nodes=200, n_add_events=3000,
+                             decay_bias="low_degree"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return tel, temporal_split(tel, 0.75, seed=2)
+
+
+def test_sweep_computes_the_pair_order_once(small_split, monkeypatch):
+    tel, split = small_split
+    calls = []
+    pair_order = evaluation._pair_order
+    monkeypatch.setattr(evaluation, "_pair_order",
+                        lambda pairs: calls.append(len(pairs)) or pair_order(pairs))
+    for tie_break in TIE_BREAKS:
+        calls.clear()
+        assert len(sweep(tel, split, tie_break)) == 40
+        assert calls == [len(split.test_set) + len(split.zero_test_set)]
+
+
+def test_bad_tie_break_is_rejected_before_scoring(small_split, monkeypatch):
+    tel, split = small_split
+
+    def no_scoring(*args, **kwargs):
+        raise AssertionError("scored before checking tie_break")
+
+    monkeypatch.setattr(evaluation, "score_matrix", no_scoring)
+    monkeypatch.setattr(evaluation, "snapshot_at", no_scoring)
+    message = "^tie_break must be 'lexicographic' or 'expected', got 'bogus'$"
+    spec = all_specs()[0]
+    calls = [
+        lambda: sweep(tel, split, "bogus"),
+        lambda: evaluate(tel, spec, seed=2, tie_break="bogus", split=split),
+        lambda: evaluate(tel, spec, seed=2, tie_break="bogus"),
+        lambda: evaluate_link_prediction(tel, spec.measure, spec.combo,
+                                         seed=2, tie_break="bogus"),
+        lambda: random_baseline(split, seed=2, tie_break="bogus"),
+        lambda: average_precision([((0, 1), 1.0, "test")], "bogus"),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 @settings(derandomize=True, deadline=None, max_examples=100, database=None)
@@ -97,12 +212,8 @@ def test_survival_curve_matches_reference(records):
             [tuple(map(_bits, point)) for point in want]
 
 
-def test_evaluate_matches_reference_over_score_batch_for_all_specs():
-    tel = generate(GenConfig(seed=3, n_nodes=200, n_add_events=3000,
-                             decay_bias="low_degree"))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        split = temporal_split(tel, 0.75, seed=2)
+def test_evaluate_matches_reference_over_score_batch_for_all_specs(small_split):
+    tel, split = small_split
     g1 = snapshot_at(tel, split.t1)
     pairs = np.vstack((split.test_set, split.zero_test_set))
     labels = ["test"] * len(split.test_set) + ["zero"] * len(split.zero_test_set)
