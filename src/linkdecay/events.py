@@ -611,5 +611,10 @@ def read_id_map(source: PathOrFile) -> dict[str, int]:
             fields = text.split()
             if len(fields) != 2:
                 raise EventFormatError(f"line {lineno}: expected 'node<TAB>index'")
-            mapping[fields[0]] = int(fields[1])
+            try:
+                mapping[fields[0]] = int(fields[1])
+            except ValueError:
+                raise EventFormatError(
+                    f"line {lineno}: index must be an integer, got {fields[1]!r}"
+                ) from None
     return mapping

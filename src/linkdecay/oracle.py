@@ -24,14 +24,15 @@ two neighbour sets are boolean rows: a node's out-row is its row of the
 matrix and its in-row its row of the transpose, so every row spans all
 nodes in ascending order.  Set sizes and intersections are row sums and
 ANDs, and adad weight degrees are row sums of the matrix and of its
-transpose.  :func:`raw_measure` scores a sparse graph instead, from its CSR
-rows (over a small batch's own nodes on a large graph, so the node limit
-does not apply), and both row sources feed one scoring body.  Edge
-membership of the candidates is one ``np.isin`` over pair keys, and
-``score_matrix`` already rejects a bad pair.  A sampled candidate set is
-drawn in chunks that keep numpy's one-call-per-pair stream.  Nothing lives
-across calls.  Every score adds the same terms in the same
-``sorted(common)`` order as a per-pair set loop, so a report is
+transpose.  :func:`raw_measure` scores one pair of a sparse graph instead:
+each slot's row is its endpoint's CSR rows in the slot's directions, over
+only the nodes they hold on a large graph, so the node limit does not
+apply.  Both row sources give one row per pair and slot to one scoring
+body.  Edge membership of the candidates is one ``np.isin`` over pair
+keys, and ``score_matrix`` already rejects a bad pair.  A sampled
+candidate set is drawn in chunks that keep numpy's one-call-per-pair
+stream.  Nothing lives across calls.  Every score adds the same terms in
+the same ``sorted(common)`` order as a per-pair set loop, so a report is
 bit-identical to one that evaluates each pair afresh on a materialized
 complement.  :func:`brute_force_g2` scores a batch of one from the matrix,
 and none of this calls the scoring kernel.
@@ -152,31 +153,15 @@ _RULES = {
 }
 
 
-def _neighbours(g: Graph, nodes: np.ndarray,
-                directions: tuple[str, ...]) -> tuple[list, np.ndarray]:
-    """The distinct entries of ``nodes`` in first-seen order, each as the
-    entries of its ``directions`` rows in ``g`` (repeats allowed); and the
-    index of each entry of ``nodes`` among them."""
-    row_of: dict[int, int] = {}
-    at = np.array([row_of.setdefault(v, len(row_of)) for v in nodes.tolist()],
-                  dtype=np.intp)
-    csrs = [g._csr(direction) for direction in directions]
-    if len(csrs) == 1:
-        indptr, indices = csrs[0]
-        return [indices[indptr[v]:indptr[v + 1]] for v in row_of], at
-    return [np.concatenate([indices[indptr[v]:indptr[v + 1]]
-                            for indptr, indices in csrs]) for v in row_of], at
-
-
 def _columns(n: int, lists: list) -> tuple[np.ndarray, list]:
     """Membership columns for neighbour lists over ``n`` nodes, ascending,
     and each list as column numbers.
 
     Lists holding ``n / 64`` entries or more in all get a column per node,
     numbered as itself: rows over every node then cost less than finding
-    the nodes the lists hold (a batch of one with tens of entries on up to
-    a few thousand nodes).  Fewer entries get only the nodes they hold, so
-    a small batch on a large sparse graph costs its degrees, not ``n``.
+    the nodes the lists hold (a pair with tens of entries on up to a few
+    thousand nodes).  Fewer entries get only the nodes they hold, so a pair
+    on a large sparse graph costs its degrees, not ``n``.
     """
     if 64 * sum(map(len, lists)) >= n:
         return np.arange(n), lists
@@ -200,80 +185,40 @@ def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return out
 
 
-def _block_scores(cols: np.ndarray, slot1: tuple, slot2: tuple,
+def _block_scores(cols: np.ndarray, rows1: np.ndarray, rows2: np.ndarray,
                   weight_degrees: Callable[[np.ndarray], np.ndarray],
                   measure: Measure) -> np.ndarray:
     """Raw measure of each pair of a block from its slot rows.
 
-    A slot is ``(rows, at)``: boolean neighbour-set rows over the nodes
-    ``cols`` (ascending), and the row of each pair's endpoint.
+    ``rows1[p]`` and ``rows2[p]`` are pair ``p``'s first- and second-slot
+    neighbour sets, as boolean rows over the nodes ``cols`` (ascending).
     ``weight_degrees(nodes)`` gives the nodes' adad weight degrees.
-    Degrees and common-neighbour counts are row sums of the rows and of
-    their AND, and pa, cn, cos and jacc are array arithmetic with the
-    per-pair formulas' operations.  adad sums the ``1/log(d_k)`` weights
+    Degrees (for pa, cos and jacc only) and common-neighbour counts are
+    row sums of the rows and of their AND, and pa, cn, cos and jacc are
+    array arithmetic with the per-pair formulas' operations.  adad sums the ``1/log(d_k)`` weights
     (``math.log``, 0.0 for ``d_k <= 1``) of the common neighbours left to
     right in ascending node order, adding 0.0 for the other columns, so
     every score has the bits of a ``sorted(common)`` loop whichever nodes
     the columns span.
     """
-    (rows1, at1), (rows2, at2) = slot1, slot2
-    d1 = rows1.sum(axis=1)[at1]
-    d2 = rows2.sum(axis=1)[at2]
     if measure is Measure.PA:
-        return (d1 * d2).astype(np.float64)
-    common = rows1[at1] & rows2[at2]
+        return (rows1.sum(axis=1) * rows2.sum(axis=1)).astype(np.float64)
+    common = rows1 & rows2
     cn = common.sum(axis=1)
     if measure is Measure.CN:
         return cn.astype(np.float64)
+    if measure is Measure.ADAD:
+        ks = np.flatnonzero(common.any(axis=0))
+        if len(ks) == 0:
+            return np.zeros(len(common))
+        dk = weight_degrees(cols[ks])
+        w = np.array([0.0 if d <= 1 else 1.0 / math.log(d) for d in dk.tolist()])
+        return np.cumsum(np.where(common[:, ks], w, 0.0), axis=1)[:, -1]
+    d1 = rows1.sum(axis=1)
+    d2 = rows2.sum(axis=1)
     if measure is Measure.COS:
         return _ratio(cn, np.sqrt(d1) * np.sqrt(d2))
-    if measure is Measure.JACC:
-        return _ratio(cn, d1 + d2 - cn)
-    ks = np.flatnonzero(common.any(axis=0))
-    if len(ks) == 0:
-        return np.zeros(len(at1))
-    dk = weight_degrees(cols[ks])
-    w = np.array([0.0 if d <= 1 else 1.0 / math.log(d) for d in dk.tolist()])
-    return np.cumsum(np.where(common[:, ks], w, 0.0), axis=1)[:, -1]
-
-
-def _blocked(n: int, pairs: np.ndarray,
-             score: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """``score`` of each block of at most ``BLOCK_CELLS // n`` pairs (at
-    least one), concatenated."""
-    out = np.empty(len(pairs))
-    step = max(1, BLOCK_CELLS // max(n, 1))
-    for lo in range(0, len(pairs), step):
-        out[lo:lo + step] = score(pairs[lo:lo + step])
-    return out
-
-
-def _raw_scores(g: Graph, pairs: np.ndarray, measure: Measure,
-                combo: DegreeCombination) -> np.ndarray:
-    """Raw measure of every pair of a ``(k, 2)`` batch on a sparse ``g``.
-
-    The rows come from ``g``'s CSR rows: per block of pairs, each distinct
-    endpoint's neighbour list becomes one boolean membership row over the
-    block's columns from :func:`_columns`, so a small batch on a large
-    graph costs its degrees, not ``n``.  Trusts its pairs:
-    :func:`raw_measure` validates them.
-    """
-    first, second, weighted = _RULES[combo]
-
-    def weight_degrees(nodes):
-        return sum(indptr[nodes + 1] - indptr[nodes]
-                   for indptr, _ in map(g._csr, weighted))
-
-    def score(block):
-        lists1, at1 = _neighbours(g, block[:, 0], first)
-        lists2, at2 = _neighbours(g, block[:, 1], second)
-        cols, lists = _columns(g.node_count, lists1 + lists2)
-        rows1 = _membership(lists[:len(lists1)], len(cols))
-        rows2 = _membership(lists[len(lists1):], len(cols))
-        return _block_scores(cols, (rows1, at1), (rows2, at2),
-                             weight_degrees, measure)
-
-    return _blocked(g.node_count, pairs, score)
+    return _ratio(cn, d1 + d2 - cn)
 
 
 def _complement_scores(comp: np.ndarray, pairs: np.ndarray, measure: Measure,
@@ -283,9 +228,9 @@ def _complement_scores(comp: np.ndarray, pairs: np.ndarray, measure: Measure,
 
     A node's out-row is its row of ``comp`` and its in-row its row of
     ``comp.T``, so every row spans all nodes, ascending; a slot's row is
-    the OR of its directions' rows, taken per block for the block's
-    distinct endpoints.  Adad weight degrees are row sums of ``comp`` and
-    of ``comp.T``.  Trusts its pairs.
+    the OR of its directions' rows.  The pairs are scored in blocks of at
+    most ``BLOCK_CELLS // n`` pairs (at least one).  Adad weight degrees
+    are row sums of ``comp`` and of ``comp.T``.  Trusts its pairs.
     """
     n = len(comp)
     by_direction = {"out": comp, "in": np.ascontiguousarray(comp.T)}
@@ -295,39 +240,57 @@ def _complement_scores(comp: np.ndarray, pairs: np.ndarray, measure: Measure,
                     for directions in (first, second))
     degrees = sum(by_direction[d].sum(axis=1) for d in weighted)
     cols = np.arange(n)
-
-    def rows(slot, nodes):
-        distinct, at = np.unique(nodes, return_inverse=True)
-        return slot[distinct], at
-
-    return _blocked(n, pairs, lambda block: _block_scores(
-        cols, rows(slot1, block[:, 0]), rows(slot2, block[:, 1]),
-        degrees.__getitem__, measure))
+    out = np.empty(len(pairs))
+    step = max(1, BLOCK_CELLS // max(n, 1))
+    for lo in range(0, len(pairs), step):
+        block = pairs[lo:lo + step]
+        out[lo:lo + step] = _block_scores(cols, slot1[block[:, 0]],
+                                          slot2[block[:, 1]],
+                                          degrees.__getitem__, measure)
+    return out
 
 
 def raw_measure(g: Graph, i: int, j: int, measure: Measure,
                 combo: DegreeCombination) -> float:
-    """Raw measure of ``(i, j)`` on ``g`` by direct set arithmetic (a batch
-    of one for :func:`_raw_scores`).
+    """Raw measure of ``(i, j)`` on ``g`` by direct set arithmetic.
 
-    Functionally the same quantity as
+    Each endpoint's slot set is its ``_RULES`` CSR rows of ``g``
+    concatenated, made one boolean row over the columns of
+    :func:`_columns`, so a pair on a large sparse graph costs its degrees,
+    not ``n``.  Functionally the same quantity as
     :func:`~linkdecay.scoring.link_prediction_score`, implemented
     independently so the two can check each other.
     """
-    measure, combo = Measure(measure), DegreeCombination(combo)
+    measure, combo = Measure.parse(measure), DegreeCombination.parse(combo)
     _check_pair(g, i, j)
-    pair = np.array([[i, j]], dtype=np.int64)
-    return float(_raw_scores(g, pair, measure, combo)[0])
+    first, second, weighted = _RULES[combo]
+    lists = [np.concatenate([indices[indptr[v]:indptr[v + 1]]
+                             for indptr, indices in map(g._csr, directions)])
+             for v, directions in ((int(i), first), (int(j), second))]
+    cols, lists = _columns(g.node_count, lists)
+    rows = _membership(lists, len(cols))
+
+    def weight_degrees(nodes):
+        return sum(indptr[nodes + 1] - indptr[nodes]
+                   for indptr, _ in map(g._csr, weighted))
+
+    return float(_block_scores(cols, rows[:1], rows[1:], weight_degrees,
+                               measure)[0])
 
 
 def brute_force_g2(g: Graph, i: int, j: int, measure: Measure,
                    combo: DegreeCombination) -> float:
     """Complement-graph measure of ``(i, j)`` by explicit set arithmetic on
-    the boolean complement matrix."""
-    combo = DegreeCombination(combo)
-    comp = _complement_matrix(g, combo is DegreeCombination.SYM)
-    measure = Measure(measure)
+    the boolean complement matrix.
+
+    The arguments are checked before the matrix is built: the combination,
+    the node limit, the measure, then the pair.
+    """
+    combo = DegreeCombination.parse(combo)
+    _check_node_limit(g.node_count)
+    measure = Measure.parse(measure)
     _check_pair(g, i, j)
+    comp = _complement_matrix(g, combo is DegreeCombination.SYM)
     pair = np.array([[i, j]], dtype=np.int64)
     return float(_complement_scores(comp, pair, measure, combo)[0])
 

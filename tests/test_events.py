@@ -198,3 +198,11 @@ def test_random_streams_round_trip_exactly():
         again.write(buf2)
         assert buf2.getvalue() == buf.getvalue()
         assert len(again) == len(tel)
+
+
+def test_id_map_bad_index_names_its_line(tmp_path):
+    path = tmp_path / "ids.tsv"
+    path.write_text("# node\tindex\nu\t0\nv\tone\n")
+    with pytest.raises(EventFormatError,
+                       match=r"^line 3: index must be an integer, got 'one'$"):
+        read_id_map(str(path))

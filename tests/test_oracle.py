@@ -13,7 +13,7 @@ from linkdecay import graph, oracle, scoring
 from linkdecay.datasets import (random_directed_graph, random_reciprocal_graph,
                                 swim_surf, swim_surf_events)
 from linkdecay.graph import DegreeCombination, Graph
-from linkdecay.oracle import (_raw_scores, brute_force_g2, check_closed_form,
+from linkdecay.oracle import (brute_force_g2, check_closed_form,
                               materialize_complement, raw_measure, symmetrize)
 from linkdecay.scoring import (Measure, ScoreModel, ScoreSpec, all_specs,
                                complement_network_score, complement_score,
@@ -23,6 +23,8 @@ SYM = DegreeCombination.SYM
 COMBOS = list(DegreeCombination)
 MEASURES = list(Measure)
 NETWORK_SPECS = [s for s in all_specs() if s.model is ScoreModel.COMPLEMENT_NETWORK]
+RAW_MEASURE_GRID_SHA256 = (
+    "993a2f1a7bb9573423504e96e2d2aa3b53ec956feb3270ab965caaadc7f89efc")
 
 
 def _bits(x: float) -> bytes:
@@ -105,7 +107,8 @@ def test_symmetrize_matches_dense_construction():
 
 def test_node_limit_checked_before_any_dense_matrix(monkeypatch):
     """Beyond the node limit every combination, SYM included, is refused
-    before an n x n matrix is built."""
+    before an n x n matrix is built.  ``brute_force_g2`` also rejects a bad
+    combination, node count, measure or pair, in that order, before it."""
     def refuse(g):
         raise AssertionError("built a dense matrix")
 
@@ -119,6 +122,15 @@ def test_node_limit_checked_before_any_dense_matrix(monkeypatch):
                 check_closed_form(big, spec, pairs=pairs)
         with pytest.raises(ValueError, match="dense"):
             brute_force_g2(big, 0, 1, Measure.CN, combo)
+    g = random_directed_graph(5, 0.4, np.random.default_rng(3))
+    for h, i, j, measure, combo, error, message in [
+            (g, 2, 2, "nope", "bogus", ValueError, "unknown combo 'bogus'"),
+            (big, 2, 2, "nope", SYM, ValueError, "dense"),
+            (g, 2, 2, "nope", SYM, ValueError, "unknown measure 'nope'"),
+            (g, 2, 2, Measure.CN, SYM, ValueError, "distinct endpoints"),
+            (g, 0, 5, Measure.CN, SYM, IndexError, "unknown node 5")]:
+        with pytest.raises(error, match=message):
+            brute_force_g2(h, i, j, measure, combo)
 
 
 # ---- brute force values ----
@@ -189,12 +201,11 @@ def _low_degree_graph(rng, n):
 
 
 def test_shared_evaluator_matches_fresh_calls_bitwise():
-    """The batch evaluator scores a check's pairs together, from membership
-    rows; every score must keep the bits of the per-pair set arithmetic it
-    replaced (``reference_oracle``), both in one batch of every ordered pair
-    and in the batches of one that ``raw_measure`` scores.  The same graph
-    as nodes 4000 and up of a 5000-node graph gives its pairs the same
-    scores from columns for their own nodes only."""
+    """``raw_measure`` scores a pair from membership rows; every score must
+    keep the bits of the per-pair set arithmetic it replaced
+    (``reference_oracle``).  The same graph as nodes 4000 and up of a
+    5000-node graph gives its pairs the same scores from columns for their
+    own nodes only."""
     rng = np.random.default_rng(83)
     for _ in range(3):
         g = _low_degree_graph(rng, int(rng.integers(9, 14)))
@@ -208,10 +219,8 @@ def test_shared_evaluator_matches_fresh_calls_bitwise():
         evaluator = reference._RawEvaluator(g)
         for measure in MEASURES:
             for combo in COMBOS:
-                batch = _raw_scores(g, pairs, measure, combo).tolist()
-                for (i, j), got in zip(pairs.tolist(), batch):
+                for i, j in pairs.tolist():
                     expect = _bits(evaluator.score(i, j, measure, combo))
-                    assert _bits(got) == expect, (measure, combo, i, j)
                     one = raw_measure(g, i, j, measure, combo)
                     assert _bits(one) == expect, (measure, combo, i, j)
                     one = raw_measure(big, i + 4000, j + 4000, measure, combo)
@@ -221,10 +230,51 @@ def test_shared_evaluator_matches_fresh_calls_bitwise():
             assert 0.0 in evaluator._weights[combo].values(), combo
 
 
+def _raw_measure_grid():
+    """Graphs and pairs of the ``raw_measure`` pin: every ordered pair of
+    two low-degree graphs, and the same pairs with each graph as nodes 4000
+    and up of a 5000-node graph whose node 0 points to 103 nodes, four of
+    them in the small graph, and is pointed to by 100.  Pairs with node 0
+    hold ``n / 64`` entries or more on the large graph, and pairs of
+    edgeless slots fewer on the small ones, so both ``_columns`` branches
+    are taken on both sizes."""
+    rng = np.random.default_rng(101)
+    for _ in range(2):
+        g = _low_degree_graph(rng, int(rng.integers(8, 13)))
+        n = g.node_count
+        pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+        yield g, pairs
+        edges = g.edges() + 4000
+        hub_out = np.r_[1:100, 4000:4004]
+        hub_in = np.arange(100, 200)
+        big = Graph(5000,
+                    np.concatenate([edges[:, 0], np.zeros(len(hub_out), np.int64),
+                                    hub_in]),
+                    np.concatenate([edges[:, 1], hub_out,
+                                    np.zeros(len(hub_in), np.int64)]))
+        yield big, ([(i + 4000, j + 4000) for i, j in pairs]
+                    + [(0, 4000 + k) for k in range(n)]
+                    + [(4000 + k, 0) for k in range(n)])
+
+
+def test_raw_measure_grid_is_pinned():
+    """``raw_measure`` keeps the bits of every measure and combination on
+    the pin grid: 9000 scores."""
+    digest, calls = hashlib.sha256(), 0
+    for g, pairs in _raw_measure_grid():
+        for i, j in pairs:
+            for measure in MEASURES:
+                for combo in COMBOS:
+                    digest.update(_bits(raw_measure(g, i, j, measure, combo)))
+                    calls += 1
+    assert calls == 9000
+    assert digest.hexdigest() == RAW_MEASURE_GRID_SHA256
+
+
 def test_complement_matrix_rows_match_csr_rows_bitwise():
     """Checks read their rows off the boolean complement matrix; the scores
-    must keep the bits of CSR rows of the materialized view and of the
-    per-pair reference, on views with nodes of out- and in-degree 0 and 1
+    must keep the bits of ``raw_measure`` on the materialized view and of
+    the per-pair reference, on views with nodes of out- and in-degree 0 and 1
     (the input is the complement of such a graph), so that adad's
     ``d <= 1`` weight fires on the complement."""
     rng = np.random.default_rng(89)
@@ -240,7 +290,8 @@ def test_complement_matrix_rows_match_csr_rows_bitwise():
             evaluator = reference._RawEvaluator(view)
             for measure in MEASURES:
                 dense = oracle._complement_scores(comp, pairs, measure, combo)
-                csr = _raw_scores(view, pairs, measure, combo)
+                csr = np.array([raw_measure(view, i, j, measure, combo)
+                                for i, j in pairs.tolist()])
                 assert dense.tobytes() == csr.tobytes(), (measure, combo)
                 for (i, j), got in zip(pairs.tolist(), dense.tolist()):
                     expect = _bits(evaluator.score(i, j, measure, combo))
@@ -249,13 +300,11 @@ def test_complement_matrix_rows_match_csr_rows_bitwise():
                 assert 0.0 in evaluator._weights[combo].values(), combo
     # an edgeless graph has no candidates in 'edges' mode
     g = Graph.from_edges(7, [])
-    none, view = g.edges(), materialize_complement(g)
     for combo in COMBOS:
         comp = oracle._complement_matrix(g, combo is SYM)
         for measure in MEASURES:
-            dense = oracle._complement_scores(comp, none, measure, combo)
-            assert dense.shape == (0,)
-            assert dense.tobytes() == _raw_scores(view, none, measure, combo).tobytes()
+            dense = oracle._complement_scores(comp, g.edges(), measure, combo)
+            assert dense.shape == (0,) and dense.dtype == np.float64
 
 
 @pytest.mark.parametrize("seed, digest", [
@@ -278,14 +327,14 @@ def test_block_boundaries_keep_the_bits(monkeypatch):
     scores and reports as the default block size."""
     rng = np.random.default_rng(97)
     g = random_directed_graph(60, 0.1, rng)
-    views = {combo: materialize_complement(symmetrize(g) if combo is SYM else g)
-             for combo in COMBOS}
+    comps = {combo: oracle._complement_matrix(g, combo is SYM) for combo in COMBOS}
     sample = oracle._candidate_pairs(g, "all", 301, 4)
 
     def run():
         reports = [check_closed_form(g, spec, pairs=pairs, max_pairs=301, seed=4)
                    for spec in NETWORK_SPECS for pairs in ("edges", "all")]
-        scores = [_raw_scores(views[combo], sample, measure, combo).tobytes()
+        scores = [oracle._complement_scores(comps[combo], sample, measure,
+                                            combo).tobytes()
                   for measure in MEASURES for combo in COMBOS]
         return [(r.pairs_checked, _bits(r.max_abs_deviation), r.worst_pair,
                  r.edge_exact) for r in reports], scores
@@ -326,9 +375,18 @@ def test_oracle_rejects_bad_pairs():
                     oracle_fn(g, 0, 5, measure, combo)
                 with pytest.raises(IndexError, match="unknown node -1 "):
                     oracle_fn(g, -1, 0, measure, combo)
-        # the measure is parsed before the pair is checked
-        with pytest.raises(ValueError, match="not a valid Measure"):
+        # names are parsed before the pair is checked, with the scoring
+        # module's messages
+        with pytest.raises(ValueError, match=r"unknown measure 'nope' "
+                                             r"\(expected one of: pa, cn, "):
             oracle_fn(g, 0, 5, "nope", SYM)
+        with pytest.raises(ValueError, match=r"unknown combo 'bogus' "
+                                             r"\(expected one of: "):
+            oracle_fn(g, 2, 2, Measure.CN, "bogus")
+        assert oracle_fn(g, 0, 1, "cn", "sym") == oracle_fn(g, 0, 1, Measure.CN, SYM)
+        # endpoints are read as the ints they stand for
+        assert oracle_fn(g, np.uint8(4), True, Measure.CN, SYM) == \
+            oracle_fn(g, 4, 1, Measure.CN, SYM)
 
 
 def test_negation_duality_via_oracle():
