@@ -470,10 +470,13 @@ def survival_curve(lifetimes) -> list[tuple[float, float]]:
     records = _as_lifetimes(lifetimes)
     if len(records) == 0:
         return [(0.0, 1.0)]
-    order = np.argsort(records.durations, kind="stable")
+    order = np.argsort(records.durations)
     durations = records.durations[order]
     died = ~records.censored[order]
-    times, first = np.unique(durations, return_index=True)
+    _, first = np.unique(durations, return_index=True)
+    # The sort leaves each run of equal durations in no set order; its
+    # earliest record names the run, as with a stable sort (0.0 ties -0.0).
+    times = records.durations[np.minimum.reduceat(order, first)]
     deaths = np.add.reduceat(died.astype(np.int64), first)
     at_risk = len(durations) - first
     drop = deaths > 0

@@ -34,6 +34,13 @@ present after the last event.  The ingest counts of duplicate adds and
 no-op deletes come from the same pass.  Snapshots (``start <= t < end`` in
 event time), lifetimes (``end - start``) and ages (``t - start``) are all
 read off this one table.
+
+Each stable order a load needs (events by time, events by edge key, node
+values for first-seen ids) comes from one default numpy sort of distinct
+packed int64 keys ``(value - min) << bits | position``
+(:func:`_stable_order`).  Only values spanning too wide a range for such a
+key, as times up to ``10**18`` over more than eight events can, fall back to
+numpy's stable argsort.
 """
 
 from __future__ import annotations
@@ -92,6 +99,8 @@ class IngestStats:
 
 
 _SIGNS = {"+1": 1, "1": 1, "-1": -1}
+#: The largest time an int64 column holds.
+_MAX_TIME = int(np.iinfo(np.int64).max)
 
 PathOrFile = Union[str, Path, TextIO]
 
@@ -192,22 +201,51 @@ def _canonical_columns(handle: BinaryIO) -> list[np.ndarray] | None:
     return [np.concatenate(column) for column in zip(*blocks)]
 
 
+def _stable_order(values: np.ndarray) -> np.ndarray:
+    """``np.argsort(values, kind="stable")`` of int64 ``values``, from one
+    default sort of packed keys.
+
+    Each value is packed with its position as ``(value - min) << bits |
+    position``, with ``bits`` enough for every position.  The keys are
+    distinct, so numpy's default (SIMD) sort of them gives the stable
+    order, read off their low bits.  Only values spanning ``2 ** (63 -
+    bits)`` or more, whose keys would overflow int64, take the stable
+    argsort itself.
+    """
+    if not len(values):
+        return np.empty(0, dtype=np.intp)
+    bits = (len(values) - 1).bit_length()
+    low = int(values.min())
+    if int(values.max()) - low >= 1 << (63 - bits):
+        return np.argsort(values, kind="stable")
+    keys = (values - np.int64(low)) << np.int64(bits)
+    keys |= np.arange(len(values), dtype=np.int64)
+    keys.sort()
+    keys &= np.int64((1 << bits) - 1)
+    return keys
+
+
 def _first_seen_ids(values: np.ndarray) -> tuple[np.ndarray, list[str]]:
     """Indices of node ``values`` numbered in first-seen (C) order, and the
     token ``str(value)`` of each index.
 
-    ``np.unique`` numbers the distinct values in sorted order without a
-    stable sort; ``np.minimum.at`` then finds each one's first position.
+    One :func:`_stable_order` of the flat values puts equal values in runs
+    in position order, so the head of each run is a distinct value at its
+    first position, and the running count of heads numbers each value's
+    run.  The runs are then ranked by first position.
     """
-    unique, inverse = np.unique(values, return_inverse=True)
-    inverse = inverse.reshape(-1)
-    first = np.full(len(unique), len(inverse), dtype=np.int64)
-    np.minimum.at(first, inverse, np.arange(len(inverse)))
-    order = np.argsort(first)
-    rank = np.empty(len(unique), dtype=np.int64)
-    rank[order] = np.arange(len(unique))
-    return (rank[inverse].reshape(values.shape),
-            [str(value) for value in unique[order].tolist()])
+    flat = values.reshape(-1)
+    order = _stable_order(flat)
+    ordered = flat[order]
+    head = np.ones(len(flat), dtype=bool)
+    head[1:] = ordered[1:] != ordered[:-1]
+    by_first = np.argsort(order[head])
+    rank = np.empty(len(by_first), dtype=np.int64)
+    rank[by_first] = np.arange(len(by_first))
+    ids = np.empty(len(flat), dtype=np.int64)
+    ids[order] = rank[np.cumsum(head) - 1]
+    return (ids.reshape(values.shape),
+            [str(value) for value in ordered[head][by_first].tolist()])
 
 
 def _decimals(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -287,20 +325,21 @@ def _replay(src: np.ndarray, dst: np.ndarray, sign: np.ndarray,
             n: int) -> tuple[PresenceIntervals, IngestStats, int]:
     """Replay a time-sorted stream in one vectorized pass.
 
-    A stable sort by edge key groups each edge's events in time order.  An
-    edge is present before an event iff the previous event of its key is an
-    add, which makes every event one of four kinds: an add of an absent
-    edge opens an interval, an add of a present edge is a duplicate, a
-    delete of a present edge closes an interval and a delete of an absent
-    edge is a no-op.  Opens and closes alternate within a key, starting
-    with an open, so each close pairs with the last open before it; an open
-    no close pairs with is censored.
+    A stable sort by edge key (:func:`_stable_order`, which packs the keys
+    with their positions unless they span too wide a range) groups each
+    edge's events in time order.  An edge is present before an event iff
+    the previous event of its key is an add, which makes every event one
+    of four kinds: an add of an absent edge opens an interval, an add of a
+    present edge is a duplicate, a delete of a present edge closes an
+    interval and a delete of an absent edge is a no-op.  Opens and closes
+    alternate within a key, starting with an open, so each close pairs
+    with the last open before it; an open no close pairs with is censored.
 
     Returns the interval table, the duplicate/no-op counts and the event
     index of the first no-op delete in time order (-1 if there is none).
     """
     keys = src * np.int64(n) + dst
-    order = np.argsort(keys, kind="stable")
+    order = _stable_order(keys)
     keys = keys[order]
     add = sign[order] > 0
     present = np.zeros(len(keys), dtype=bool)
@@ -375,6 +414,10 @@ class TemporalEdgeList:
 
     @classmethod
     def _finish(cls, src, dst, sign, time, node_ids, strict_deletes):
+        """Validate indexed int64 columns, sort them by time, keeping equal
+        times in input order (:func:`_stable_order`; times spanning too
+        wide a range for its packed keys take the stable argsort), replay
+        them and freeze them."""
         n = len(node_ids)
         if len(src) and (src.min() < 0 or dst.min() < 0
                          or src.max() >= n or dst.max() >= n):
@@ -383,7 +426,7 @@ class TemporalEdgeList:
             raise EventFormatError("negative timestamp")
         if np.any(src == dst):
             raise EventFormatError("self-loop in indexed event records")
-        order = np.argsort(time, kind="stable")
+        order = _stable_order(time)
         src, dst, sign, time = src[order], dst[order], sign[order], time[order]
         intervals, stats, first_noop = _replay(src, dst, sign, n)
         if strict_deletes and first_noop >= 0:
@@ -472,6 +515,10 @@ class TemporalEdgeList:
                 ) from None
             if t < 0:
                 raise EventFormatError(f"line {lineno}: time must be >= 0, got {t}")
+            if t > _MAX_TIME:
+                raise EventFormatError(
+                    f"line {lineno}: time must be at most {_MAX_TIME}, got {t}"
+                )
             if u == v:
                 if self_loops == "error":
                     raise EventFormatError(f"line {lineno}: self-loop {u!r} -> {v!r}")

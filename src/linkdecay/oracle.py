@@ -53,7 +53,7 @@ from .scoring import Measure, ScoreModel, ScoreSpec, score_matrix
 # ``oracle.complement_network_score``.  The patch records no pairs, because
 # ``check_closed_form`` scores through ``score_matrix`` and never calls it.
 # The re-export goes once perfbench reads library stage spans instead
-# (ROADMAP item 2).
+# (ROADMAP item 1).
 from .scoring import complement_network_score  # noqa: F401
 
 __all__ = [

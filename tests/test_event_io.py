@@ -5,6 +5,10 @@ and falls back to the line loop for anything else; file objects always
 take the loop.  Every path read here is compared with the loop's reading
 of the same text, results and errors alike.  ``write`` formats rows in
 byte chunks; its output is compared with ``tests/reference_events.py``.
+The stable orders under every read come from ``_stable_order``; it is
+compared with numpy's stable argsort at and just past the widest value
+range its packed keys hold, and so is a file whose times reach past it.
+Times beyond int64 are rejected with their line number.
 """
 
 import gc
@@ -17,10 +21,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import reference_replay
 from linkdecay import events
 from linkdecay.cli import main
+from linkdecay.evaluation import edge_ages, edge_lifetimes
 from linkdecay.events import TemporalEdgeList, read_events
 from linkdecay.generate import GenConfig, generate
+from linkdecay.graph import snapshot_at
 from reference_events import write_events
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=300,
@@ -324,6 +331,128 @@ def test_first_seen_ids_match_the_stable_unique(values):
     assert ids.dtype == want.dtype
     assert np.array_equal(ids, want)
     assert tokens == [str(value) for value in unique[order].tolist()]
+
+
+# ---- the packed-key stable order ----
+
+INT64 = np.iinfo(np.int64)
+
+
+def _packed_span(m: int) -> int:
+    """The first value range whose packed keys overflow for ``m`` values."""
+    return 1 << (63 - (m - 1).bit_length())
+
+
+@st.composite
+def sort_inputs(draw):
+    """int64 arrays with heavy ties around zero, over the whole int64
+    range, of the two extremes, or spanning the widest range the packed
+    keys hold or one more."""
+    kind = draw(st.sampled_from(["ties", "any", "extremes", "edge"]))
+    if kind == "edge":
+        m = draw(st.integers(2, 60))
+        span = _packed_span(m) - draw(st.integers(0, 1))
+        low = draw(st.one_of(st.just(INT64.min), st.just(INT64.max - span),
+                             st.integers(INT64.min, INT64.max - span)))
+        inner = st.one_of(st.sampled_from([low, low + span]),
+                          st.integers(low, low + span))
+        values = [low, low + span] + draw(st.lists(inner, min_size=m - 2,
+                                                   max_size=m - 2))
+        return np.array(draw(st.permutations(values)), dtype=np.int64)
+    element = {"ties": st.integers(-3, 3),
+               "any": st.integers(INT64.min, INT64.max),
+               "extremes": st.sampled_from([INT64.min, INT64.max, -1, 0])}[kind]
+    return np.array(draw(st.lists(element, max_size=60)), dtype=np.int64)
+
+
+@SETTINGS
+@given(sort_inputs())
+@example(np.empty(0, dtype=np.int64))
+@example(np.array([-7], dtype=np.int64))
+@example(np.full(40, 3, dtype=np.int64))
+@example(np.array([INT64.max, INT64.min, INT64.max, INT64.min], dtype=np.int64))
+def test_stable_order_is_the_stable_argsort(values):
+    want = np.argsort(values, kind="stable")
+    got = events._stable_order(values)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("m", [2, 3, 9, 1000, 1025])
+@pytest.mark.parametrize("low", ["min", "negative", "max"])
+@pytest.mark.parametrize("beyond", [0, 1])
+def test_stable_order_falls_back_only_when_keys_overflow(m, low, beyond):
+    # A range of 2**(63 - bits) - 1 still packs; one more takes the stable
+    # argsort.
+    span = _packed_span(m) - 1 + beyond
+    low = {"min": INT64.min, "negative": -5, "max": INT64.max - span}[low]
+    rng = np.random.default_rng(m)
+    values = rng.choice([low, low + span, low + span // 2], size=m)
+    values[:2] = low + span, low
+    want = np.argsort(values, kind="stable")
+    with mock.patch.object(np, "argsort", wraps=np.argsort) as argsort:
+        got = events._stable_order(values)
+    assert argsort.call_count == beyond
+    assert np.array_equal(got, want)
+
+
+def test_widest_canonical_times_match_the_loop_and_the_reference(tmp_path):
+    # Times 0 and 10**18 - 1 are the widest a canonical line holds.  Over
+    # nine or more events they span more than the packed keys do, so the
+    # time order takes the stable argsort; the edge keys still pack.
+    top = 10**18 - 1
+    records = [("1", "2", "+1", top), ("2", "1", "+1", 0), ("1", "2", "-1", 0),
+               ("1", "2", "+1", top), ("30", "1", "+1", 5), ("1", "2", "-1", top),
+               ("2", "1", "-1", top), ("30", "1", "+1", 0), ("1", "30", "+1", 7),
+               ("2", "30", "-1", top), ("2", "1", "+1", top)]
+    path = tmp_path / "events.tsv"
+    path.write_text("".join("\t".join(map(str, r)) + "\n" for r in records))
+    with mock.patch.object(TemporalEdgeList, "_parse",
+                           side_effect=AssertionError("the line loop ran")), \
+            mock.patch.object(np, "argsort", wraps=np.argsort) as argsort:
+        tel = read_events(str(path))
+    assert [call.kwargs for call in argsort.call_args_list].count(
+        {"kind": "stable"}) == 1
+    assert _outcome(lambda: tel) == _outcome(
+        lambda: read_events(io.StringIO(path.read_text())))
+
+    ranked = sorted(records, key=lambda r: r[3])
+    assert [(tel.node_ids[u], tel.node_ids[v], s, t) for u, v, s, t in
+            zip(tel.src.tolist(), tel.dst.tolist(), tel.sign.tolist(),
+                tel.time.tolist())] == \
+        [(u, v, 1 if s == "+1" else -1, t) for u, v, s, t in ranked]
+    assert tel.stats == reference_replay.replay_scan(tel.src, tel.dst,
+                                                     tel.sign, False)
+    got, want = edge_lifetimes(tel), reference_replay.edge_lifetimes(tel)
+    assert got.durations.tolist() == want.durations.tolist()
+    assert got.censored.tolist() == want.censored.tolist()
+    for t in (-1, 0, 5, 7, top - 1, top, top + 1):
+        assert edge_ages(tel, t) == reference_replay.edge_ages(tel, t)
+        assert snapshot_at(tel, t) == reference_replay.snapshot_at(tel, t)
+
+
+# ---- times beyond int64 ----
+
+@pytest.mark.parametrize("time, accepted", [(INT64.max, True),
+                                            (INT64.max + 1, False),
+                                            (10**20 - 1, False)])
+def test_time_beyond_int64_names_its_line(tmp_path, time, accepted):
+    # More than 18 digits is not canonical, so a path read takes the loop.
+    data = f"1\t2\t+1\t3\n2\t1\t+1\t{time}\n".encode()
+    got = _check_equivalent(tmp_path / "events.tsv", data)
+    if accepted:
+        assert got[1][3] == ("<i8", [3, time])
+    else:
+        assert got == (events.EventFormatError,
+                       f"line 2: time must be at most {INT64.max}, got {time}")
+
+
+def test_ingest_time_beyond_int64_is_data_error(tmp_path, capsys):
+    path = tmp_path / "events.tsv"
+    path.write_text("1\t2\t+1\t99999999999999999999\n2\t1\t+1\t3\n")
+    assert main(["ingest", "--input", str(path), "--output", "-"]) == 2
+    assert "line 1: time must be at most 9223372036854775807" in \
+        capsys.readouterr().err
 
 
 # ---- standard input ----

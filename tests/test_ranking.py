@@ -212,6 +212,26 @@ def test_survival_curve_matches_reference(records):
             [tuple(map(_bits, point)) for point in want]
 
 
+@pytest.mark.parametrize("durations", [
+    np.arange(6, dtype=np.int64),
+    np.array([0.0, -0.0, 1.5, 2.0, 3.0, 8.0]),
+], ids=["int", "signed-zero"])
+def test_survival_curve_with_long_tie_runs_matches_reference(durations):
+    # 5000 records over 6 durations: the sort reorders every tie run, and
+    # each step must still take the bits the reference's stable sort gives,
+    # including which of 0.0 and -0.0 names the first run.
+    rng = np.random.default_rng(16)
+    records = EdgeLifetimes(rng.choice(durations, size=5000),
+                            rng.random(5000) < 0.4)
+    assert not np.array_equal(np.argsort(records.durations),
+                              np.argsort(records.durations, kind="stable"))
+    want = reference.survival_curve(records.durations, records.censored)
+    assert len(want) == len(np.unique(durations)) + 1
+    got = survival_curve(records)
+    assert [tuple(map(_bits, point)) for point in got] == \
+        [tuple(map(_bits, point)) for point in want]
+
+
 def test_evaluate_matches_reference_over_score_batch_for_all_specs(small_split):
     tel, split = small_split
     g1 = snapshot_at(tel, split.t1)
