@@ -430,13 +430,22 @@ class SurvivalFit:
 
 
 def _as_lifetimes(lifetimes) -> EdgeLifetimes:
-    if isinstance(lifetimes, EdgeLifetimes):
-        return lifetimes
-    rows = list(lifetimes)
-    return EdgeLifetimes(
-        np.array([r[0] for r in rows], dtype=np.float64),
-        np.array([bool(r[1]) for r in rows], dtype=bool),
-    )
+    """``lifetimes`` as ``EdgeLifetimes``: as given, or built from
+    ``(duration, censored)`` records.  Raises ``ValueError`` naming the
+    first record whose duration is NaN, infinite or negative."""
+    if not isinstance(lifetimes, EdgeLifetimes):
+        rows = list(lifetimes)
+        lifetimes = EdgeLifetimes(
+            np.array([r[0] for r in rows], dtype=np.float64),
+            np.array([bool(r[1]) for r in rows], dtype=bool),
+        )
+    durations = lifetimes.durations
+    bad = np.flatnonzero(~np.isfinite(durations) | (durations < 0))
+    if len(bad):
+        at = int(bad[0])
+        raise ValueError(f"lifetime {at}: duration must be finite and "
+                         f"non-negative, got {durations[at].item()!r}")
+    return lifetimes
 
 
 def fit_exponential_half_life(lifetimes) -> SurvivalFit:

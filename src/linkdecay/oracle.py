@@ -22,20 +22,23 @@ a ``Graph``: ``~A``, or ``~(A | A.T)`` for SYM, with the diagonal cleared.
 It scores all its candidates as one batch, in blocks of pairs.  Each pair's
 two neighbour sets are boolean rows: a node's out-row is its row of the
 matrix and its in-row its row of the transpose, so every row spans all
-nodes in ascending order.  Set sizes and intersections are row sums and
-ANDs, and adad weight degrees are row sums of the matrix and of its
-transpose.  :func:`raw_measure` scores one pair of a sparse graph instead:
-each slot's row is its endpoint's CSR rows in the slot's directions, over
-only the nodes they hold on a large graph, so the node limit does not
-apply.  Both row sources give one row per pair and slot to one scoring
-body.  Edge membership of the candidates is one ``np.isin`` over pair
-keys, and ``score_matrix`` already rejects a bad pair.  A sampled
+nodes in ascending order.  Set sizes and intersections are int32 row
+counts and ANDs, adad weight degrees are row counts of the matrix and of
+its transpose, and adad accumulates its weights node by node for all the
+block's pairs at once.  :func:`raw_measure` scores one pair of a sparse
+graph instead: each slot's row is its endpoint's CSR rows in the slot's
+directions, over only the nodes they hold on a large graph, so the node
+limit does not apply.  Both row sources give one row per pair and slot to
+one scoring body.  Edge membership of the candidates is one
+``np.searchsorted`` of their ``i * n + j`` keys in the graph's sorted
+ones, and ``score_matrix`` already rejects a bad pair.  A sampled
 candidate set is drawn in chunks that keep numpy's one-call-per-pair
-stream.  Nothing lives across calls.  Every score adds the same terms in
-the same ``sorted(common)`` order as a per-pair set loop, so a report is
-bit-identical to one that evaluates each pair afresh on a materialized
-complement.  :func:`brute_force_g2` scores a batch of one from the matrix,
-and none of this calls the scoring kernel.
+stream, each chunk deduplicated in one array pass.  Nothing lives across
+calls.  Every score adds the same terms in the same ``sorted(common)``
+order as a per-pair set loop, so a report is bit-identical to one that
+evaluates each pair afresh on a materialized complement.
+:func:`brute_force_g2` scores a batch of one from the matrix, and none of
+this calls the scoring kernel.
 """
 
 from __future__ import annotations
@@ -185,6 +188,13 @@ def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return out
 
 
+def _row_counts(rows: np.ndarray) -> np.ndarray:
+    """The number of True entries of each boolean row, counted in int32:
+    on an oracle-sized block that takes about half the time of the
+    default int64 count."""
+    return rows.sum(axis=1, dtype=np.int32)
+
+
 def _block_scores(cols: np.ndarray, rows1: np.ndarray, rows2: np.ndarray,
                   weight_degrees: Callable[[np.ndarray], np.ndarray],
                   measure: Measure) -> np.ndarray:
@@ -194,17 +204,21 @@ def _block_scores(cols: np.ndarray, rows1: np.ndarray, rows2: np.ndarray,
     neighbour sets, as boolean rows over the nodes ``cols`` (ascending).
     ``weight_degrees(nodes)`` gives the nodes' adad weight degrees.
     Degrees (for pa, cos and jacc only) and common-neighbour counts are
-    row sums of the rows and of their AND, and pa, cn, cos and jacc are
-    array arithmetic with the per-pair formulas' operations.  adad sums the ``1/log(d_k)`` weights
-    (``math.log``, 0.0 for ``d_k <= 1``) of the common neighbours left to
-    right in ascending node order, adding 0.0 for the other columns, so
-    every score has the bits of a ``sorted(common)`` loop whichever nodes
-    the columns span.
+    int32 row counts (:func:`_row_counts`) of the rows and of their AND;
+    pa multiplies its degrees in int64, and pa, cn, cos and jacc are array
+    arithmetic with the per-pair formulas' operations.  adad weighs each
+    node ``k`` by ``1/log(d_k)`` (``math.log``, 0.0 for ``d_k <= 1``) and
+    accumulates, node after node in ascending order, one running total per
+    pair: ``w_k`` where ``k`` is a common neighbour, 0.0 elsewhere.  An
+    accumulate adds strictly in order; a reduction over the nodes would
+    not, because numpy may sum one pairwise.  So every score has the bits
+    of a ``sorted(common)`` loop whichever nodes the columns span.
     """
     if measure is Measure.PA:
-        return (rows1.sum(axis=1) * rows2.sum(axis=1)).astype(np.float64)
+        return (_row_counts(rows1).astype(np.int64)
+                * _row_counts(rows2)).astype(np.float64)
     common = rows1 & rows2
-    cn = common.sum(axis=1)
+    cn = _row_counts(common)
     if measure is Measure.CN:
         return cn.astype(np.float64)
     if measure is Measure.ADAD:
@@ -213,9 +227,10 @@ def _block_scores(cols: np.ndarray, rows1: np.ndarray, rows2: np.ndarray,
             return np.zeros(len(common))
         dk = weight_degrees(cols[ks])
         w = np.array([0.0 if d <= 1 else 1.0 / math.log(d) for d in dk.tolist()])
-        return np.cumsum(np.where(common[:, ks], w, 0.0), axis=1)[:, -1]
-    d1 = rows1.sum(axis=1)
-    d2 = rows2.sum(axis=1)
+        terms = common.T[ks] * w[:, None]
+        return np.add.accumulate(terms, axis=0, out=terms)[-1]
+    d1 = _row_counts(rows1)
+    d2 = _row_counts(rows2)
     if measure is Measure.COS:
         return _ratio(cn, np.sqrt(d1) * np.sqrt(d2))
     return _ratio(cn, d1 + d2 - cn)
@@ -230,7 +245,7 @@ def _complement_scores(comp: np.ndarray, pairs: np.ndarray, measure: Measure,
     ``comp.T``, so every row spans all nodes, ascending; a slot's row is
     the OR of its directions' rows.  The pairs are scored in blocks of at
     most ``BLOCK_CELLS // n`` pairs (at least one).  Adad weight degrees
-    are row sums of ``comp`` and of ``comp.T``.  Trusts its pairs.
+    are row counts of ``comp`` and of ``comp.T``.  Trusts its pairs.
     """
     n = len(comp)
     by_direction = {"out": comp, "in": np.ascontiguousarray(comp.T)}
@@ -238,7 +253,7 @@ def _complement_scores(comp: np.ndarray, pairs: np.ndarray, measure: Measure,
     slot1, slot2 = (functools.reduce(np.logical_or,
                                      [by_direction[d] for d in directions])
                     for directions in (first, second))
-    degrees = sum(by_direction[d].sum(axis=1) for d in weighted)
+    degrees = sum(_row_counts(by_direction[d]) for d in weighted)
     cols = np.arange(n)
     out = np.empty(len(pairs))
     step = max(1, BLOCK_CELLS // max(n, 1))
@@ -317,28 +332,47 @@ class OracleReport:
         return d
 
 
+#: One node pair as a record: numpy compares records field by field, so a
+#: search over pairs in lexicographic order needs no ``i * n + j`` key,
+#: which would overflow int64 for large ``n``.
+_PAIR = np.dtype([("i", np.int64), ("j", np.int64)])
+
+
 def _sample_pairs(n: int, max_pairs: int, seed: int) -> np.ndarray:
     """The sorted ``max_pairs`` distinct pairs of distinct nodes of
     ``0..n-1`` that a loop of ``rng.integers(0, n, size=2)`` calls keeps,
     skipping self-pairs and repeats, from ``default_rng(seed)``.
 
-    The pairs are drawn in chunks, ``rng.integers(0, n, size=(k, 2))``.
-    numpy's bounded draw (Lemire's method) takes its values from one
-    stream of 32-bit halves (``n <= 2**32``) or 64-bit words, whose
-    buffered half lives in the bit generator, so a chunk gives the calls'
-    pairs in order, rejections included.  numpy does not document this;
-    the draw test in ``tests/test_oracle.py`` compares the two.
+    The pairs are drawn in chunks, ``rng.integers(0, n, size=(k, 2))``,
+    ``k`` the pairs still missing.  numpy's bounded draw (Lemire's method)
+    takes its values from one stream of 32-bit halves (``n <= 2**32``) or
+    64-bit words, whose buffered half lives in the bit generator, so a
+    chunk gives the calls' pairs in order, rejections included.  numpy
+    does not document this; the draw test in ``tests/test_oracle.py``
+    compares the two.  Each chunk is one array pass: drop its self-pairs,
+    sort it by ``(i, j)`` and keep the head of each run of equal pairs,
+    drop the heads already kept (one ``np.searchsorted`` of ``_PAIR``
+    records in the kept pairs, which stay in lexicographic order), and
+    insert the rest.  A chunk of ``k`` draws holds at most ``k`` new pairs,
+    so the loop keeps all of them too, and which draw of a repeated pair
+    came first does not matter.
     """
     rng = np.random.default_rng(seed)
-    out: set[tuple[int, int]] = set()
-    while len(out) < max_pairs:
-        chunk = rng.integers(0, n, size=(max_pairs - len(out), 2))
-        for i, j in chunk.tolist():
-            if i != j:
-                out.add((i, j))
-                if len(out) == max_pairs:
-                    break
-    return np.array(sorted(out), dtype=np.int64)
+    kept = np.empty((0, 2), dtype=np.int64)
+    while len(kept) < max_pairs:
+        chunk = rng.integers(0, n, size=(max_pairs - len(kept), 2))
+        chunk = chunk[chunk[:, 0] != chunk[:, 1]]
+        pairs = chunk[np.lexsort((chunk[:, 1], chunk[:, 0]))]
+        new = np.ones(len(pairs), dtype=bool)
+        new[1:] = np.any(pairs[1:] != pairs[:-1], axis=1)
+        at = np.searchsorted(kept.view(_PAIR).ravel(),
+                             pairs.view(_PAIR).ravel())
+        seen = at < len(kept)
+        seen[seen] = np.all(kept[at[seen]] == pairs[seen], axis=1)
+        new &= ~seen
+        if new.any():
+            kept = np.insert(kept, at[new], pairs[new], axis=0)
+    return kept
 
 
 def _candidate_pairs(g: Graph, pairs: str, max_pairs: int,
@@ -350,6 +384,20 @@ def _candidate_pairs(g: Graph, pairs: str, max_pairs: int,
         i, j = np.nonzero(~np.eye(n, dtype=bool))
         return np.column_stack((i, j)).astype(np.int64)
     return _sample_pairs(n, max_pairs, seed)
+
+
+def _edge_mask(g: Graph, candidates: np.ndarray) -> np.ndarray:
+    """Whether each pair of a ``(k, 2)`` array is an edge of ``g``.
+
+    ``g.edges()`` is lexicographic, so its ``i * n + j`` keys are sorted;
+    one ``np.searchsorted`` finds each candidate's key among them, with a
+    sentinel ``n * n`` above every key.  The keys fit int64 for any graph
+    whose complement the oracle builds (``COMPLEMENT_NODE_LIMIT``).
+    """
+    n, edges = g.node_count, g.edges()
+    keys = np.append(edges[:, 0] * n + edges[:, 1], n * n)
+    wanted = candidates[:, 0] * n + candidates[:, 1]
+    return keys[np.searchsorted(keys, wanted)] == wanted
 
 
 def check_closed_form(g: Graph, spec: ScoreSpec, pairs: str = "edges",
@@ -395,9 +443,7 @@ def check_closed_form(g: Graph, spec: ScoreSpec, pairs: str = "edges",
     if pairs == "edges":
         is_edge = np.ones(len(candidates), dtype=bool)
     else:
-        n, edges = g.node_count, g.edges()
-        is_edge = np.isin(candidates[:, 0] * n + candidates[:, 1],
-                          edges[:, 0] * n + edges[:, 1])
+        is_edge = _edge_mask(g, candidates)
     worst: Optional[tuple[int, int]] = None
     max_dev = 0.0
     if len(dev):

@@ -10,8 +10,9 @@ import pytest
 
 import reference_scoring as reference
 from linkdecay.datasets import swim_surf_events
-from linkdecay.evaluation import (APResult, EvaluationSplit, average_precision,
-                                  edge_ages, edge_lifetimes, evaluate,
+from linkdecay.evaluation import (APResult, EdgeLifetimes, EvaluationSplit,
+                                  average_precision, edge_ages,
+                                  edge_lifetimes, evaluate,
                                   evaluate_link_prediction,
                                   fit_exponential_half_life, random_baseline,
                                   survival_curve, temporal_split)
@@ -395,6 +396,25 @@ def test_survival_curve_crosses_half_near_half_life():
     curve = survival_curve([(float(s), False) for s in samples])
     crossing = next(t for t, v in curve if v <= 0.5)
     assert abs(crossing - half) / half < 0.05
+
+
+@pytest.mark.parametrize("bad, shown", [
+    (-2.0, "-2.0"), (-1e-300, "-1e-300"), (math.nan, "nan"),
+    (math.inf, "inf"), (-math.inf, "-inf")])
+@pytest.mark.parametrize("fn", [survival_curve, fit_exponential_half_life])
+def test_lifetimes_reject_bad_durations(fn, bad, shown):
+    """A NaN, infinite or negative duration is refused, naming the first
+    bad record, whether given as records or as ``EdgeLifetimes``; ``-0.0``
+    and ``0`` are durations."""
+    records = [(3.0, False), (0.0, True), (bad, False), (-5.0, False),
+               (4.0, False)]
+    as_arrays = EdgeLifetimes(np.array([d for d, _ in records]),
+                              np.array([c for _, c in records]))
+    for given in (records, as_arrays):
+        with pytest.raises(ValueError,
+                           match=rf"^lifetime 2: duration .* got {shown}$"):
+            fn(given)
+    fn([(-0.0, False), (0, False), (2, False)])
 
 
 def test_edge_ages_reflect_current_interval():

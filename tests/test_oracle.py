@@ -2,11 +2,15 @@
 
 import hashlib
 import json
+import math
 import struct
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import reference_oracle as reference
 from linkdecay import graph, oracle, scoring
@@ -345,6 +349,57 @@ def test_block_boundaries_keep_the_bits(monkeypatch):
     assert run() == default
 
 
+def _parent_block_scores(cols, rows1, rows2, weight_degrees, measure):
+    """The block kernel as it was with ``.sum(axis=1)`` row counts and a
+    cumsum of the adad weights; the bits every change must keep."""
+    if measure is Measure.PA:
+        return (rows1.sum(axis=1) * rows2.sum(axis=1)).astype(np.float64)
+    common = rows1 & rows2
+    cn = common.sum(axis=1)
+    if measure is Measure.CN:
+        return cn.astype(np.float64)
+    if measure is Measure.ADAD:
+        ks = np.flatnonzero(common.any(axis=0))
+        if len(ks) == 0:
+            return np.zeros(len(common))
+        dk = weight_degrees(cols[ks])
+        w = np.array([0.0 if d <= 1 else 1.0 / math.log(d) for d in dk.tolist()])
+        return np.cumsum(np.where(common[:, ks], w, 0.0), axis=1)[:, -1]
+    d1 = rows1.sum(axis=1)
+    d2 = rows2.sum(axis=1)
+    if measure is Measure.COS:
+        return oracle._ratio(cn, np.sqrt(d1) * np.sqrt(d2))
+    return oracle._ratio(cn, d1 + d2 - cn)
+
+
+@st.composite
+def _blocks(draw):
+    """A block of boolean slot rows, one-pair, one-column or general, with
+    weight degrees that take adad's 0.0 branch (0 and 1) and others."""
+    p, w = draw(st.sampled_from(["pair", "column", "block"])
+                .flatmap(lambda shape: st.tuples(
+                    st.just(1) if shape == "pair" else st.integers(1, 40),
+                    st.just(1) if shape == "column" else st.integers(1, 70))))
+    rows = hnp.arrays(bool, (p, w))
+    degrees = hnp.arrays(np.int64, w, elements=st.integers(0, 10**6))
+    return draw(rows), draw(rows), draw(degrees)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(_blocks())
+def test_block_scores_keep_the_parent_bits(block):
+    rows1, rows2, degrees = block
+    cols = np.arange(rows1.shape[1])
+    for measure in MEASURES:
+        got = oracle._block_scores(cols, rows1, rows2, degrees.__getitem__,
+                                   measure)
+        expect = _parent_block_scores(cols, rows1, rows2, degrees.__getitem__,
+                                      measure)
+        assert got.dtype == expect.dtype == np.float64
+        assert [_bits(x) for x in got.tolist()] == \
+            [_bits(x) for x in expect.tolist()], measure
+
+
 @pytest.mark.parametrize("n", [5, 50, 51, 400, 2000, 3 * 2**30, 2**31 + 1,
                                2**33 + 1])
 def test_chunked_draw_matches_per_call_loop(n):
@@ -353,15 +408,60 @@ def test_chunked_draw_matches_per_call_loop(n):
     grid of every ordered pair; otherwise a chunked sample.  Lemire's
     bounded draw rejects a quarter of its draws for n = 3 * 2**30 and
     nearly half for 2**31 + 1, and almost none for the other n; n above
-    2**32 takes two 64-bit words per pair."""
+    2**32 takes two 64-bit words per pair.  2549 of the 2550 pairs on 51
+    nodes is a coupon collector: the last chunks hold one pair each, and
+    most of their pairs are repeats."""
     stand_in = SimpleNamespace(node_count=n)
-    sizes = (1, 2000, 2550) if n == 51 else (1, 300)
+    sizes = (1, 2000, 2549, 2550) if n == 51 else (1, 300)
     for seed in range(20):
         for max_pairs in sizes:
             got = oracle._candidate_pairs(stand_in, "all", max_pairs, seed)
             expect = reference._candidate_pairs(stand_in, "all", max_pairs, seed)
             assert got.dtype == expect.dtype and got.shape == expect.shape
             assert np.array_equal(got, expect), (n, seed, max_pairs)
+
+
+@pytest.mark.parametrize("max_pairs", [3000, 3539])
+def test_sample_with_heavy_repeats_matches_per_call_loop(max_pairs):
+    """Drawing most or all but one of the 3540 pairs on 60 nodes repeats
+    pairs within a chunk and across chunks; the sample still equals the
+    one-call-per-pair loop's."""
+    stand_in = SimpleNamespace(node_count=60)
+    for seed in range(20):
+        got = oracle._sample_pairs(60, max_pairs, seed)
+        expect = reference._candidate_pairs(stand_in, "all", max_pairs, seed)
+        assert got.dtype == expect.dtype and got.shape == expect.shape
+        assert np.array_equal(got, expect), (seed, max_pairs)
+
+
+def test_edge_mask_matches_isin():
+    """The sorted-key lookup agrees with ``np.isin`` over ``i * n + j``
+    keys on random, reciprocal, edgeless and node-limit graphs, for edges,
+    reversed edges, random pairs and an empty candidate set."""
+    rng = np.random.default_rng(59)
+    graphs = [Graph.from_edges(0, []), Graph.from_edges(1, []),
+              Graph.from_edges(6, []),
+              Graph.from_edges(2000, [(0, 1), (1999, 0), (1999, 1998)])]
+    graphs += [random_reciprocal_graph(int(rng.integers(2, 40)),
+                                       float(rng.uniform(0.0, 0.5)), rng)
+               for _ in range(10)]
+    graphs += [random_directed_graph(int(rng.integers(2, 60)),
+                                     float(rng.uniform(0.0, 0.6)), rng)
+               for _ in range(30)]
+    for g in graphs:
+        n, edges = g.node_count, g.edges()
+        if n:
+            drawn = rng.integers(0, n, size=(int(rng.integers(1, 200)), 2))
+            corners = np.array([[0, 0], [0, n - 1], [n - 1, 0], [n - 1, n - 1]])
+        else:
+            drawn = corners = np.empty((0, 2), np.int64)
+        for candidates in (edges, edges[:, ::-1], drawn, corners,
+                           np.empty((0, 2), np.int64),
+                           np.concatenate((edges[::-1], edges[:, ::-1], drawn))):
+            expect = np.isin(candidates[:, 0] * n + candidates[:, 1],
+                             edges[:, 0] * n + edges[:, 1])
+            got = oracle._edge_mask(g, candidates)
+            assert got.dtype == bool and np.array_equal(got, expect), n
 
 
 def test_oracle_rejects_bad_pairs():
@@ -457,6 +557,17 @@ def test_pa_exact_on_all_pairs():
         spec = ScoreSpec(ScoreModel.COMPLEMENT_NETWORK, Measure.PA, combo)
         report = check_closed_form(g, spec, pairs="all")
         assert report.max_abs_deviation == 0.0
+
+
+def test_raw_pa_of_hubs_does_not_wrap():
+    """Row counts are int32; pa's product of two degrees above 46341 must
+    not wrap.  Nodes 0 and 1 each point to 50000 others."""
+    targets = np.arange(2, 50002)
+    g = Graph(50002, np.repeat([0, 1], len(targets)), np.tile(targets, 2))
+    for combo in (SYM, DegreeCombination.OUT):
+        assert raw_measure(g, 0, 1, Measure.PA, combo) == 50000.0 ** 2
+        assert raw_measure(g, 0, 1, Measure.PA, combo) == \
+            link_prediction_score(g, 0, 1, Measure.PA, combo)
 
 
 def test_jacc_verbatim_deviation_recorded():
