@@ -18,8 +18,13 @@ line; run parameters echo as ``key=value`` lines on stdout (diverted to
 stderr when the data itself targets stdout).  Every file-writing run also
 writes ``<output>.manifest`` — a key=value file of the fully resolved
 configuration that can be fed back through ``--config`` to reproduce the
-output byte for byte.  Flags given explicitly always override config-file
-values.  Exit status: 0 success, 1 usage error, 2 data/config error.
+output byte for byte.  The manifest is written after all of a run's
+outputs, and only when the run succeeds.  Flags given explicitly always
+override config-file values.  Exit status: 0 success, 1 usage error, 2
+data/config error.
+
+Each subcommand does its work and returns its summary as ``(key, value)``
+items; :func:`main` then writes the manifest and the summary.
 """
 
 from __future__ import annotations
@@ -63,13 +68,6 @@ def _open_in(path):
 
 def _open_out(path):
     return _opened(sys.stdout if path == "-" else path, "w")
-
-
-def _summary_stream(args) -> object:
-    """key=value summaries go to stdout unless the data does."""
-    if getattr(args, "output", None) == "-":
-        return sys.stderr
-    return sys.stdout
 
 
 def _emit(stream, items) -> None:
@@ -163,61 +161,57 @@ def _require_seed(args) -> None:
 
 
 def _spec_from_args(args) -> ScoreSpec:
-    return ScoreSpec.from_strings(
-        args.model, args.measure, args.combo,
-        getattr(args, "adad_complement_weights", False))
+    return ScoreSpec.from_strings(args.model, args.measure, args.combo,
+                                  args.adad_complement_weights)
+
+
+def _write_table(path, header, rows) -> None:
+    """Write ``# header`` and then each row, fields joined by tabs."""
+    with _open_out(path) as handle:
+        handle.write("# " + "\t".join(header) + "\n")
+        for row in rows:
+            handle.write("\t".join(row) + "\n")
 
 
 def _write_ranking(args, tel, result) -> None:
-    if getattr(args, "output", None) is None:
+    if args.output is None:
         return
     ids = tel.node_ids
-    with _open_out(args.output) as handle:
-        handle.write("# src\tdst\tscore\tlabel\trank\n")
-        for rank, ((i, j), score, label) in enumerate(result.ranking, start=1):
-            handle.write(f"{ids[i]}\t{ids[j]}\t{_SCORE_FMT % score}"
-                         f"\t{label}\t{rank}\n")
-    _write_manifest(args)
+    _write_table(args.output, ("src", "dst", "score", "label", "rank"),
+                 ((ids[i], ids[j], _SCORE_FMT % score, label, str(rank))
+                  for rank, ((i, j), score, label)
+                  in enumerate(result.ranking, start=1)))
 
 
 def _write_curve(path, lifetimes) -> None:
-    with _open_out(path) as handle:
-        handle.write("# t\tfraction_surviving\n")
-        for t, fraction in survival_curve(lifetimes):
-            handle.write(f"{_SCORE_FMT % t}\t{_SCORE_FMT % fraction}\n")
+    _write_table(path, ("t", "fraction_surviving"),
+                 ((_SCORE_FMT % t, _SCORE_FMT % fraction)
+                  for t, fraction in survival_curve(lifetimes)))
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _cmd_ingest(args) -> int:
+def _cmd_ingest(args) -> list:
     tel = _read_input(args, self_loops=args.self_loops,
                       strict_deletes=args.strict_deletes)
     with _open_out(args.output) as handle:
         tel.write(handle)
     if args.id_map is not None:
         tel.write_id_map(args.id_map)
-    _write_manifest(args)
-    items = [("events", len(tel)), ("nodes", tel.node_count)]
-    items += [(key.replace("_", "-"), value)
-              for key, value in sorted(tel.stats.as_dict().items())]
-    _emit(_summary_stream(args), items)
-    return 0
+    return [("events", len(tel)), ("nodes", tel.node_count),
+            *((key.replace("_", "-"), value)
+              for key, value in sorted(tel.stats.as_dict().items()))]
 
 
-def _cmd_snapshot(args) -> int:
+def _cmd_snapshot(args) -> list:
     tel = _read_input(args)
     g = snapshot_at(tel, args.at)
     ids = tel.node_ids
-    with _open_out(args.output) as handle:
-        handle.write("# src\tdst\n")
-        for i, j in g.edges():
-            handle.write(f"{ids[i]}\t{ids[j]}\n")
-    _write_manifest(args)
-    _emit(_summary_stream(args),
-          [("at", _fmt_value(args.at)), ("nodes", g.node_count),
-           ("edges", g.edge_count)])
-    return 0
+    _write_table(args.output, ("src", "dst"),
+                 ((ids[i], ids[j]) for i, j in g.edges().tolist()))
+    return [("at", _fmt_value(args.at)), ("nodes", g.node_count),
+            ("edges", g.edge_count)]
 
 
 def _load_pairs(path, tel) -> np.ndarray:
@@ -239,7 +233,7 @@ def _load_pairs(path, tel) -> np.ndarray:
     return np.array(pairs, dtype=np.int64).reshape(-1, 2)
 
 
-def _cmd_score(args) -> int:
+def _cmd_score(args) -> list:
     tel = _read_input(args)
     at = tel.time_last if args.at is None else args.at
     g = snapshot_at(tel, at)
@@ -247,37 +241,31 @@ def _cmd_score(args) -> int:
     spec = _spec_from_args(args)
     scores = score_matrix(g, pairs, [spec])[0]
     ids = tel.node_ids
-    with _open_out(args.output) as handle:
-        handle.write("# src\tdst\tscore\n")
-        for (a, b), score in zip(pairs.tolist(), scores.tolist()):
-            handle.write(f"{ids[a]}\t{ids[b]}\t{_SCORE_FMT % score}\n")
-    _write_manifest(args)
-    items = list(spec.fields().items())
-    items += [("at", _fmt_value(at)), ("pairs", len(scores))]
-    _emit(_summary_stream(args), items)
-    return 0
+    _write_table(args.output, ("src", "dst", "score"),
+                 ((ids[a], ids[b], _SCORE_FMT % score)
+                  for (a, b), score in zip(pairs.tolist(), scores.tolist())))
+    return [*spec.fields().items(), ("at", _fmt_value(at)),
+            ("pairs", len(scores))]
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> list:
     spec = _spec_from_args(args)
     if args.random_nodes is not None:
         # The draw is an n x n matrix: refuse what the check would refuse
         # before drawing.
         _check_request(args.random_nodes, spec, args.pairs, args.max_pairs)
-        rng = np.random.default_rng(0 if args.seed is None else args.seed)
+        rng = np.random.default_rng(args.seed)
         make = random_reciprocal_graph if args.reciprocal else random_directed_graph
         g = make(args.random_nodes, args.density, rng)
     else:
         tel = _read_input(args)
         g = snapshot_at(tel, tel.time_last if args.at is None else args.at)
     report = check_closed_form(g, spec, pairs=args.pairs,
-                               max_pairs=args.max_pairs,
-                               seed=0 if args.seed is None else args.seed)
-    _emit(sys.stdout, report.as_dict().items())
-    return 0
+                               max_pairs=args.max_pairs, seed=args.seed)
+    return list(report.as_dict().items())
 
 
-def _cmd_evaluate(args) -> int:
+def _cmd_evaluate(args) -> list:
     _require_seed(args)
     tel = _read_input(args)
     spec = _spec_from_args(args)
@@ -287,50 +275,43 @@ def _cmd_evaluate(args) -> int:
     _write_ranking(args, tel, result)
     if args.survival_output is not None:
         _write_curve(args.survival_output, edge_lifetimes(tel))
-    items = list(spec.fields().items())
-    items += [("fraction", _fmt_value(args.fraction)),
-              ("tie-break", args.tie_break),
-              ("t1", _SCORE_FMT % split.t1),
-              ("positives", result.positives),
-              ("ap", _SCORE_FMT % result.ap),
-              ("seed", args.seed)]
-    _emit(_summary_stream(args), items)
-    return 0
+    return [*spec.fields().items(),
+            ("fraction", _fmt_value(args.fraction)),
+            ("tie-break", args.tie_break),
+            ("t1", _SCORE_FMT % split.t1),
+            ("positives", result.positives),
+            ("ap", _SCORE_FMT % result.ap),
+            ("seed", args.seed)]
 
 
-def _cmd_evaluate_lp(args) -> int:
+def _cmd_evaluate_lp(args) -> list:
     _require_seed(args)
     tel = _read_input(args)
     result = evaluate_link_prediction(tel, args.measure, args.combo, args.fraction,
                                       seed=args.seed, tie_break=args.tie_break)
     _write_ranking(args, tel, result)
-    _emit(_summary_stream(args),
-          [("measure", args.measure), ("combo", args.combo),
-           ("fraction", _fmt_value(args.fraction)),
-           ("tie-break", args.tie_break),
-           ("t1", _SCORE_FMT % _cut(tel, args.fraction)[0]),
-           ("positives", result.positives),
-           ("ap", _SCORE_FMT % result.ap),
-           ("seed", args.seed)])
-    return 0
+    return [("measure", args.measure), ("combo", args.combo),
+            ("fraction", _fmt_value(args.fraction)),
+            ("tie-break", args.tie_break),
+            ("t1", _SCORE_FMT % _cut(tel, args.fraction)[0]),
+            ("positives", result.positives),
+            ("ap", _SCORE_FMT % result.ap),
+            ("seed", args.seed)]
 
 
-def _cmd_survival(args) -> int:
+def _cmd_survival(args) -> list:
     tel = _read_input(args)
     lifetimes = edge_lifetimes(tel)
     fit = fit_exponential_half_life(lifetimes)
     if args.output is not None:
         _write_curve(args.output, lifetimes)
-        _write_manifest(args)
-    _emit(_summary_stream(args),
-          [("half-life", _SCORE_FMT % fit.half_life),
-           ("rate", _SCORE_FMT % fit.rate),
-           ("lifetimes-used", fit.lifetimes_used),
-           ("censored", fit.censored)])
-    return 0
+    return [("half-life", _SCORE_FMT % fit.half_life),
+            ("rate", _SCORE_FMT % fit.rate),
+            ("lifetimes-used", fit.lifetimes_used),
+            ("censored", fit.censored)]
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args) -> list:
     _require_seed(args)
     config = GenConfig(seed=args.seed, n_nodes=args.n_nodes,
                        n_add_events=args.n_add_events,
@@ -346,30 +327,23 @@ def _cmd_gen(args) -> int:
         tel.write(handle)
     if args.id_map is not None:
         tel.write_id_map(args.id_map)
-    _write_manifest(args)
-    _emit(_summary_stream(args),
-          [("events", len(tel)), ("nodes", tel.node_count),
-           ("deletion-share", _SCORE_FMT % deletion_share(tel)),
-           ("span", _fmt_value(config.span)), ("seed", args.seed)])
-    return 0
+    return [("events", len(tel)), ("nodes", tel.node_count),
+            ("deletion-share", _SCORE_FMT % deletion_share(tel)),
+            ("span", _fmt_value(config.span)), ("seed", args.seed)]
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> list:
     _require_seed(args)
     tel = _read_input(args)
     split = temporal_split(tel, args.fraction, seed=args.seed)
     aps = sweep(tel, split, args.tie_break)
-    with _open_out(args.output) as handle:
-        handle.write("# model\tmeasure\tcombo\tap\tpositives\n")
-        for spec, ap in zip(all_specs(), aps):
-            handle.write(f"{spec.model.value}\t{spec.measure.value}\t"
-                         f"{spec.combo.value}\t{_SCORE_FMT % ap}\t"
-                         f"{len(split.test_set)}\n")
-    _write_manifest(args)
-    _emit(_summary_stream(args),
-          [("rows", len(aps)), ("t1", _SCORE_FMT % split.t1),
-           ("positives", len(split.test_set)), ("seed", args.seed)])
-    return 0
+    positives = str(len(split.test_set))
+    _write_table(args.output, ("model", "measure", "combo", "ap", "positives"),
+                 ((spec.model.value, spec.measure.value, spec.combo.value,
+                   _SCORE_FMT % ap, positives)
+                  for spec, ap in zip(all_specs(), aps)))
+    return [("rows", len(aps)), ("t1", _SCORE_FMT % split.t1),
+            ("positives", len(split.test_set)), ("seed", args.seed)]
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +438,7 @@ def _build_parser() -> _Parser:
                      help="verify existing edges only, or all pairs (default edges)")
     sub.add_argument("--max-pairs", type=int, default=1000,
                      help="sample size for --pairs all on large graphs")
-    sub.add_argument("--seed", type=int,
+    sub.add_argument("--seed", type=int, default=0,
                      help="seed for --random-nodes and pair sampling (default 0)")
     _add_spec_flags(sub, with_model=False)
     sub.add_argument("--model", default="network",
@@ -537,7 +511,12 @@ def main(argv=None) -> int:
         if getattr(args, "config", None) is not None:
             _apply_config(args)
             args = parser.parse_args(argv)
-        return args.func(args)
+        summary = args.func(args)
+        _write_manifest(args)
+        # The summary goes to stdout unless the data does.
+        output = getattr(args, "output", None)
+        _emit(sys.stderr if output == "-" else sys.stdout, summary)
+        return 0
     except (EventFormatError, ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -395,7 +395,8 @@ class TemporalEdgeList:
         """Build from already-indexed ``(src, dst, sign, time)`` tuples.
 
         ``node_ids`` (or ``n``, producing string tokens ``"0".."n-1"``) fixes
-        the node universe; otherwise it is ``max index + 1``.
+        the node universe; otherwise it is ``max index + 1``.  A sign other
+        than +1 or -1 raises :class:`EventFormatError`.
         """
         rows = list(records)
         if rows:
@@ -424,6 +425,8 @@ class TemporalEdgeList:
             raise EventFormatError("event node index out of range")
         if np.any(time < 0):
             raise EventFormatError("negative timestamp")
+        if np.any(np.abs(sign) != 1):
+            raise EventFormatError("event sign must be +1 or -1")
         if np.any(src == dst):
             raise EventFormatError("self-loop in indexed event records")
         order = _stable_order(time)

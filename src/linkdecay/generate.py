@@ -81,6 +81,11 @@ class GenConfig:
                 f"{self.n_add_events} adds exceed the simple-graph capacity "
                 f"of {self.n_nodes} nodes ({self.n_nodes * (self.n_nodes - 1)} pairs)"
             )
+        for name in ("attach_exponent", "decay_half_life",
+                     "hazard_multiplier", "span"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.decay_half_life <= 0:
             raise ValueError("decay_half_life must be positive")
         if self.decay_bias not in _BIASES:

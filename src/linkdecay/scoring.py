@@ -167,14 +167,8 @@ def _node_weights(g: Graph, pairs: np.ndarray, spec: ScoreSpec):
     mask = degrees > 1
     weights[mask] = 1.0 / np.log(degrees[mask])
     first, second = spec.combo.slot_csr(g)
-    if first[1] is second[1]:
-        # sym, in and out: both slots read the same rows, so each distinct
-        # endpoint is summed once for the two columns.
-        sums = _row_sums(weights, *first, pairs.ravel()).reshape(-1, 2)
-        row_i, row_j = sums[:, 0], sums[:, 1]
-    else:
-        row_i = _row_sums(weights, *first, pairs[:, 0])
-        row_j = _row_sums(weights, *second, pairs[:, 1])
+    row_i = _row_sums(weights, *first, pairs[:, 0])
+    row_j = _row_sums(weights, *second, pairs[:, 1])
     return weights, float(weights.sum()) - row_i - row_j
 
 

@@ -391,3 +391,90 @@ def test_config_supplies_required_seed(capsys, tmp_path):
     out = tmp_path / "events.tsv"
     assert main(["gen", "--config", str(config), "--output", str(out)]) == 0
     assert _summary(capsys)["seed"] == "6"
+
+
+# ---- the run shell: manifest and summary after the work ----
+
+# Each file-writing subcommand with flags that differ from its defaults.
+_FILE_RUNS = {
+    "ingest": ["--self-loops", "error"],
+    "snapshot": ["--at", "30.5"],
+    "score": ["--model", "network", "--measure", "adad", "--combo", "asym",
+              "--adad-complement-weights"],
+    "evaluate": ["--seed", "3", "--measure", "jacc", "--fraction", "0.6",
+                 "--tie-break", "expected"],
+    "evaluate-lp": ["--seed", "4", "--measure", "cn", "--combo", "in"],
+    "survival": [],
+    "gen": ["--seed", "5", "--n-nodes", "150", "--n-add-events", "2000",
+            "--decay-bias", "low_degree"],
+    "sweep": ["--seed", "13"],
+}
+
+
+def _file_run(subcommand, gen_file):
+    source = [] if subcommand == "gen" else ["--input", gen_file]
+    return [subcommand, *source, *_FILE_RUNS[subcommand]]
+
+
+@pytest.mark.parametrize("subcommand", _FILE_RUNS)
+def test_rerun_from_manifest_is_byte_identical(capsys, gen_file, tmp_path,
+                                               subcommand):
+    out = tmp_path / "result.tsv"
+    manifest = tmp_path / "result.tsv.manifest"
+    argv = _file_run(subcommand, gen_file)
+    assert main([*argv, "--output", str(out)]) == 0
+    first, manifest_first = out.read_bytes(), manifest.read_bytes()
+    summary = capsys.readouterr().out
+    assert f"subcommand={subcommand}\n" in manifest_first.decode()
+    out.unlink()
+    # argparse checks snapshot's required --at before --config is read.
+    required = ["--at", "30.5"] if subcommand == "snapshot" else []
+    assert main([subcommand, "--config", str(manifest), *required]) == 0
+    assert out.read_bytes() == first
+    assert manifest.read_bytes() == manifest_first
+    assert capsys.readouterr().out == summary
+
+
+@pytest.mark.parametrize("subcommand", _FILE_RUNS)
+def test_stdout_output_writes_no_manifest_and_summary_to_stderr(
+        capsys, gen_file, tmp_path, monkeypatch, subcommand):
+    argv = _file_run(subcommand, gen_file)
+    out = tmp_path / "result.tsv"
+    assert main([*argv, "--output", str(out)]) == 0
+    summary = capsys.readouterr().out
+    monkeypatch.chdir(tmp_path)
+    before = sorted(tmp_path.iterdir())
+    assert main([*argv, "--output", "-"]) == 0
+    captured = capsys.readouterr()
+    assert sorted(tmp_path.iterdir()) == before
+    assert captured.err == summary
+    assert captured.out == out.read_text()
+
+
+def test_failed_run_leaves_no_manifest(capsys, gen_file, tmp_path):
+    ranking = tmp_path / "r.tsv"
+    code = main(["evaluate", "--input", gen_file, "--seed", "4",
+                 "--output", str(ranking),
+                 "--survival-output", str(tmp_path / "no" / "such" / "s.tsv")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert ranking.exists()
+    assert not (tmp_path / "r.tsv.manifest").exists()
+
+
+@pytest.mark.parametrize("flag", ["--span", "--decay-half-life",
+                                  "--hazard-multiplier", "--attach-exponent"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_gen_non_finite_float_is_data_error(capsys, tmp_path, flag, value):
+    out = tmp_path / "events.tsv"
+    code = main(["gen", "--seed", "1", "--n-nodes", "50", "--n-add-events",
+                 "100", "--decay-bias", "low_degree", f"{flag}={value}",
+                 "--output", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    field = flag[2:].replace("-", "_")
+    assert captured.err.startswith(f"error: {field} must be finite")
+    assert "Traceback" not in captured.err
+    assert not out.exists()

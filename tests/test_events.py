@@ -200,6 +200,12 @@ def test_random_streams_round_trip_exactly():
         assert len(again) == len(tel)
 
 
+@pytest.mark.parametrize("sign", [0, 2, -2, 5, np.iinfo(np.int64).min])
+def test_from_records_rejects_signs_other_than_plus_minus_one(sign):
+    with pytest.raises(EventFormatError, match="sign must be"):
+        TemporalEdgeList.from_records([(0, 1, 1, 0), (0, 1, sign, 3)], n=2)
+
+
 def test_id_map_bad_index_names_its_line(tmp_path):
     path = tmp_path / "ids.tsv"
     path.write_text("# node\tindex\nu\t0\nv\tone\n")

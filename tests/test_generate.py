@@ -203,6 +203,15 @@ def test_bad_share_target_rejected():
         GenConfig(seed=0, deletion_share_target=0.6).validated()
 
 
+@pytest.mark.parametrize("field", ["span", "decay_half_life",
+                                   "hazard_multiplier", "attach_exponent"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_float_rejected(field, value):
+    config = GenConfig(seed=0, decay_bias="low_degree", **{field: value})
+    with pytest.raises(ValueError, match=rf"^{field} must be finite, got "):
+        config.validated()
+
+
 def test_half_life_round_trip():
     tel = generate(GenConfig(seed=12, n_nodes=500, n_add_events=20000))
     fit = fit_exponential_half_life(edge_lifetimes(tel))
