@@ -205,6 +205,8 @@ def _cmd_ingest(args) -> list:
 
 
 def _cmd_snapshot(args) -> list:
+    if args.at is None:
+        args._parser.error("the following arguments are required: --at")
     tel = _read_input(args)
     g = snapshot_at(tel, args.at)
     ids = tel.node_ids
@@ -408,8 +410,9 @@ def _build_parser() -> _Parser:
 
     sub = subs.add_parser("snapshot", help="edge list of the graph at a time")
     _add_common(sub)
-    sub.add_argument("--at", type=float, required=True, metavar="T",
-                     help="snapshot time")
+    # Required, but checked in _cmd_snapshot: --config may supply it.
+    sub.add_argument("--at", type=float, metavar="T",
+                     help="snapshot time (required)")
     sub.set_defaults(func=_cmd_snapshot)
 
     sub = subs.add_parser("score", help="decay-score edges of a snapshot")

@@ -7,14 +7,25 @@ emitted for edges whose lifetime ends inside the simulated window; edges
 outliving the window are simply never deleted, which is what keeps the
 share of delete events well below one half.
 
+Time runs in integer ticks.  Add times are drawn once and sorted; since
+every lifetime is at least one tick, no edge dies in the tick it was
+added.  So the loop runs tick by tick: before the adds of a tick it drops
+every edge due by then, one due tick at a time in ascending order and,
+within a tick, in add order.  Pending deaths are a dict from tick to edge
+keys (``src * n + dst``) with a heap of the distinct ticks, so neither
+time nor memory depends on the window length.  The stream is kept as
+those keys plus one ``(tick, sign, count)`` run per add tick and per death
+tick, and becomes columns only at the end.
+
 Endpoints are drawn from a Fenwick (binary indexed) tree over the
 attachment weights ``degree + 1``, raised to ``attach_exponent``.  Each
-degree change updates the tree and each draw searches it in O(log n)
-work, so an add costs no pass over all nodes.  When the weights are
-integers (exponents 0 and 1) every prefix sum is exact, and the draws are
-those of ``np.searchsorted(np.cumsum(weights), u * total, side="right")``.
-Other exponents give float weights, which the tree adds in another order
-than a cumulative sum would; a draw can then differ only where ``u * total``
+degree change updates the tree in O(log n), and both endpoints of an
+attempt are found in one O(log n) descent of the same tree state, so an
+add costs no pass over all nodes.  When the weights are integers
+(exponents 0 and 1) every prefix sum is exact, and the draws are those of
+``np.searchsorted(np.cumsum(weights), u * total, side="right")``.  Other
+exponents give float weights, which the tree adds in another order than a
+cumulative sum would; a draw can then differ only where ``u * total``
 falls within rounding error of a prefix boundary.
 
 A decay bias can multiply the hazard of a structural class of edges so
@@ -36,7 +47,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import deque
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -48,11 +58,17 @@ __all__ = ["GenConfig", "deletion_share", "generate", "solve_window_span"]
 
 _BIASES = ("none", "low_degree", "few_common_neighbors")
 
+# The last tick a window may hold: event times are int64.
+_MAX_TICK = 2 ** 63 - 1
+
 # Running-median bookkeeping for the low_degree bias: the median is taken
 # over the last _MEDIAN_WINDOW endpoint degrees observed at add time and
 # refreshed every _MEDIAN_REFRESH adds.
 _MEDIAN_REFRESH = 128
 _MEDIAN_WINDOW = 4096
+# The window is whole refresh periods of two endpoint degrees per add.
+assert _MEDIAN_WINDOW % (2 * _MEDIAN_REFRESH) == 0
+_MEDIAN_ROWS = _MEDIAN_WINDOW // (2 * _MEDIAN_REFRESH)
 
 
 @dataclass(frozen=True)
@@ -101,10 +117,16 @@ class GenConfig:
             )
         if self.span is not None and self.span <= 0:
             raise ValueError("span must be positive")
-        if self.span is None:
-            return replace(self, span=solve_window_span(
-                self.deletion_share_target, self.decay_half_life))
-        return self
+        span, source = self.span, "span"
+        if span is None:
+            span = solve_window_span(self.deletion_share_target,
+                                     self.decay_half_life)
+            source = "decay_half_life"
+        if round(span) > _MAX_TICK:
+            raise ValueError(
+                f"{source} {getattr(self, source)!r} gives a window of "
+                f"{span:.6g} ticks, more than int64 times hold")
+        return replace(self, span=span)
 
 
 def solve_window_span(share_target: float, half_life: float) -> float:
@@ -131,8 +153,10 @@ def solve_window_span(share_target: float, half_life: float) -> float:
 class _Fenwick:
     """Binary indexed tree (Fenwick 1994) over ``n`` non-negative weights.
 
-    ``add`` changes one weight and ``search`` inverts the prefix sums, each
-    in O(log n).  ``total`` is the running sum of all weights.
+    ``add`` changes one weight in O(log n).  ``search_pair`` inverts the
+    prefix sums for two values in one O(log n) descent, so both endpoints
+    of an attempt search the same tree state.  ``total`` is the running sum
+    of all weights.
     """
 
     def __init__(self, n: int, initial: float) -> None:
@@ -151,24 +175,34 @@ class _Fenwick:
             k += k & -k
         self.total += delta
 
-    def search(self, x: float) -> int:
-        """Index of the first weight whose prefix sum exceeds ``x``, as
-        ``np.searchsorted(np.cumsum(w), x, side="right")`` finds it.
+    def search_pair(self, x: float, y: float) -> tuple[int, int]:
+        """For ``x`` and for ``y``, the index of the first weight whose
+        prefix sum exceeds it, as ``np.searchsorted(np.cumsum(w), x,
+        side="right")`` finds it.
 
-        The result is capped at ``n - 1``: for ``x < total`` the exact answer
-        is below ``n``, and float weights summed along the search path in
-        another order than ``total`` must not push it there.
+        Both values descend the tree together, each with its own position
+        and running sum.  Each result is capped at ``n - 1``: for a value
+        below ``total`` the exact answer is below ``n``, and float weights
+        summed along the path in another order than ``total`` must not push
+        it there.
         """
         tree, n = self.tree, self.n
-        pos, acc, step = 0, 0, self.top
+        pos_x = pos_y = 0
+        acc_x = acc_y = 0
+        step = self.top
         while step:
-            nxt = pos + step
+            nxt = pos_x + step
             if nxt < n:
-                s = acc + tree[nxt]
+                s = acc_x + tree[nxt]
                 if s <= x:
-                    pos, acc = nxt, s
+                    pos_x, acc_x = nxt, s
+            nxt = pos_y + step
+            if nxt < n:
+                s = acc_y + tree[nxt]
+                if s <= y:
+                    pos_y, acc_y = nxt, s
             step >>= 1
-        return pos
+        return pos_x, pos_y
 
 
 def generate(config: GenConfig) -> TemporalEdgeList:
@@ -182,7 +216,8 @@ def generate(config: GenConfig) -> TemporalEdgeList:
     n = config.n_nodes
     window = max(1, int(round(config.span)))
     rate = math.log(2.0) / config.decay_half_life
-    add_times = np.sort(rng.integers(0, window + 1, size=config.n_add_events))
+    add_ticks, adds_per_tick = np.unique(
+        rng.integers(0, window + 1, size=config.n_add_events), return_counts=True)
 
     # weight[d]: attachment weight of a node of total degree d <= 2(n-1).
     if config.attach_exponent == 1.0:
@@ -191,82 +226,117 @@ def generate(config: GenConfig) -> TemporalEdgeList:
         weight = (np.arange(1, 2 * n, dtype=np.float64)
                   ** config.attach_exponent).tolist()
     tree = _Fenwick(n, weight[0])
+    search_pair, tree_add = tree.search_pair, tree.add
+    random, exponential = rng.random, rng.exponential
+    # Lifetime scales 1 / hazard of a plain and of a biased edge.
+    plain_scale = 1.0 / rate
+    biased_scale = 1.0 / (rate * config.hazard_multiplier)
     degree = [0] * n
-    live: set[tuple[int, int]] = set()
+    # i * n + j for every live edge i -> j.
+    live: set[int] = set()
     # neighbor -> number of live directed edges touching it (1 or 2), kept
     # only for the common-neighbor bias class.
     track_cn = config.decay_bias == "few_common_neighbors"
     neighbor_counts: list[dict[int, int]] = [dict() for _ in range(n)] if track_cn else []
     track_median = config.decay_bias == "low_degree"
     median_degree = 0.0
-    recent_endpoint_degrees: deque[int] = deque(maxlen=_MEDIAN_WINDOW)
+    # Row r % _MEDIAN_ROWS holds the endpoint degrees of refresh period r;
+    # ``period`` collects those of the current one.
+    median_ring = np.zeros((_MEDIAN_ROWS, 2 * _MEDIAN_REFRESH), dtype=np.int64)
+    period: list[int] = []
 
-    death_heap: list[tuple[int, int, int, int]] = []
-    records: list[tuple[int, int, int, int]] = []
-    counter = 0
+    # death tick -> keys of the edges that die then, in add order; ``due``
+    # is a heap of the distinct ticks in it.
+    deaths: dict[int, list[int]] = {}
+    due: list[int] = []
+    # The stream: edge keys in event order, and its (tick, sign, count)
+    # runs, flat.
+    keys: list[int] = []
+    runs: list[int] = []
 
-    def shift_degree(v: int, step: int) -> None:
-        d = degree[v]
-        degree[v] = d + step
-        tree.add(v, weight[d + step] - weight[d])
+    def flush(until: int) -> None:
+        """Drop every edge due by tick ``until``, tick by tick in add order."""
+        while due and due[0] <= until:
+            tick = heapq.heappop(due)
+            dying = deaths.pop(tick)
+            for key in dying:
+                live.remove(key)
+                i, j = divmod(key, n)
+                d = degree[i]
+                degree[i] = d - 1
+                tree_add(i, weight[d - 1] - weight[d])
+                d = degree[j]
+                degree[j] = d - 1
+                tree_add(j, weight[d - 1] - weight[d])
+                if track_cn:
+                    for a, b in ((i, j), (j, i)):
+                        left = neighbor_counts[a][b] - 1
+                        if left:
+                            neighbor_counts[a][b] = left
+                        else:
+                            del neighbor_counts[a][b]
+            keys.extend(dying)
+            runs.extend((tick, -1, len(dying)))
 
-    def drop_edge(i: int, j: int) -> None:
-        live.discard((i, j))
-        shift_degree(i, -1)
-        shift_degree(j, -1)
-        if track_cn:
-            for a, b in ((i, j), (j, i)):
-                left = neighbor_counts[a][b] - 1
-                if left:
-                    neighbor_counts[a][b] = left
+    added = 0
+    # A lifetime is at least one tick, so no edge dies in its add tick.
+    for tick, count in zip(add_ticks.tolist(), adds_per_tick.tolist()):
+        flush(tick)
+        for _ in range(count):
+            for _ in range(1000):
+                total = tree.total
+                i, j = search_pair(random() * total, random() * total)
+                key = i * n + j
+                if i != j and key not in live:
+                    break
+            else:
+                raise RuntimeError(
+                    "could not place a new edge after 1000 attempts; "
+                    "the graph is too saturated for this config"
+                )
+            di, dj = degree[i], degree[j]
+            biased = False
+            if track_median:
+                if added % _MEDIAN_REFRESH == 0 and added:
+                    filled = added // _MEDIAN_REFRESH
+                    median_ring[(filled - 1) % _MEDIAN_ROWS] = period
+                    period.clear()
+                    median_degree = float(np.median(
+                        median_ring[:min(filled, _MEDIAN_ROWS)]))
+                period.append(di)
+                period.append(dj)
+                biased = di < median_degree or dj < median_degree
+            elif track_cn:
+                biased = not (neighbor_counts[i].keys() & neighbor_counts[j].keys())
+            lifetime = max(1, round(exponential(
+                biased_scale if biased else plain_scale)))
+            added += 1
+            keys.append(key)
+            live.add(key)
+            degree[i] = di + 1
+            tree_add(i, weight[di + 1] - weight[di])
+            degree[j] = dj + 1
+            tree_add(j, weight[dj + 1] - weight[dj])
+            if track_cn:
+                for a, b in ((i, j), (j, i)):
+                    neighbor_counts[a][b] = neighbor_counts[a].get(b, 0) + 1
+            t_del = tick + lifetime
+            if t_del <= window:
+                dying = deaths.get(t_del)
+                if dying is None:
+                    deaths[t_del] = [key]
+                    heapq.heappush(due, t_del)
                 else:
-                    del neighbor_counts[a][b]
+                    dying.append(key)
+        runs.extend((tick, 1, count))
+    flush(window)
 
-    for added, t_add in enumerate(add_times.tolist()):
-        while death_heap and death_heap[0][0] <= t_add:
-            t_del, _, i, j = heapq.heappop(death_heap)
-            records.append((i, j, -1, t_del))
-            drop_edge(i, j)
-        for _ in range(1000):
-            i = tree.search(rng.random() * tree.total)
-            j = tree.search(rng.random() * tree.total)
-            if i != j and (i, j) not in live:
-                break
-        else:
-            raise RuntimeError(
-                "could not place a new edge after 1000 attempts; "
-                "the graph is too saturated for this config"
-            )
-        biased = False
-        if track_median:
-            if added % _MEDIAN_REFRESH == 0 and recent_endpoint_degrees:
-                # The int64 array np.median(deque) builds, without converting
-                # the deque element by element.
-                median_degree = float(np.median(np.fromiter(
-                    recent_endpoint_degrees, np.int64, len(recent_endpoint_degrees))))
-            recent_endpoint_degrees.append(degree[i])
-            recent_endpoint_degrees.append(degree[j])
-            biased = degree[i] < median_degree or degree[j] < median_degree
-        elif track_cn:
-            biased = not (neighbor_counts[i].keys() & neighbor_counts[j].keys())
-        hazard = rate * (config.hazard_multiplier if biased else 1.0)
-        lifetime = max(1, int(round(rng.exponential(1.0 / hazard))))
-        records.append((i, j, 1, t_add))
-        live.add((i, j))
-        shift_degree(i, 1)
-        shift_degree(j, 1)
-        if track_cn:
-            for a, b in ((i, j), (j, i)):
-                neighbor_counts[a][b] = neighbor_counts[a].get(b, 0) + 1
-        t_del = t_add + lifetime
-        if t_del <= window:
-            counter += 1
-            heapq.heappush(death_heap, (t_del, counter, i, j))
-    while death_heap:
-        t_del, _, i, j = heapq.heappop(death_heap)
-        records.append((i, j, -1, t_del))
-        drop_edge(i, j)
-    return TemporalEdgeList.from_records(records, n=n)
+    edge_keys = np.array(keys, dtype=np.int64)
+    run_table = np.array(runs, dtype=np.int64).reshape(-1, 3)
+    sign = np.repeat(run_table[:, 1], run_table[:, 2])
+    time = np.repeat(run_table[:, 0], run_table[:, 2])
+    return TemporalEdgeList._finish(edge_keys // n, edge_keys % n, sign, time,
+                                    [str(v) for v in range(n)], False)
 
 
 def deletion_share(tel: TemporalEdgeList) -> float:

@@ -7,6 +7,7 @@ and stays around a minute.
 """
 
 import hashlib
+import io
 import struct
 import time
 import warnings
@@ -211,6 +212,30 @@ def test_criterion_07_decay_harder_than_creation(planted_suite):
 #: sweep, lexicographic rows first, then expected.
 PLANTED_SWEEP_SHA256 = \
     "88af97cddb9782b852647bf4d64f5605fb01996efecc419956df00a91553c83d"
+
+
+#: SHA-256 of the canonical event file of each planted stream, by seed.
+#: Seed 0's is the planted-sweep workload's ``events`` pin in perfbench.
+PLANTED_STREAM_SHA256 = [
+    "29f9f5d7c374c6ad58a2e694247cb4b686076833e02468a07cbc01c8b5bc4354",
+    "7e2f07ab8f81fa75bda62fa8506099f9a9ae9ba1e8fe31341f34be3b99818193",
+    "1d69cfabe81f31328be4e3effbdd74a2b3e4843f924b8b348e542745af4c651c",
+    "2ce67e76821a16f65e40f8f368b9a735c8f6d669db5dcb50bcd0e0f2a35608e9",
+    "dcb2533db231e3e8b7e2779014a9499f9f5ba0c69e1394f1a038e610469a4d5e",
+    "6cdb05707035bf25e4f589a6e4301bde7e061b7e7b039a5acfefdda347a826d0",
+    "b89877551fb2be63dd5681af639bfc0eac61503f173139cdcb8b8cd0dd5fa1f0",
+    "337cc26435f95fecd2afea7d18e9032618e3fb8e5db8fd98c1b9ac75785665ff",
+    "9dc72278881b13715c4b0bc9680ce0358dc26f4a4640a711962141c028ed445b",
+    "65d73172cbc64cf1fb3d6b890de080ab8a9143d5697da0fdc0ee5e6d1dc29121",
+]
+
+
+def test_planted_streams_are_pinned(planted_suite):
+    for entry in planted_suite:
+        buffer = io.StringIO()
+        entry["tel"].write(buffer)
+        digest = hashlib.sha256(buffer.getvalue().encode("utf-8")).hexdigest()
+        assert digest == PLANTED_STREAM_SHA256[entry["seed"]], entry["seed"]
 
 
 def test_planted_sweep_ap_bits_are_pinned(planted_suite):

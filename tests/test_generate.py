@@ -2,6 +2,7 @@
 
 import hashlib
 import io
+import itertools
 import math
 import subprocess
 import sys
@@ -78,6 +79,18 @@ _SATURATED = GenConfig(seed=0, n_nodes=20, n_add_events=100, attach_exponent=4.0
       for bias in ("none", "low_degree", "few_common_neighbors")
       for exponent in (0.0, 1.0, 1.5) for seed in (3, 4)),
     _SATURATED,
+    # One tick holds every add.
+    pytest.param(GenConfig(seed=6, n_nodes=120, n_add_events=1500, span=1.0),
+                 id="one-tick-window"),
+    # Every add and every death has its own tick; deaths fall between and
+    # after the add ticks.
+    pytest.param(GenConfig(seed=7, n_nodes=40, n_add_events=50, span=1e12),
+                 id="one-event-per-tick"),
+    # Lifetimes beyond int64: nothing dies.
+    pytest.param(GenConfig(seed=8, n_nodes=40, n_add_events=200,
+                           decay_half_life=1e25, span=10.0),
+                 id="lifetimes-beyond-int64"),
+    pytest.param(GenConfig(seed=9, n_nodes=2, n_add_events=2), id="two-nodes"),
 ], ids=lambda c: f"{c.decay_bias}-{c.attach_exponent}-{c.seed}")
 def test_stream_matches_cumsum_reference(config):
     """The Fenwick-tree sampler draws the endpoints the full cumulative sum
@@ -86,6 +99,22 @@ def test_stream_matches_cumsum_reference(config):
     assert _stream_or_error(generate, config) == expected
     if config == _SATURATED:
         assert expected.startswith("RuntimeError: could not place a new edge")
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(seed=st.integers(0, 2 ** 32), n=st.integers(2, 40),
+       adds=st.integers(1, 300),
+       bias=st.sampled_from(["none", "low_degree", "few_common_neighbors"]),
+       exponent=st.sampled_from([0.0, 1.0, 1.5, 3.0]),
+       span=st.floats(0.5, 1e6))
+def test_small_streams_match_cumsum_reference(seed, n, adds, bias, exponent,
+                                              span):
+    """Any small config gives the reference's bytes, or its error."""
+    config = GenConfig(seed=seed, n_nodes=n,
+                       n_add_events=min(adds, n * (n - 1)),
+                       attach_exponent=exponent, decay_bias=bias, span=span)
+    expected = _stream_or_error(reference.generate, config)
+    assert _stream_or_error(generate, config) == expected
 
 
 def _fenwick_of(weights) -> _Fenwick:
@@ -101,9 +130,10 @@ _SIZES = st.one_of(st.sampled_from([1, 2, 4, 8, 16, 64]), st.integers(1, 70))
 @settings(derandomize=True, deadline=None, max_examples=300, database=None)
 @given(st.data())
 def test_fenwick_search_matches_searchsorted(data):
-    """With integer weights, ``search`` is ``searchsorted(cumsum(w), x,
-    side="right")`` at 0, on every prefix boundary and between them, also
-    after interleaved +-1 updates."""
+    """With integer weights, each half of ``search_pair(x, y)`` is
+    ``searchsorted(cumsum(w), ., side="right")``, for every ordered pair of
+    probes at 0, on every prefix boundary and between them, also after
+    interleaved +-1 updates."""
     n = data.draw(_SIZES, label="n")
     weights = data.draw(st.lists(st.integers(0, 6), min_size=n, max_size=n),
                         label="weights")
@@ -123,12 +153,14 @@ def test_fenwick_search_matches_searchsorted(data):
         assert tree.total == total
         if total == 0:
             continue
-        probes = {0, *(int(c) for c in cumulative if c < total),
-                  total - 0.5, (1 - 2 ** -53) * total,
-                  data.draw(st.floats(0, total, exclude_max=True), label="x")}
-        for x in sorted(probes):
-            expected = int(np.searchsorted(cumulative, x, side="right"))
-            assert tree.search(x) == expected, (x, weights)
+        probes = sorted({0, *(int(c) for c in cumulative if c < total),
+                         total - 0.5, (1 - 2 ** -53) * total,
+                         data.draw(st.floats(0, total, exclude_max=True),
+                                   label="x")})
+        expected = np.searchsorted(cumulative, probes, side="right").tolist()
+        for x, ex in zip(probes, expected):
+            for y, ey in zip(probes, expected):
+                assert tree.search_pair(x, y) == (ex, ey), (x, y, weights)
 
 
 @settings(derandomize=True, deadline=None, max_examples=300, database=None)
@@ -136,12 +168,17 @@ def test_fenwick_search_matches_searchsorted(data):
 def test_fenwick_search_stays_below_n(data):
     """The largest draw, ``u = 1 - 2**-53``, never picks index ``n``, also
     when float weights round the tree's total and the search's running sum
-    differently."""
+    differently; in a pair each value descends as it would alone."""
     n = data.draw(_SIZES, label="n")
     weights = data.draw(st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n),
                         label="weights")
     tree = _fenwick_of(weights)
-    assert tree.search((1 - 2 ** -53) * tree.total) < n
+    probes = (0.0, (1 - 2 ** -53) * tree.total)
+    low, high = tree.search_pair(*probes)
+    assert low == 0 and high < n
+    for x, y in itertools.product(probes, repeat=2):
+        assert tree.search_pair(x, y) == (tree.search_pair(x, x)[0],
+                                          tree.search_pair(y, y)[1])
 
 
 def test_different_seeds_differ():
@@ -210,6 +247,19 @@ def test_non_finite_float_rejected(field, value):
     config = GenConfig(seed=0, decay_bias="low_degree", **{field: value})
     with pytest.raises(ValueError, match=rf"^{field} must be finite, got "):
         config.validated()
+
+
+@pytest.mark.parametrize("field, value", [("span", 1e19),
+                                          ("decay_half_life", 1e300)])
+def test_window_beyond_int64_rejected(field, value):
+    with pytest.raises(ValueError, match=rf"^{field} .*int64"):
+        GenConfig(seed=0, **{field: value}).validated()
+
+
+def test_largest_int64_window_generates():
+    span = float(2 ** 63 - 1024)  # the largest float below 2**63
+    tel = generate(GenConfig(seed=0, n_nodes=10, n_add_events=5, span=span))
+    assert int((tel.sign > 0).sum()) == 5 and tel.time_last <= span
 
 
 def test_half_life_round_trip():
