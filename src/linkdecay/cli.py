@@ -39,7 +39,7 @@ from .datasets import random_directed_graph, random_reciprocal_graph
 from .evaluation import (_cut, edge_lifetimes, evaluate,
                          evaluate_link_prediction, fit_exponential_half_life,
                          survival_curve, sweep, temporal_split)
-from .events import EventFormatError, _opened, read_events
+from .events import EventFormatError, _data_lines, _opened, read_events
 from .generate import GenConfig, deletion_share, generate
 from .graph import snapshot_at
 from .oracle import _check_request, check_closed_form
@@ -86,10 +86,7 @@ def _fmt_value(value) -> str:
 def _parse_config_file(path) -> dict[str, str]:
     values: dict[str, str] = {}
     with _open_in(path) as handle:
-        for lineno, line in enumerate(handle, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
+        for lineno, text in _data_lines(handle):
             if "=" not in text:
                 raise ValueError(f"{path}: line {lineno}: expected key=value")
             key, _, raw = text.partition("=")
@@ -220,10 +217,7 @@ def _load_pairs(path, tel) -> np.ndarray:
     index = {token: k for k, token in enumerate(tel.node_ids)}
     pairs = []
     with _open_in(path) as handle:
-        for lineno, line in enumerate(handle, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
+        for lineno, text in _data_lines(handle):
             fields = text.split()
             if len(fields) != 2:
                 raise ValueError(f"{path}: line {lineno}: expected 'src<TAB>dst'")

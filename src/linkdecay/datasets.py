@@ -69,7 +69,7 @@ def random_directed_graph(n: int, density: float, rng: np.random.Generator) -> G
     mask = rng.random((n, n)) < density
     np.fill_diagonal(mask, False)
     src, dst = np.nonzero(mask)
-    return Graph(n, src.astype(np.int64), dst.astype(np.int64), validate=False)
+    return Graph(n, src.astype(np.int64), dst.astype(np.int64))
 
 
 def random_reciprocal_graph(n: int, density: float, rng: np.random.Generator) -> Graph:
@@ -83,4 +83,4 @@ def random_reciprocal_graph(n: int, density: float, rng: np.random.Generator) ->
     mask = np.triu(upper, k=1)
     mask = mask | mask.T
     src, dst = np.nonzero(mask)
-    return Graph(n, src.astype(np.int64), dst.astype(np.int64), validate=False)
+    return Graph(n, src.astype(np.int64), dst.astype(np.int64))

@@ -115,6 +115,15 @@ def _opened(target: PathOrFile, mode: str) -> Iterator[TextIO]:
         yield target
 
 
+def _data_lines(handle: Iterable[str]) -> Iterator[tuple[int, str]]:
+    """``(line number, stripped text)`` of each data line of ``handle``,
+    numbered from 1; blank lines and ``#`` comments are not data."""
+    for lineno, line in enumerate(handle, start=1):
+        text = line.strip()
+        if text and not text.startswith("#"):
+            yield lineno, text
+
+
 #: Bytes the canonical-file kernel reads per block; each block is cut at its
 #: last newline.
 _BLOCK = 1 << 18
@@ -494,10 +503,7 @@ class TemporalEdgeList:
         signs: list[int] = []
         times: list[int] = []
         skipped = 0
-        for lineno, line in enumerate(handle, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
+        for lineno, text in _data_lines(handle):
             fields = text.split()
             if len(fields) != 4:
                 raise EventFormatError(
@@ -654,10 +660,7 @@ def read_id_map(source: PathOrFile) -> dict[str, int]:
     """Read a ``node<TAB>index`` map written by :meth:`write_id_map`."""
     mapping: dict[str, int] = {}
     with _opened(source, "r") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
+        for lineno, text in _data_lines(handle):
             fields = text.split()
             if len(fields) != 2:
                 raise EventFormatError(f"line {lineno}: expected 'node<TAB>index'")

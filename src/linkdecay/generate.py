@@ -21,12 +21,13 @@ Endpoints are drawn from a Fenwick (binary indexed) tree over the
 attachment weights ``degree + 1``, raised to ``attach_exponent``.  Each
 degree change updates the tree in O(log n), and both endpoints of an
 attempt are found in one O(log n) descent of the same tree state, so an
-add costs no pass over all nodes.  When the weights are integers
-(exponents 0 and 1) every prefix sum is exact, and the draws are those of
-``np.searchsorted(np.cumsum(weights), u * total, side="right")``.  Other
-exponents give float weights, which the tree adds in another order than a
-cumulative sum would; a draw can then differ only where ``u * total``
-falls within rounding error of a prefix boundary.
+add costs no pass over all nodes.  The weights are floats.  Integer-valued
+weights (exponents 0 and 1) add exactly while the total weight, at most
+``n + 2 * adds``, stays below ``2**53``: every prefix sum is exact and the
+draws are those of ``np.searchsorted(np.cumsum(weights), u * total,
+side="right")``.  Other exponents give weights that the tree adds in
+another order than a cumulative sum would; a draw can then differ only
+where ``u * total`` falls within rounding error of a prefix boundary.
 
 A decay bias can multiply the hazard of a structural class of edges so
 that evaluation pipelines have a planted, recoverable signal:
@@ -220,17 +221,16 @@ def generate(config: GenConfig) -> TemporalEdgeList:
         rng.integers(0, window + 1, size=config.n_add_events), return_counts=True)
 
     # weight[d]: attachment weight of a node of total degree d <= 2(n-1).
-    if config.attach_exponent == 1.0:
-        weight = range(1, 2 * n)
-    else:
-        weight = (np.arange(1, 2 * n, dtype=np.float64)
-                  ** config.attach_exponent).tolist()
+    weight = (np.arange(1, 2 * n, dtype=np.float64)
+              ** config.attach_exponent).tolist()
     tree = _Fenwick(n, weight[0])
     search_pair, tree_add = tree.search_pair, tree.add
     random, exponential = rng.random, rng.exponential
-    # Lifetime scales 1 / hazard of a plain and of a biased edge.
+    # Lifetime scales 1 / hazard of a plain and of a biased edge.  A biased
+    # hazard that underflows to 0 gives an infinite scale and infinite draws.
+    biased_rate = rate * config.hazard_multiplier
     plain_scale = 1.0 / rate
-    biased_scale = 1.0 / (rate * config.hazard_multiplier)
+    biased_scale = 1.0 / biased_rate if biased_rate else math.inf
     degree = [0] * n
     # i * n + j for every live edge i -> j.
     live: set[int] = set()
@@ -308,8 +308,7 @@ def generate(config: GenConfig) -> TemporalEdgeList:
                 biased = di < median_degree or dj < median_degree
             elif track_cn:
                 biased = not (neighbor_counts[i].keys() & neighbor_counts[j].keys())
-            lifetime = max(1, round(exponential(
-                biased_scale if biased else plain_scale)))
+            lifetime = exponential(biased_scale if biased else plain_scale)
             added += 1
             keys.append(key)
             live.add(key)
@@ -320,7 +319,9 @@ def generate(config: GenConfig) -> TemporalEdgeList:
             if track_cn:
                 for a, b in ((i, j), (j, i)):
                     neighbor_counts[a][b] = neighbor_counts[a].get(b, 0) + 1
-            t_del = tick + lifetime
+            # An infinite lifetime outlasts every window (and round() rejects it).
+            t_del = (tick + max(1, round(lifetime)) if lifetime < math.inf
+                     else window + 1)
             if t_del <= window:
                 dying = deaths.get(t_del)
                 if dying is None:

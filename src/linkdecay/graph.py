@@ -37,37 +37,40 @@ __all__ = [
 
 
 class Graph:
-    """Immutable directed simple graph with sorted neighbor arrays."""
+    """Immutable directed simple graph with sorted neighbor arrays.
 
-    __slots__ = ("_n", "_out_indptr", "_out_indices", "_in_indptr",
-                 "_in_indices", "_both_indptr", "_both_indices")
+    Every build checks that endpoints lie in ``0..n-1`` and that there are
+    no self-loops and no duplicate edges, raising ``ValueError`` otherwise.
+    """
 
-    def __init__(self, n: int, src: np.ndarray, dst: np.ndarray,
-                 validate: bool = True):
+    __slots__ = ("_n", "_rows")
+
+    def __init__(self, n: int, src: np.ndarray, dst: np.ndarray):
         if n < 0:
             raise ValueError(f"node count must be >= 0, got {n}")
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)
         if src.shape != dst.shape or src.ndim != 1:
             raise ValueError("src and dst must be 1-d arrays of equal length")
-        if validate and len(src):
+        if len(src):
             if src.min() < 0 or dst.min() < 0 or src.max() >= n or dst.max() >= n:
                 raise ValueError("edge endpoint out of range")
             if np.any(src == dst):
                 raise ValueError("self-loops are not allowed")
         self._n = int(n)
         out_keys = _sorted_keys(n, src, dst)
-        if validate and np.any(out_keys[1:] == out_keys[:-1]):
+        if np.any(out_keys[1:] == out_keys[:-1]):
             raise ValueError("duplicate edges are not allowed")
         in_keys = _sorted_keys(n, dst, src)
+        # The merge reads the keys before _csr turns them into indices in place.
         merged, repeated = _merge_runs(out_keys, in_keys)
         both_keys = merged[~repeated]
-        self._out_indptr, self._out_indices = _csr(n, out_keys)
-        self._in_indptr, self._in_indices = _csr(n, in_keys)
-        self._both_indptr, self._both_indices = _csr(n, both_keys)
-        for arr in (self._out_indptr, self._out_indices, self._in_indptr,
-                    self._in_indices, self._both_indptr, self._both_indices):
-            arr.flags.writeable = False
+        # direction -> read-only ``(indptr, indices)`` of its rows.
+        self._rows = {"out": _csr(n, out_keys), "in": _csr(n, in_keys),
+                      "both": _csr(n, both_keys)}
+        for row in self._rows.values():
+            for arr in row:
+                arr.flags.writeable = False
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -83,7 +86,7 @@ class Graph:
 
     @property
     def edge_count(self) -> int:
-        return len(self._out_indices)
+        return len(self._rows["out"][1])
 
     # ---- per-node queries ----
 
@@ -93,20 +96,13 @@ class Graph:
             raise IndexError(f"unknown node {v} (graph has {self._n} nodes)")
         return v
 
-    def out_neighbors(self, v: int) -> np.ndarray:
-        """Sorted successors of ``v`` (targets of edges v -> *)."""
-        v = self._check_node(v)
-        return self._out_indices[self._out_indptr[v]:self._out_indptr[v + 1]]
-
-    def in_neighbors(self, v: int) -> np.ndarray:
-        """Sorted predecessors of ``v`` (sources of edges * -> v)."""
-        v = self._check_node(v)
-        return self._in_indices[self._in_indptr[v]:self._in_indptr[v + 1]]
-
-    def all_neighbors(self, v: int) -> np.ndarray:
-        """Sorted union of successors and predecessors of ``v``."""
-        v = self._check_node(v)
-        return self._both_indices[self._both_indptr[v]:self._both_indptr[v + 1]]
+    def _csr(self, direction: str) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only ``(indptr, indices)`` of the out, in or both rows."""
+        try:
+            return self._rows[direction]
+        except (KeyError, TypeError):
+            raise ValueError(
+                f"direction must be 'out', 'in' or 'both', got {direction!r}") from None
 
     def neighbors(self, v: int, direction: str = "both") -> np.ndarray:
         """Neighbor set of ``v`` in the given ``direction`` (out/in/both)."""
@@ -114,23 +110,23 @@ class Graph:
         v = self._check_node(v)
         return indices[indptr[v]:indptr[v + 1]]
 
-    def _csr(self, direction: str) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only ``(indptr, indices)`` of the out, in or both rows."""
-        if direction == "both":
-            return self._both_indptr, self._both_indices
-        if direction == "out":
-            return self._out_indptr, self._out_indices
-        if direction == "in":
-            return self._in_indptr, self._in_indices
-        raise ValueError(f"direction must be 'out', 'in' or 'both', got {direction!r}")
+    def out_neighbors(self, v: int) -> np.ndarray:
+        """Sorted successors of ``v`` (targets of edges v -> *)."""
+        return self.neighbors(v, "out")
+
+    def in_neighbors(self, v: int) -> np.ndarray:
+        """Sorted predecessors of ``v`` (sources of edges * -> v)."""
+        return self.neighbors(v, "in")
+
+    def all_neighbors(self, v: int) -> np.ndarray:
+        """Sorted union of successors and predecessors of ``v``."""
+        return self.neighbors(v, "both")
 
     def out_degree(self, v: int) -> int:
-        v = self._check_node(v)
-        return int(self._out_indptr[v + 1] - self._out_indptr[v])
+        return len(self.out_neighbors(v))
 
     def in_degree(self, v: int) -> int:
-        v = self._check_node(v)
-        return int(self._in_indptr[v + 1] - self._in_indptr[v])
+        return len(self.in_neighbors(v))
 
     def total_degree(self, v: int) -> int:
         """Out-degree plus in-degree.  An edge present in both directions
@@ -139,32 +135,29 @@ class Graph:
 
     def neighbor_count(self, v: int) -> int:
         """Number of distinct neighbors, irrespective of direction."""
-        v = self._check_node(v)
-        return int(self._both_indptr[v + 1] - self._both_indptr[v])
+        return len(self.all_neighbors(v))
 
     def degree(self, v: int, mode: str = "total") -> int:
         """Degree of ``v``: ``'out'``, ``'in'`` or ``'total'`` (= out + in)."""
         if mode == "total":
             return self.total_degree(v)
-        if mode == "out":
-            return self.out_degree(v)
-        if mode == "in":
-            return self.in_degree(v)
+        if mode in ("out", "in"):
+            return len(self.neighbors(v, mode))
         raise ValueError(f"mode must be 'out', 'in' or 'total', got {mode!r}")
 
     # ---- whole-graph views ----
 
     @property
     def out_degrees(self) -> np.ndarray:
-        return np.diff(self._out_indptr)
+        return np.diff(self._rows["out"][0])
 
     @property
     def in_degrees(self) -> np.ndarray:
-        return np.diff(self._in_indptr)
+        return np.diff(self._rows["in"][0])
 
     @property
     def neighbor_counts(self) -> np.ndarray:
-        return np.diff(self._both_indptr)
+        return np.diff(self._rows["both"][0])
 
     def has_edge(self, i: int, j: int) -> bool:
         i = self._check_node(i)
@@ -176,18 +169,17 @@ class Graph:
     def edges(self) -> np.ndarray:
         """All edges as an ``(m, 2)`` array in lexicographic order."""
         rows = np.repeat(np.arange(self._n), self.out_degrees)
-        return np.column_stack((rows, self._out_indices))
+        return np.column_stack((rows, self._rows["out"][1]))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return (self._n == other._n
-                and np.array_equal(self._out_indptr, other._out_indptr)
-                and np.array_equal(self._out_indices, other._out_indices))
+        return self._n == other._n and all(
+            np.array_equal(a, b) for a, b in zip(self._rows["out"], other._rows["out"]))
 
     def __hash__(self):
-        return hash((self._n, self._out_indptr.tobytes(),
-                     self._out_indices.tobytes()))
+        indptr, indices = self._rows["out"]
+        return hash((self._n, indptr.tobytes(), indices.tobytes()))
 
     def __repr__(self) -> str:
         return f"Graph(n={self._n}, m={self.edge_count})"
@@ -295,7 +287,7 @@ def snapshot_at(tel: TemporalEdgeList, t: float) -> Graph:
     """
     n = tel.node_count
     src, dst = np.divmod(tel.live_keys(t), n)
-    return Graph(n, src, dst, validate=False)
+    return Graph(n, src, dst)
 
 
 class PairFeatures(NamedTuple):

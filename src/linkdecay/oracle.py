@@ -128,8 +128,7 @@ def materialize_complement(g: Graph) -> Graph:
     result has ``n*(n-1) - m`` edges, which is dense for any sparse input.
     """
     src, dst = np.nonzero(_complement_matrix(g, False))
-    return Graph(g.node_count, src.astype(np.int64), dst.astype(np.int64),
-                 validate=False)
+    return Graph(g.node_count, src.astype(np.int64), dst.astype(np.int64))
 
 
 def symmetrize(g: Graph) -> Graph:
@@ -137,7 +136,7 @@ def symmetrize(g: Graph) -> Graph:
     out-rows are ``g``'s both-rows, so it works at any size."""
     indptr, indices = g._csr("both")
     src = np.repeat(np.arange(g.node_count, dtype=np.int64), np.diff(indptr))
-    return Graph(g.node_count, src, indices, validate=False)
+    return Graph(g.node_count, src, indices)
 
 
 #: Membership cells (pairs x nodes) one block of a batch may hold; a block

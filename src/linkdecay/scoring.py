@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -131,8 +131,7 @@ def all_specs() -> list[ScoreSpec]:
             for combo in DegreeCombination]
 
 
-@dataclass(frozen=True)
-class ScoredEdge:
+class ScoredEdge(NamedTuple):
     src: int
     dst: int
     score: float
@@ -412,4 +411,4 @@ def score_batch(g: Graph, pairs: Iterable[Sequence[int]],
     row of :func:`score_matrix` as :class:`ScoredEdge` objects."""
     arr = _as_pairs(pairs)
     scores = score_matrix(g, arr, [spec])[0]
-    return [ScoredEdge(a, b, s) for a, b, s in zip(*arr.T.tolist(), scores.tolist())]
+    return list(map(ScoredEdge._make, zip(*arr.T.tolist(), scores.tolist())))

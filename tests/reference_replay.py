@@ -83,12 +83,11 @@ def snapshot_at(tel: TemporalEdgeList, t: float) -> Graph:
     dst = tel.dst[:hi]
     sign = tel.sign[:hi]
     if hi == 0:
-        return Graph(n, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
-                     validate=False)
+        return Graph(n, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
     keys = src * np.int64(n) + dst
     # Index of the last event per edge key: first occurrence in the reversed
     # stream.
     _, first_in_reversed = np.unique(keys[::-1], return_index=True)
     last = hi - 1 - first_in_reversed
     live = last[sign[last] > 0]
-    return Graph(n, src[live], dst[live], validate=False)
+    return Graph(n, src[live], dst[live])

@@ -9,6 +9,7 @@ import pytest
 from linkdecay import evaluation, scoring
 from linkdecay.cli import main
 from linkdecay.datasets import swim_surf_events
+from linkdecay.events import read_events
 from linkdecay.generate import GenConfig, generate
 
 
@@ -314,6 +315,25 @@ def test_gen_window_beyond_int64_is_data_error(capsys, flag, value):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {flag[2:].replace('-', '_')} ")
     assert "int64" in err
+
+
+@pytest.mark.parametrize("flags, finite", [
+    (["--decay-half-life", "1e308"], ["--decay-half-life", "1e300"]),
+    (["--hazard-multiplier", "5e-324", "--decay-bias", "few_common_neighbors"],
+     ["--hazard-multiplier", "1e-300", "--decay-bias", "few_common_neighbors"]),
+])
+def test_gen_infinite_lifetime_is_never_deleted(capsys, tmp_path, flags, finite):
+    """A lifetime scale that overflows, or a hazard that underflows to 0,
+    draws infinite lifetimes.  Those edges outlast the window, and the
+    stream equals one whose lifetimes are finite but past the window, so
+    the draws did not shift."""
+    base = ["gen", "--seed", "0", "--n-nodes", "20", "--n-add-events", "10",
+            "--span", "10"]
+    out, ref = tmp_path / "inf.tsv", tmp_path / "finite.tsv"
+    assert main([*base, *flags, "--output", str(out)]) == 0
+    assert main([*base, *finite, "--output", str(ref)]) == 0
+    assert out.read_bytes() == ref.read_bytes()
+    assert (read_events(out).sign > 0).sum() == 10
 
 
 def test_sweep_forty_rows(capsys, gen_file, tmp_path):

@@ -5,10 +5,12 @@ import io
 import numpy as np
 import pytest
 
-from linkdecay.datasets import swim_surf, swim_surf_events
+from linkdecay.datasets import random_directed_graph, swim_surf, swim_surf_events
 from linkdecay.events import read_events
+from linkdecay.generate import GenConfig, generate
 from linkdecay.graph import (DegreeCombination, Graph, common_neighbor_count,
                              snapshot_at, union_neighborhood_size)
+from linkdecay.oracle import materialize_complement, symmetrize
 
 COMBOS = list(DegreeCombination)
 
@@ -75,6 +77,23 @@ def test_equal_graphs_hash_equal():
     assert hash(Graph(0, [], [])) == hash(Graph(0, [], []))
 
 
+def test_library_builds_equal_a_rebuild_from_their_edges():
+    """The graphs the library derives equal a fresh, checked build from
+    their own edge lists in all three row tables."""
+    rng = np.random.default_rng(11)
+    g = random_directed_graph(30, 0.2, rng)
+    tel = generate(GenConfig(seed=3, n_nodes=60, n_add_events=400))
+    derived = [g, snapshot_at(tel, tel.time_last / 2), materialize_complement(g),
+               symmetrize(g)]
+    for h in derived:
+        edges = h.edges()
+        rebuilt = Graph(h.node_count, edges[:, 0], edges[:, 1])
+        assert h == rebuilt
+        for direction in ("out", "in", "both"):
+            for a, b in zip(h._csr(direction), rebuilt._csr(direction)):
+                assert np.array_equal(a, b), direction
+
+
 def test_both_rows_are_per_row_union_of_out_and_in():
     rng = np.random.default_rng(7)
     graphs = [Graph(0, [], []), Graph(1, [], []), Graph(4, [], []),
@@ -130,8 +149,12 @@ def test_unknown_node_rejected():
 
 def test_bad_mode_rejected():
     g = Graph.from_edges(2, [(0, 1)])
-    with pytest.raises(ValueError):
-        g.degree(0, "sideways")
+    for mode in ("sideways", "both"):
+        with pytest.raises(ValueError, match="mode must be"):
+            g.degree(0, mode)
+    for direction in (None, "sideways", []):
+        with pytest.raises(ValueError, match="direction must be"):
+            g.neighbors(0, direction)
 
 
 def test_degree_arrays_match_scalar_queries():

@@ -101,7 +101,7 @@ def test_symmetrize_matches_dense_construction():
         n, edges = g.node_count, g.edges()
         keys = np.unique(np.concatenate((edges[:, 0] * n + edges[:, 1],
                                          edges[:, 1] * n + edges[:, 0])))
-        assert _same_csrs(sym, Graph(n, *np.divmod(keys, n), validate=False))
+        assert _same_csrs(sym, Graph(n, *np.divmod(keys, n)))
         a = oracle._dense(g)
         src, dst = np.nonzero(a | a.T)
         assert _same_csrs(sym, Graph(n, src, dst))
