@@ -36,7 +36,7 @@ import numpy as np
 
 from . import __version__
 from .datasets import random_directed_graph, random_reciprocal_graph
-from .evaluation import (_cut, edge_lifetimes, evaluate,
+from .evaluation import (_cut_time, edge_lifetimes, evaluate,
                          evaluate_link_prediction, fit_exponential_half_life,
                          survival_curve, sweep, temporal_split)
 from .events import EventFormatError, _data_lines, _opened, read_events
@@ -289,7 +289,7 @@ def _cmd_evaluate_lp(args) -> list:
     return [("measure", args.measure), ("combo", args.combo),
             ("fraction", _fmt_value(args.fraction)),
             ("tie-break", args.tie_break),
-            ("t1", _SCORE_FMT % _cut(tel, args.fraction)[0]),
+            ("t1", _SCORE_FMT % _cut_time(tel, args.fraction)),
             ("positives", result.positives),
             ("ap", _SCORE_FMT % result.ap),
             ("seed", args.seed)]

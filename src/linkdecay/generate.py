@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -70,6 +71,9 @@ _MEDIAN_WINDOW = 4096
 # The window is whole refresh periods of two endpoint degrees per add.
 assert _MEDIAN_WINDOW % (2 * _MEDIAN_REFRESH) == 0
 _MEDIAN_ROWS = _MEDIAN_WINDOW // (2 * _MEDIAN_REFRESH)
+
+# The bracket of lam*T that solve_window_span searches.
+_SPAN_BRACKET = (1e-9, 200.0)
 
 
 @dataclass(frozen=True)
@@ -138,17 +142,78 @@ def solve_window_span(share_target: float, half_life: float) -> float:
     ``T`` is ``1 - (1 - exp(-lam*T)) / (lam*T)``.  Setting that equal to
     ``share / (1 - share)`` (deletes per add) and solving for ``lam*T``
     yields the span.
-    """
-    from scipy.optimize import brentq  # only this root solve needs scipy
 
+    The root is found by Brent's method (Brent 1973) on the bracket
+    ``lam*T`` in ``[1e-9, 200]``, stopping within ``2e-12 + 4 * eps *
+    |x|`` or after 100 iterations (:func:`_brent_root`).  A target whose
+    root lies outside the bracket raises ``ValueError``.
+    """
     target = share_target / (1.0 - share_target)
 
     def deleted_fraction(x: float) -> float:
         return 1.0 - (1.0 - math.exp(-x)) / x
 
-    x = brentq(lambda x: deleted_fraction(x) - target, 1e-9, 200.0)
+    x = _brent_root(lambda x: deleted_fraction(x) - target, *_SPAN_BRACKET)
+    if x is None:
+        low, high = (d / (1.0 + d) for d in map(deleted_fraction, _SPAN_BRACKET))
+        raise ValueError(
+            f"deletion_share_target {share_target!r} has no window span: "
+            f"solvable targets lie between {low:.6g} and {high:.6g}")
     rate = math.log(2.0) / half_life
     return x / rate
+
+
+def _brent_root(f, a: float, b: float) -> Optional[float]:
+    """A root of ``f`` in ``[a, b]`` by Brent's method, or ``None`` when
+    ``f(a)`` and ``f(b)`` have the same sign.
+
+    A line-by-line port of SciPy's ``brentq.c`` with the defaults of its
+    ``optimize.brentq`` (``xtol=2e-12``, ``rtol=4 * eps``, 100
+    iterations): every step and stopping test is the same float operation,
+    so the root has the same bits.  The bracket ``[blk, cur]`` always
+    straddles the root; each step tries inverse quadratic interpolation
+    (or the secant) and falls back to bisection when the step would leave
+    the bracket or shrink too slowly.
+    """
+    xtol, rtol, maxiter = 2e-12, 4 * sys.float_info.epsilon, 100
+    pre, cur = a, b
+    fpre, fcur = f(pre), f(cur)
+    if fpre == 0:
+        return pre
+    if fcur == 0:
+        return cur
+    if (fpre < 0) == (fcur < 0):
+        return None
+    blk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            blk, fblk = pre, fpre
+            spre = scur = cur - pre
+        if abs(fblk) < abs(fcur):
+            pre, cur, blk = cur, blk, cur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(cur)) / 2
+        sbis = (blk - cur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return cur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if pre == blk:  # secant
+                stry = -fcur * (cur - pre) / (fcur - fpre)
+            else:  # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (pre - cur)
+                dblk = (fblk - fcur) / (blk - cur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        pre, fpre = cur, fcur
+        cur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(cur)
+    raise RuntimeError(f"Brent's method did not converge in {maxiter} iterations")
 
 
 class _Fenwick:

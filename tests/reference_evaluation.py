@@ -1,11 +1,12 @@
-"""Per-item reference code for average precision and Kaplan–Meier.
+"""Per-item reference code for average precision, Kaplan–Meier and the
+never-present pair sample.
 
 These are the tuple sort, the precision loop, the per-item expected-AP
-loop and the Kaplan–Meier while loop that the array code in
-``linkdecay.evaluation`` replaced, kept for the tests only: AP values,
-rankings, precision lists and survival curves computed there must equal
-the ones computed here bit for bit.  Nothing here shares code with the
-array path.
+loop, the Kaplan–Meier while loop and the per-key negative sampling loop
+that the array code in ``linkdecay.evaluation`` replaced, kept for the
+tests only: AP values, rankings, precision lists, survival curves and
+sampled keys computed there must equal the ones computed here bit for
+bit.  Nothing here shares code with the array path.
 """
 
 from typing import Iterable, NamedTuple
@@ -106,3 +107,25 @@ def survival_curve(durations: np.ndarray,
             points.append((float(t), surviving))
         k = block_end
     return points
+
+
+def never_present_keys(src: np.ndarray, dst: np.ndarray, n: int, need: int,
+                       seed: int) -> tuple[np.ndarray, int]:
+    """The sorted keys ``i * n + j`` of ``need`` distinct pairs ``i != j``
+    that no event touches, from a per-key loop over chunks of
+    ``default_rng(seed)`` draws; also the number of chunks drawn."""
+    ever = set((src * np.int64(n) + dst).tolist())
+    rng = np.random.default_rng(seed)
+    chosen: set[int] = set()
+    chunks = 0
+    while len(chosen) < need:
+        draw = rng.integers(0, n * n, size=max(64, 2 * (need - len(chosen))))
+        chunks += 1
+        for key in draw.tolist():
+            i, j = divmod(key, n)
+            if i == j or key in ever or key in chosen:
+                continue
+            chosen.add(key)
+            if len(chosen) == need:
+                break
+    return np.array(sorted(chosen), dtype=np.int64), chunks

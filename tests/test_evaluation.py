@@ -8,11 +8,12 @@ import warnings
 import numpy as np
 import pytest
 
+import reference_evaluation
 import reference_scoring as reference
 from linkdecay.datasets import swim_surf_events
 from linkdecay.evaluation import (APResult, EdgeLifetimes, EvaluationSplit,
-                                  average_precision, edge_ages,
-                                  edge_lifetimes, evaluate,
+                                  _absent_keys, _cut, average_precision,
+                                  edge_ages, edge_lifetimes, evaluate,
                                   evaluate_link_prediction,
                                   fit_exponential_half_life, random_baseline,
                                   survival_curve, temporal_split)
@@ -314,6 +315,33 @@ def test_evaluate_lp_requires_new_edges():
                   "c\td\t-1\t100")
     with pytest.raises(ValueError, match="new edges"):
         evaluate_link_prediction(tel, Measure.CN, DegreeCombination.SYM, seed=0)
+
+
+@pytest.mark.parametrize("config", [
+    GenConfig(seed=4, n_nodes=150, n_add_events=2000),
+    GenConfig(seed=6, n_nodes=12, n_add_events=100, decay_bias="low_degree"),
+])
+def test_never_present_sample_matches_per_key_loop(config):
+    """The chunked array sample keeps the keys of the per-key loop, for the
+    need of the default cut and for needs up to every absent pair, where
+    the first chunk of draws falls short."""
+    tel = generate(config)
+    n = tel.node_count
+    ever = np.unique(tel.src * np.int64(n) + tel.dst)
+    capacity = n * (n - 1) - len(ever)
+    _, _, k1, k_end = _cut(tel, 0.75)
+    new = len(np.setdiff1d(k_end, k1))
+    chunks = []
+    for need in sorted({1, new, capacity // 2, min(capacity, 400)}):
+        for seed in range(3):
+            want, drawn = reference_evaluation.never_present_keys(
+                tel.src, tel.dst, n, need, seed)
+            got = _absent_keys(ever, n, need, seed)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want)
+            chunks.append(drawn)
+    if capacity <= 400:
+        assert max(chunks) > 1
 
 
 # ---- lifetimes and survival ----

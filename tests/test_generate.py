@@ -4,6 +4,7 @@ import hashlib
 import io
 import itertools
 import math
+import re
 import subprocess
 import sys
 import warnings
@@ -13,10 +14,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 from scipy.stats import spearmanr
 
 import linkdecay
 import reference_generate as reference
+from linkdecay.cli import main
 from linkdecay.evaluation import (edge_lifetimes, fit_exponential_half_life,
                                   temporal_split)
 from linkdecay.generate import (GenConfig, _Fenwick, deletion_share, generate,
@@ -225,6 +228,51 @@ def test_window_span_solver_consistency():
     assert deleted == pytest.approx(0.27 / 0.73, rel=1e-9)
 
 
+def _scipy_span(share: float, half_life: float):
+    """The window span as ``scipy.optimize.brentq`` solves it, or ``None``
+    where brentq finds no sign change on the bracket."""
+    target = share / (1.0 - share)
+    try:
+        x = brentq(lambda x: 1.0 - (1.0 - math.exp(-x)) / x - target,
+                   1e-9, 200.0)
+    except ValueError:
+        return None
+    return x / (math.log(2.0) / half_life)
+
+
+def test_window_span_matches_scipy_brentq():
+    """The in-package Brent solve gives brentq's bits on a grid of share
+    targets in (0, 0.5), and rejects the same targets near both ends."""
+    grid = np.linspace(0.0, 0.5, 20_201)[1:-1]
+    edges = np.concatenate([np.geomspace(1e-15, 1e-8, 60),
+                            0.5 - np.geomspace(1e-12, 1e-2, 60)])
+    rejected = []
+    for share in np.concatenate([grid, edges]).tolist():
+        want = _scipy_span(share, 23.0)
+        if want is None:
+            rejected.append(share)
+            with pytest.raises(ValueError, match="^deletion_share_target "):
+                solve_window_span(share, 23.0)
+        else:
+            assert solve_window_span(share, 23.0).hex() == want.hex(), share
+    low = [share for share in rejected if share < 0.25]
+    assert low and len(low) < len(rejected)
+    assert len(grid) + len(edges) - len(rejected) >= 20_000
+    assert solve_window_span(0.27, 23.0) == 33.431642180658415
+
+
+@pytest.mark.parametrize("share", [1e-12, 0.4999999])
+def test_unsolvable_share_target_names_the_option(share, capsys):
+    message = rf"^deletion_share_target {share!r} has no window span: "
+    with pytest.raises(ValueError, match=message):
+        GenConfig(seed=0, deletion_share_target=share).validated()
+    assert main(["gen", "--seed", "0", "--deletion-share-target", str(share),
+                 "--output", "-"]) == 2
+    err = capsys.readouterr().err
+    assert re.match(message, err.removeprefix("error: "))
+    assert "Traceback" not in err
+
+
 def test_infeasible_config_rejected():
     with pytest.raises(ValueError, match="capacity"):
         GenConfig(seed=0, n_nodes=5, n_add_events=100).validated()
@@ -336,8 +384,8 @@ def test_attach_exponent_skews_degrees():
 
 
 def test_import_does_not_load_scipy():
-    """Only the window solve of ``generate`` needs scipy; importing the
-    package (and its CLI) must not pay for it."""
+    """The package depends on numpy alone: importing it and its CLI loads
+    no scipy."""
     src = str(Path(linkdecay.__file__).resolve().parents[1])
     code = ("import sys; sys.path.insert(0, sys.argv[1]); "
             "import linkdecay, linkdecay.cli; "
@@ -345,3 +393,46 @@ def test_import_does_not_load_scipy():
     out = subprocess.run([sys.executable, "-c", code, src], check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+#: Runs ``linkdecay.cli.main(argv)`` with every ``scipy`` import failing.
+_WITHOUT_SCIPY = """\
+import sys
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+        return None
+
+sys.meta_path.insert(0, BlockScipy())
+try:
+    import scipy
+except ImportError:
+    pass
+else:
+    sys.exit("scipy was imported")
+sys.path.insert(0, sys.argv[1])
+from linkdecay.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+def test_gen_runs_without_scipy(tmp_path, monkeypatch, capsys):
+    """``linkdecay gen`` solves its default window with scipy unimportable,
+    and writes the events, summary and manifest of an in-process run."""
+    src = str(Path(linkdecay.__file__).resolve().parents[1])
+    argv = ["gen", "--seed", "3", "--n-nodes", "120", "--n-add-events", "900",
+            "--decay-bias", "low_degree", "--output", "events.tsv"]
+    blocked, here = tmp_path / "blocked", tmp_path / "here"
+    blocked.mkdir()
+    here.mkdir()
+    run = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, src, *argv],
+                         cwd=blocked, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    monkeypatch.chdir(here)
+    assert main(argv) == 0
+    assert run.stdout == capsys.readouterr().out
+    assert "span=" in run.stdout
+    for name in ("events.tsv", "events.tsv.manifest"):
+        assert (blocked / name).read_bytes() == (here / name).read_bytes()
