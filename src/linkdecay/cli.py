@@ -30,6 +30,7 @@ items; :func:`main` then writes the manifest and the summary.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -309,14 +310,8 @@ def _cmd_survival(args) -> list:
 
 def _cmd_gen(args) -> list:
     _require_seed(args)
-    config = GenConfig(seed=args.seed, n_nodes=args.n_nodes,
-                       n_add_events=args.n_add_events,
-                       attach_exponent=args.attach_exponent,
-                       decay_half_life=args.decay_half_life,
-                       decay_bias=args.decay_bias,
-                       hazard_multiplier=args.hazard_multiplier,
-                       deletion_share_target=args.deletion_share_target,
-                       span=args.span).validated()
+    config = GenConfig(**{f.name: getattr(args, f.name)
+                          for f in dataclasses.fields(GenConfig)}).validated()
     args.span = config.span  # record the resolved window in the manifest
     tel = generate(config)
     with _open_out(args.output) as handle:

@@ -60,7 +60,7 @@ __all__ = [
 # temporal split
 
 
-@dataclass
+@dataclass(eq=False)
 class EvaluationSplit:
     """Train/test cut of an event stream.
 
@@ -407,7 +407,7 @@ def evaluate_link_prediction(tel: TemporalEdgeList, measure: Measure,
 # survival
 
 
-@dataclass
+@dataclass(eq=False)
 class EdgeLifetimes:
     """Per-presence-interval durations with censoring flags."""
 

@@ -25,8 +25,10 @@ every error with its line number.  File objects always take the line
 loop, and so does a path that cannot seek.  ``write`` formats rows in
 byte chunks for every target.
 
-Loading replays the time-sorted stream once, in one vectorized pass, into
-a presence-interval table (:class:`PresenceIntervals`): one row
+Every stream, read from a file, built from records or generated, comes from
+the one :class:`TemporalEdgeList` constructor.  It validates the indexed
+columns, sorts them by time and replays them once, in one vectorized pass,
+into a presence-interval table (:class:`PresenceIntervals`): one row
 ``(key, start, end)`` per interval in which an edge is present, with
 ``key = src * n + dst``, ``start`` the event index of the opening add and
 ``end`` that of the closing delete, or censored when the edge is still
@@ -47,7 +49,7 @@ from __future__ import annotations
 
 import io
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import (BinaryIO, Iterable, Iterator, NamedTuple, Sequence, TextIO,
                     Union)
@@ -366,68 +368,32 @@ def _replay(src: np.ndarray, dst: np.ndarray, sign: np.ndarray,
     return intervals, stats, int(noops.min()) if len(noops) else -1
 
 
-@dataclass
 class TemporalEdgeList:
     """A validated, time-sorted stream of edge events over ``n`` nodes.
 
     Events are stored columnar (``src``, ``dst``, ``sign``, ``time`` arrays)
     for cheap slicing; ``events`` iterates them as :class:`EdgeEvent`.
-    ``node_ids`` maps compact index -> original token.  Equal timestamps keep
+    ``node_ids`` maps compact index -> original token.  The constructor is
+    the one way to build a stream; ``read``, ``from_records`` and
+    :func:`~linkdecay.generate.generate` call it.  Equal timestamps keep
     their input order, so replaying a prefix is well defined.  The stream
-    is replayed once, on construction, into ``intervals``; snapshots,
-    lifetimes and ages are all read off that table.  Streams built by
-    ``read`` or ``from_records`` have read-only event columns, so the table
-    cannot go stale.
+    is replayed once, on construction, into ``intervals`` and ``stats``;
+    snapshots, lifetimes and ages are all read off that table.  The event
+    columns are read-only, so the table cannot go stale.  ``==`` is identity.
     """
 
-    src: np.ndarray
-    dst: np.ndarray
-    sign: np.ndarray
-    time: np.ndarray
-    node_ids: list[str]
-    stats: IngestStats = field(default_factory=IngestStats)
-    intervals: PresenceIntervals = field(default=None, repr=False,
-                                         compare=False)
-
-    def __post_init__(self):
-        if self.intervals is None:
-            self.intervals = _replay(self.src, self.dst, self.sign,
-                                     len(self.node_ids))[0]
-
-    # ---- constructors ----
-
-    @classmethod
-    def from_records(cls, records: Iterable[tuple[int, int, int, int]],
-                     node_ids: Sequence[str] | None = None,
-                     n: int | None = None,
-                     strict_deletes: bool = False) -> "TemporalEdgeList":
-        """Build from already-indexed ``(src, dst, sign, time)`` tuples.
-
-        ``node_ids`` (or ``n``, producing string tokens ``"0".."n-1"``) fixes
-        the node universe; otherwise it is ``max index + 1``.  A sign other
-        than +1 or -1 raises :class:`EventFormatError`.
-        """
-        rows = list(records)
-        if rows:
-            src = np.array([r[0] for r in rows], dtype=np.int64)
-            dst = np.array([r[1] for r in rows], dtype=np.int64)
-            sign = np.array([r[2] for r in rows], dtype=np.int64)
-            time = np.array([r[3] for r in rows], dtype=np.int64)
-        else:
-            src = dst = sign = time = np.empty(0, dtype=np.int64)
-        if node_ids is None:
-            count = n
-            if count is None:
-                count = int(max(src.max(), dst.max())) + 1 if rows else 0
-            node_ids = [str(i) for i in range(count)]
-        return cls._finish(src, dst, sign, time, list(node_ids), strict_deletes)
-
-    @classmethod
-    def _finish(cls, src, dst, sign, time, node_ids, strict_deletes):
-        """Validate indexed int64 columns, sort them by time, keeping equal
-        times in input order (:func:`_stable_order`; times spanning too
-        wide a range for its packed keys take the stable argsort), replay
-        them and freeze them."""
+    def __init__(self, src: np.ndarray, dst: np.ndarray, sign: np.ndarray,
+                 time: np.ndarray, node_ids: Sequence[str], *,
+                 strict_deletes: bool = False):
+        """Check the indexed columns as int64, sort them by time with equal
+        times in input order (:func:`_stable_order`), replay them and freeze
+        them.  The caller's arrays are not changed."""
+        src, dst, sign, time = (np.asarray(column, dtype=np.int64)
+                                for column in (src, dst, sign, time))
+        if src.ndim != 1 or not src.shape == dst.shape == sign.shape == time.shape:
+            raise EventFormatError(
+                "src, dst, sign and time must be 1-d arrays of equal length")
+        node_ids = list(node_ids)
         n = len(node_ids)
         if len(src) and (src.min() < 0 or dst.min() < 0
                          or src.max() >= n or dst.max() >= n):
@@ -444,22 +410,54 @@ class TemporalEdgeList:
         if strict_deletes and first_noop >= 0:
             pair = (int(src[first_noop]), int(dst[first_noop]))
             raise EventFormatError(
-                f"delete of absent edge {pair} at event index {first_noop}"
-            )
+                f"delete of absent edge {pair} at event index {first_noop}")
         for arr in (src, dst, sign, time):
             arr.flags.writeable = False
-        return cls(src, dst, sign, time, node_ids, stats, intervals)
+        self.src, self.dst, self.sign, self.time = src, dst, sign, time
+        self.node_ids, self.stats, self.intervals = node_ids, stats, intervals
+
+    def __repr__(self) -> str:
+        return f"TemporalEdgeList(n={self.node_count}, events={len(self)})"
+
+    # ---- constructors ----
+
+    @classmethod
+    def from_records(cls, records: Iterable[tuple[int, int, int, int]],
+                     node_ids: Sequence[str] | None = None,
+                     n: int | None = None,
+                     strict_deletes: bool = False) -> "TemporalEdgeList":
+        """Build from already-indexed ``(src, dst, sign, time)`` tuples.
+
+        ``node_ids`` (or ``n``, producing string tokens ``"0".."n-1"``) fixes
+        the node universe; otherwise it is ``max index + 1``.  A record of
+        other than four fields, or a sign other than +1 or -1, raises
+        :class:`EventFormatError`.
+        """
+        rows = list(records)
+        table = (np.array(rows, dtype=np.int64) if rows
+                 else np.empty((0, 4), dtype=np.int64))
+        if table.ndim != 2 or table.shape[1] != 4:
+            raise EventFormatError(
+                "records must be (src, dst, sign, time) tuples, got an array "
+                f"of shape {table.shape}")
+        if node_ids is None:
+            count = n
+            if count is None:
+                count = int(table[:, :2].max()) + 1 if rows else 0
+            node_ids = [str(i) for i in range(count)]
+        return cls(*table.T, node_ids, strict_deletes=strict_deletes)
 
     @classmethod
     def read(cls, source: PathOrFile, *, self_loops: str = "skip",
              strict_deletes: bool = False) -> "TemporalEdgeList":
         """Parse an event file; see :func:`read_events`."""
+        if self_loops not in ("skip", "error"):
+            raise ValueError(f"self_loops must be 'skip' or 'error', got {self_loops!r}")
         if not isinstance(source, (str, Path)):
             return cls._parse(source, self_loops, strict_deletes)
         with open(source, "rb") as raw:
-            # The loop reports a bad policy; a fallback must read again
-            # from the start.
-            if self_loops in ("skip", "error") and raw.seekable():
+            # A fallback to the loop must read again from the start.
+            if raw.seekable():
                 tel = cls._read_canonical(raw, self_loops, strict_deletes)
                 if tel is not None:
                     return tel
@@ -486,18 +484,16 @@ class TemporalEdgeList:
             pairs, sign, time = pairs[~loops], sign[~loops], time[~loops]
         # Rebinding ``pairs`` frees the node values before the replay.
         pairs, node_ids = _first_seen_ids(pairs)
-        tel = cls._finish(pairs[:, 0], pairs[:, 1], sign, time, node_ids,
-                          strict_deletes)
+        tel = cls(pairs[:, 0], pairs[:, 1], sign, time, node_ids,
+                  strict_deletes=strict_deletes)
         tel.stats.self_loops_skipped = skipped
         return tel
 
     @classmethod
     def _parse(cls, handle: TextIO, self_loops: str,
                strict_deletes: bool) -> "TemporalEdgeList":
-        if self_loops not in ("skip", "error"):
-            raise ValueError(f"self_loops must be 'skip' or 'error', got {self_loops!r}")
+        # Token -> index in first-seen order, which is the dict's order.
         index: dict[str, int] = {}
-        node_ids: list[str] = []
         srcs: list[int] = []
         dsts: list[int] = []
         signs: list[int] = []
@@ -533,12 +529,8 @@ class TemporalEdgeList:
                     raise EventFormatError(f"line {lineno}: self-loop {u!r} -> {v!r}")
                 skipped += 1
                 continue
-            for token in (u, v):
-                if token not in index:
-                    index[token] = len(node_ids)
-                    node_ids.append(token)
-            srcs.append(index[u])
-            dsts.append(index[v])
+            srcs.append(index.setdefault(u, len(index)))
+            dsts.append(index.setdefault(v, len(index)))
             signs.append(sign)
             times.append(t)
         src = np.array(srcs, dtype=np.int64)
@@ -546,7 +538,8 @@ class TemporalEdgeList:
         sign = np.array(signs, dtype=np.int64)
         time = np.array(times, dtype=np.int64)
         del srcs, dsts, signs, times
-        tel = cls._finish(src, dst, sign, time, node_ids, strict_deletes)
+        tel = cls(src, dst, sign, time, list(index),
+                  strict_deletes=strict_deletes)
         tel.stats.self_loops_skipped = skipped
         return tel
 
@@ -635,7 +628,8 @@ def read_events(source: PathOrFile, *, self_loops: str = "skip",
     self_loops : {'skip', 'error'}
         Policy for events with ``src == dst``.  ``'skip'`` drops the record
         and counts it in ``stats.self_loops_skipped``; ``'error'`` raises.
-        Skipped records do not register node ids.
+        Skipped records do not register node ids.  The policy is checked
+        before the file is opened.
     strict_deletes : bool
         When True, a delete for an edge that is not currently present is an
         error; otherwise it is ignored and counted in ``stats.noop_deletes``.
@@ -651,6 +645,9 @@ def read_events(source: PathOrFile, *, self_loops: str = "skip",
     EventFormatError
         On malformed lines (with the line number), bad signs, negative or
         non-integer times, or policy violations.
+    ValueError
+        On a ``self_loops`` policy other than ``'skip'`` or ``'error'``,
+        even for a path that does not exist.
     """
     return TemporalEdgeList.read(source, self_loops=self_loops,
                                  strict_deletes=strict_deletes)

@@ -146,14 +146,20 @@ def solve_window_span(share_target: float, half_life: float) -> float:
     The root is found by Brent's method (Brent 1973) on the bracket
     ``lam*T`` in ``[1e-9, 200]``, stopping within ``2e-12 + 4 * eps *
     |x|`` or after 100 iterations (:func:`_brent_root`).  A target whose
-    root lies outside the bracket raises ``ValueError``.
+    root lies outside the bracket, or outside ``(0, 1)``, raises
+    ``ValueError``, as does a ``half_life`` that is not positive and finite.
     """
-    target = share_target / (1.0 - share_target)
+    if not 0.0 < half_life < math.inf:
+        raise ValueError(
+            f"half_life must be positive and finite, got {half_life!r}")
 
     def deleted_fraction(x: float) -> float:
         return 1.0 - (1.0 - math.exp(-x)) / x
 
-    x = _brent_root(lambda x: deleted_fraction(x) - target, *_SPAN_BRACKET)
+    x = None
+    if 0.0 < share_target < 1.0:
+        target = share_target / (1.0 - share_target)
+        x = _brent_root(lambda x: deleted_fraction(x) - target, *_SPAN_BRACKET)
     if x is None:
         low, high = (d / (1.0 + d) for d in map(deleted_fraction, _SPAN_BRACKET))
         raise ValueError(
@@ -401,8 +407,8 @@ def generate(config: GenConfig) -> TemporalEdgeList:
     run_table = np.array(runs, dtype=np.int64).reshape(-1, 3)
     sign = np.repeat(run_table[:, 1], run_table[:, 2])
     time = np.repeat(run_table[:, 0], run_table[:, 2])
-    return TemporalEdgeList._finish(edge_keys // n, edge_keys % n, sign, time,
-                                    [str(v) for v in range(n)], False)
+    return TemporalEdgeList(edge_keys // n, edge_keys % n, sign, time,
+                            [str(v) for v in range(n)])
 
 
 def deletion_share(tel: TemporalEdgeList) -> float:

@@ -439,10 +439,7 @@ def check_closed_form(g: Graph, spec: ScoreSpec, pairs: str = "edges",
     closed_forms = score_matrix(g, candidates, [spec])[0]
     brute = _complement_scores(comp, candidates, spec.measure, spec.combo)
     dev = np.abs(closed_forms - brute)
-    if pairs == "edges":
-        is_edge = np.ones(len(candidates), dtype=bool)
-    else:
-        is_edge = _edge_mask(g, candidates)
+    is_edge = _edge_mask(g, candidates)
     worst: Optional[tuple[int, int]] = None
     max_dev = 0.0
     if len(dev):

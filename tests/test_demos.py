@@ -1,6 +1,8 @@
-"""Smoke test: every narrative demo runs to completion."""
+"""Smoke test: every narrative demo, and the README's Python code, runs to
+completion."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -23,3 +25,15 @@ def test_demo_exits_zero(demo):
     done = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr[-2000:]
+
+
+def test_readme_python_blocks_run(capsys):
+    """The README's ```python blocks run in order in one namespace, as a
+    reader pastes them."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", text, re.M | re.S)
+    assert len(blocks) >= 2
+    namespace = {"__name__": "readme"}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    assert "[1 3]" in capsys.readouterr().out

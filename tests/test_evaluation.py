@@ -346,6 +346,20 @@ def test_never_present_sample_matches_per_key_loop(config):
 
 # ---- lifetimes and survival ----
 
+def test_result_objects_compare_by_identity_without_raising():
+    """``==`` between two distinct streams, splits or lifetime tables with
+    array fields is a bool (identity), not numpy's ambiguous-truth error."""
+    lines = ("a\tb\t+1\t10", "c\td\t+1\t0", "a\tb\t-1\t80",
+             "e\tf\t+1\t100")
+    streams = _stream(*lines), _stream(*lines)
+    splits = [temporal_split(tel, 0.75, seed=0) for tel in streams]
+    lifetimes = [edge_lifetimes(tel) for tel in streams]
+    for first, second in (streams, splits, lifetimes):
+        assert (first == second) is False
+        assert (first != second) is True
+        assert (first == first) is True
+
+
 def test_lifetime_simple_delete():
     tel = _stream("a\tb\t+1\t10", "a\tb\t-1\t80")
     records = edge_lifetimes(tel)

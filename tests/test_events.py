@@ -150,6 +150,104 @@ def test_from_records_rejects_negative_time():
         TemporalEdgeList.from_records([(0, 1, 1, -2)], n=2)
 
 
+def _columns(tel):
+    return [(a.dtype.str, a.tolist()) for a in (
+        tel.src, tel.dst, tel.sign, tel.time, tel.intervals.key,
+        tel.intervals.start, tel.intervals.end)]
+
+
+def test_constructor_builds_what_from_records_builds():
+    """The constructor sorts shuffled columns by time (equal times in input
+    order), replays them, counts the ingest stats and freezes the columns,
+    exactly as from_records does for the same rows."""
+    rows = [(0, 1, 1, 3), (0, 1, 1, 3), (1, 2, 1, 0), (0, 1, -1, 7),
+            (2, 0, -1, 2), (1, 2, -1, 5), (1, 2, 1, 5), (0, 1, 1, 7),
+            (2, 1, 1, 9), (2, 0, 1, 2)]
+    rng = np.random.default_rng(7)
+    rows = [rows[k] for k in rng.permutation(len(rows))]
+    src, dst, sign, time = (np.array(column) for column in zip(*rows))
+    given = [column.copy() for column in (src, dst, sign, time)]
+    tel = TemporalEdgeList(src, dst, sign, time, ["a", "b", "c"])
+    want = TemporalEdgeList.from_records(rows, node_ids=["a", "b", "c"])
+    assert _columns(tel) == _columns(want)
+    assert tel.node_ids == want.node_ids
+    assert tel.stats == want.stats
+    assert tel.stats.duplicate_adds and tel.stats.noop_deletes
+    got_bytes, want_bytes = io.StringIO(), io.StringIO()
+    tel.write(got_bytes)
+    want.write(want_bytes)
+    assert got_bytes.getvalue() == want_bytes.getvalue()
+    for column in (tel.src, tel.dst, tel.sign, tel.time):
+        assert not column.flags.writeable
+        with pytest.raises(ValueError):
+            column[0] = 0
+    # The caller's columns keep their order and stay writable.
+    for column, before in zip((src, dst, sign, time), given):
+        assert column.flags.writeable
+        assert column.tolist() == before.tolist()
+
+
+def test_constructor_replays_unsorted_columns_in_time_order():
+    """A delete at t=5 given before an add at t=1 is replayed after it:
+    a->b is live from t=1 until t=5 and gone at t=6."""
+    tel = TemporalEdgeList([0, 0], [1, 1], [-1, 1], [5, 1], ["a", "b"])
+    assert (tel.time_first, tel.time_last) == (1, 5)
+    assert tel.live_keys(3).tolist() == [1]
+    assert tel.live_keys(6).tolist() == []
+    assert tel.stats.noop_deletes == 0
+    with pytest.raises(EventFormatError, match="delete of absent edge"):
+        TemporalEdgeList([0, 0], [1, 1], [1, -1], [5, 1], ["a", "b"],
+                         strict_deletes=True)
+
+
+@pytest.mark.parametrize("columns", [
+    ([0, 1], [1, 0], [1, 1], [0]),
+    ([0], [1], [1, 1], [0]),
+    ([[0, 1]], [[1, 0]], [[1, 1]], [[0, 0]]),
+    (0, 1, 1, 0),
+], ids=["short-time", "short-sign", "2-d", "0-d"])
+def test_constructor_rejects_columns_of_other_shapes(columns):
+    with pytest.raises(EventFormatError, match=(
+            "^src, dst, sign and time must be 1-d arrays of equal length$")):
+        TemporalEdgeList(*columns, ["a", "b"])
+
+
+@pytest.mark.parametrize("record, shape", [
+    ((0, 1, 1), r"\(2, 3\)"),
+    ((0, 1, 1, 4, 9), r"\(2, 5\)"),
+], ids=["3-fields", "5-fields"])
+def test_from_records_rejects_records_of_other_than_four_fields(record, shape):
+    """A 3-field record is not an IndexError, and a 5-field one is not cut
+    to four fields."""
+    with pytest.raises(EventFormatError, match=(
+            r"^records must be \(src, dst, sign, time\) tuples, got an "
+            rf"array of shape {shape}$")):
+        TemporalEdgeList.from_records([record, record], n=3)
+
+
+def test_repr_is_short_and_equality_is_identity():
+    tel = TemporalEdgeList.from_records([(0, 1, 1, 5), (1, 2, 1, 6)], n=5)
+    same = TemporalEdgeList.from_records([(0, 1, 1, 5), (1, 2, 1, 6)], n=5)
+    assert repr(tel) == "TemporalEdgeList(n=5, events=2)"
+    assert repr(TemporalEdgeList.from_records([])) == (
+        "TemporalEdgeList(n=0, events=0)")
+    assert tel == tel
+    assert (tel == same) is False
+    assert len({tel, same}) == 2
+
+
+def test_bad_self_loop_policy_is_checked_before_the_source(tmp_path):
+    """The policy is checked on entry: on a path, on a missing path and on
+    a file object alike."""
+    message = r"^self_loops must be 'skip' or 'error', got 'keep'$"
+    path = tmp_path / "events.tsv"
+    path.write_text("a\tb\t+1\t1\n")
+    for source in (str(path), str(tmp_path / "missing.tsv"),
+                   io.StringIO("a\tb\t+1\t1\n")):
+        with pytest.raises(ValueError, match=message):
+            read_events(source, self_loops="keep")
+
+
 def test_time_bounds():
     tel = _read("a\tb\t+1\t4\nb\tc\t+1\t19\n")
     assert tel.time_first == 4

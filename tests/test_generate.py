@@ -273,6 +273,22 @@ def test_unsolvable_share_target_names_the_option(share, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("share, half_life, message", [
+    (0.27, -5.0, r"^half_life must be positive and finite, got -5\.0$"),
+    (0.27, 0.0, r"^half_life must be positive and finite, got 0\.0$"),
+    (0.27, math.inf, r"^half_life must be positive and finite, got inf$"),
+    (1.0, 23.0, r"^deletion_share_target 1\.0 has no window span: "),
+    (1.5, 23.0, r"^deletion_share_target 1\.5 has no window span: "),
+], ids=["negative-half-life", "zero-half-life", "infinite-half-life",
+        "share-one", "share-above-one"])
+def test_window_span_checks_its_arguments(share, half_life, message):
+    """A half-life that is not positive and finite, or a share target
+    outside (0, 1), is a ValueError naming the value given, not a negative
+    span or a ZeroDivisionError."""
+    with pytest.raises(ValueError, match=message):
+        solve_window_span(share, half_life)
+
+
 def test_infeasible_config_rejected():
     with pytest.raises(ValueError, match="capacity"):
         GenConfig(seed=0, n_nodes=5, n_add_events=100).validated()
