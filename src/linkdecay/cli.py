@@ -37,14 +37,15 @@ import numpy as np
 
 from . import __version__
 from .datasets import random_directed_graph, random_reciprocal_graph
-from .evaluation import (_cut_time, edge_lifetimes, evaluate,
+from .evaluation import (_TIE_BREAKS, _cut_time, edge_lifetimes, evaluate,
                          evaluate_link_prediction, fit_exponential_half_life,
                          survival_curve, sweep, temporal_split)
 from .events import EventFormatError, _data_lines, _opened, read_events
-from .generate import GenConfig, deletion_share, generate
-from .graph import snapshot_at
+from .generate import _BIASES, GenConfig, deletion_share, generate
+from .graph import _as_pairs, snapshot_at
 from .oracle import _check_request, check_closed_form
-from .scoring import ScoreSpec, all_specs, score_matrix
+from .scoring import (DegreeCombination, Measure, ScoreModel, ScoreSpec, all_specs,
+                      score_matrix)
 
 __all__ = ["main"]
 
@@ -227,7 +228,7 @@ def _load_pairs(path, tel) -> np.ndarray:
             except KeyError as exc:
                 raise ValueError(
                     f"{path}: line {lineno}: unknown node {exc.args[0]!r}") from None
-    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    return _as_pairs(pairs)
 
 
 def _cmd_score(args) -> list:
@@ -353,14 +354,11 @@ def _add_common(sub, output_default="-") -> None:
 
 def _add_spec_flags(sub, with_model=True) -> None:
     if with_model:
-        sub.add_argument("--model", default="score",
-                         choices=["score", "network"],
+        sub.add_argument("--model", default="score", choices=[m.value for m in ScoreModel],
                          help="decay model (default score)")
-    sub.add_argument("--measure", default="pa",
-                     choices=["pa", "cn", "cos", "jacc", "adad"],
+    sub.add_argument("--measure", default="pa", choices=[m.value for m in Measure],
                      help="link-prediction measure (default pa)")
-    sub.add_argument("--combo", default="sym",
-                     choices=["sym", "asym", "in", "out"],
+    sub.add_argument("--combo", default="sym", choices=[m.value for m in DegreeCombination],
                      help="degree combination (default sym)")
     if with_model:
         sub.add_argument("--adad-complement-weights", action="store_true",
@@ -371,8 +369,7 @@ def _add_spec_flags(sub, with_model=True) -> None:
 def _add_eval_flags(sub) -> None:
     sub.add_argument("--fraction", type=float, default=0.75,
                      help="temporal cut position in (0,1) (default 0.75)")
-    sub.add_argument("--tie-break", default="lexicographic",
-                     choices=["lexicographic", "expected"],
+    sub.add_argument("--tie-break", default="lexicographic", choices=_TIE_BREAKS,
                      help="equal-score policy: deterministic endpoint order "
                           "or closed-form expected AP (default lexicographic)")
     sub.add_argument("--seed", type=int, help="RNG seed (required)")
@@ -434,7 +431,7 @@ def _build_parser() -> _Parser:
                      help="seed for --random-nodes and pair sampling (default 0)")
     _add_spec_flags(sub, with_model=False)
     sub.add_argument("--model", default="network",
-                     choices=["score", "network"], help=argparse.SUPPRESS)
+                     choices=[m.value for m in ScoreModel], help=argparse.SUPPRESS)
     sub.add_argument("--adad-complement-weights", action="store_true",
                      help="verify the complement-degree adad variant")
     sub.set_defaults(func=_cmd_verify)
@@ -471,8 +468,7 @@ def _build_parser() -> _Parser:
                      help="preferential-attachment strength (default 1.0)")
     sub.add_argument("--decay-half-life", type=float, default=23.0,
                      help="edge half-life in ticks (default 23)")
-    sub.add_argument("--decay-bias", default="none",
-                     choices=["none", "low_degree", "few_common_neighbors"],
+    sub.add_argument("--decay-bias", default="none", choices=_BIASES,
                      help="planted decay signal (default none)")
     sub.add_argument("--hazard-multiplier", type=float, default=4.0,
                      help="hazard factor for the biased class (default 4)")

@@ -68,8 +68,7 @@ def random_directed_graph(n: int, density: float, rng: np.random.Generator) -> G
     with probability ``density``."""
     mask = rng.random((n, n)) < density
     np.fill_diagonal(mask, False)
-    src, dst = np.nonzero(mask)
-    return Graph(n, src.astype(np.int64), dst.astype(np.int64))
+    return Graph(n, *np.nonzero(mask))
 
 
 def random_reciprocal_graph(n: int, density: float, rng: np.random.Generator) -> Graph:
@@ -81,6 +80,4 @@ def random_reciprocal_graph(n: int, density: float, rng: np.random.Generator) ->
     """
     upper = rng.random((n, n)) < density
     mask = np.triu(upper, k=1)
-    mask = mask | mask.T
-    src, dst = np.nonzero(mask)
-    return Graph(n, src.astype(np.int64), dst.astype(np.int64))
+    return Graph(n, *np.nonzero(mask | mask.T))

@@ -34,7 +34,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .events import TemporalEdgeList
-from .graph import snapshot_at
+from .graph import _as_pairs, snapshot_at
 from .scoring import (Measure, ScoreModel, ScoreSpec, DegreeCombination,
                       all_specs, score_matrix)
 
@@ -184,8 +184,12 @@ class APResult:
         return (np.cumsum(self.positive) / ranks).tolist()
 
 
+#: The tie policies of every ranking, in the order the CLI lists them.
+_TIE_BREAKS = ("lexicographic", "expected")
+
+
 def _check_tie_break(tie_break: str) -> None:
-    if tie_break not in ("lexicographic", "expected"):
+    if tie_break not in _TIE_BREAKS:
         raise ValueError(f"tie_break must be 'lexicographic' or 'expected', got {tie_break!r}")
 
 
@@ -240,12 +244,6 @@ def _rank_rows(pairs: np.ndarray, rows: Iterable[np.ndarray],
                        tie_break=tie_break)
 
 
-def _rank(pairs: np.ndarray, scores: np.ndarray, positive: np.ndarray,
-          tie_break: str) -> APResult:
-    """:func:`_rank_rows` for one score row."""
-    return next(_rank_rows(pairs, (scores,), positive, tie_break))
-
-
 def average_precision(scored: Iterable[tuple], tie_break: str = "lexicographic") -> APResult:
     """Average precision of a labeled scored edge list.
 
@@ -255,7 +253,8 @@ def average_precision(scored: Iterable[tuple], tie_break: str = "lexicographic")
     ascending, so the ranking is deterministic.  AP is the mean precision
     at the positive positions.  ``tie_break="expected"`` instead returns
     the expected AP when tied items are ordered uniformly at random
-    (useful when a sparse measure assigns many identical scores).
+    (useful when a sparse measure assigns many identical scores).  Edges
+    that are not ``(src, dst)`` pairs of exact int64 values raise ``ValueError``.
     """
     items = list(scored)
     edges, scores, labels = zip(*items) if items else ((), (), ())
@@ -264,8 +263,8 @@ def average_precision(scored: Iterable[tuple], tie_break: str = "lexicographic")
     bad = np.flatnonzero(~positive & (labels != "zero"))
     if len(bad):
         raise ValueError(f"label must be 'test' or 'zero', got {labels[bad[0]]!r}")
-    return _rank(np.array(edges, dtype=np.int64).reshape(-1, 2),
-                 np.array(scores, dtype=np.float64), positive, tie_break)
+    return next(_rank_rows(_as_pairs(edges), (np.array(scores, dtype=np.float64),),
+                           positive, tie_break))
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +275,14 @@ def _labeled(test: np.ndarray, zero: np.ndarray) -> tuple[np.ndarray, np.ndarray
     """The ranked pairs, positives first, and their positive mask."""
     pairs = np.vstack((test, zero))
     return pairs, np.arange(len(pairs)) < len(test)
+
+
+def _rank_split(tel: TemporalEdgeList, split: EvaluationSplit,
+                specs: list[ScoreSpec], tie_break: str) -> Iterator[APResult]:
+    """The split's pairs ranked under each spec on the snapshot at ``t1``."""
+    pairs, positive = _labeled(split.test_set, split.zero_test_set)
+    scores = score_matrix(snapshot_at(tel, split.t1), pairs, specs)
+    return _rank_rows(pairs, scores, positive, tie_break)
 
 
 def evaluate(tel: TemporalEdgeList, spec: ScoreSpec, fraction: float = 0.75, *,
@@ -306,18 +313,14 @@ def evaluate(tel: TemporalEdgeList, spec: ScoreSpec, fraction: float = 0.75, *,
     _check_tie_break(tie_break)
     if split is None:
         split = temporal_split(tel, fraction, seed=seed)
-    pairs, positive = _labeled(split.test_set, split.zero_test_set)
-    scores = score_matrix(snapshot_at(tel, split.t1), pairs, [spec])[0]
-    return _rank(pairs, scores, positive, tie_break)
+    return next(_rank_split(tel, split, [spec], tie_break))
 
 
 def sweep(tel: TemporalEdgeList, split: EvaluationSplit,
           tie_break: str = "lexicographic") -> list[float]:
     """AP of each spec of :func:`all_specs` on one split, in that order."""
     _check_tie_break(tie_break)
-    pairs, positive = _labeled(split.test_set, split.zero_test_set)
-    scores = score_matrix(snapshot_at(tel, split.t1), pairs, all_specs())
-    return [result.ap for result in _rank_rows(pairs, scores, positive, tie_break)]
+    return [result.ap for result in _rank_split(tel, split, all_specs(), tie_break)]
 
 
 def random_baseline(split: EvaluationSplit, *, seed: int,
@@ -335,7 +338,7 @@ def random_baseline(split: EvaluationSplit, *, seed: int,
     _check_tie_break(tie_break)
     pairs, positive = _labeled(split.test_set, split.zero_test_set)
     scores = np.random.default_rng(seed).random(len(pairs))
-    return _rank(pairs, scores, positive, tie_break)
+    return next(_rank_rows(pairs, (scores,), positive, tie_break))
 
 
 def _in_sorted(keys: np.ndarray, wanted: np.ndarray) -> np.ndarray:
@@ -400,7 +403,7 @@ def evaluate_link_prediction(tel: TemporalEdgeList, measure: Measure,
     # The score model's decay score is the negated raw measure.
     spec = ScoreSpec(ScoreModel.COMPLEMENT_SCORE, measure, combo)
     scores = -score_matrix(snapshot_at(tel, t1), pairs, [spec])[0]
-    return _rank(pairs, scores, positive, tie_break)
+    return next(_rank_rows(pairs, (scores,), positive, tie_break))
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,7 @@ numpy's stable argsort.
 from __future__ import annotations
 
 import io
+import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -105,6 +106,42 @@ _SIGNS = {"+1": 1, "1": 1, "-1": -1}
 _MAX_TIME = int(np.iinfo(np.int64).max)
 
 PathOrFile = Union[str, Path, TextIO]
+
+
+def _int64(values, error: type[Exception], what: str, shape_message: str,
+           width: int | None = None) -> np.ndarray:
+    """Caller values as int64 ``(k, width)`` rows of any iterable (no rows
+    as zero rows), or a 1-d column when ``width`` is None.  An int64 array
+    is returned as it is; integer dtypes and integral floats are converted.
+    A fraction, NaN, an infinity, ``2**63`` or more, a string or another
+    object raises ``error`` naming ``what`` and the value, without a
+    ``RuntimeWarning``; another shape, ragged rows included, raises
+    ``error(shape_message.format(shape))``."""
+    arr = values
+    if not isinstance(values, np.ndarray):
+        values = values if width is None else list(values)
+        try:
+            arr = np.asarray(values)
+        except ValueError:  # ragged rows: a 1-d array of objects
+            arr = np.array(values, dtype=object)
+    if width is not None and arr.shape[:1] == (0,):
+        return np.empty((0, width), dtype=np.int64)
+    if arr.ndim != (1 if width is None else 2) or arr.shape[1:] not in ((), (width,)):
+        raise error(shape_message.format(arr.shape))
+    if np.can_cast(arr.dtype, np.int64):
+        return arr.astype(np.int64, copy=False)
+    if arr is values and arr.dtype.kind == "f":
+        top = np.float64(2 ** 63)
+        bad = arr[(np.trunc(arr) != arr) | (arr < -top) | (arr >= top)][:1].tolist()
+    else:
+        # Python values, one by one: a list numpy reads as floats may hold
+        # ints above 2**53 that float64 rounds.
+        arr = np.array(values, dtype=object)
+        bad = [x for x in arr.flat if not (isinstance(x, numbers.Real)
+                                           and -2 ** 63 <= x < 2 ** 63 and int(x) == x)][:1]
+    if bad:
+        raise error(f"{what}: expected integers that int64 holds, got {bad[0]!r}")
+    return arr.astype(np.int64)
 
 
 @contextmanager
@@ -374,7 +411,7 @@ class TemporalEdgeList:
     Events are stored columnar (``src``, ``dst``, ``sign``, ``time`` arrays)
     for cheap slicing; ``events`` iterates them as :class:`EdgeEvent`.
     ``node_ids`` maps compact index -> original token.  The constructor is
-    the one way to build a stream; ``read``, ``from_records`` and
+    the one way to build a stream; :func:`read_events`, ``from_records`` and
     :func:`~linkdecay.generate.generate` call it.  Equal timestamps keep
     their input order, so replaying a prefix is well defined.  The stream
     is replayed once, on construction, into ``intervals`` and ``stats``;
@@ -387,12 +424,14 @@ class TemporalEdgeList:
                  strict_deletes: bool = False):
         """Check the indexed columns as int64, sort them by time with equal
         times in input order (:func:`_stable_order`), replay them and freeze
-        them.  The caller's arrays are not changed."""
-        src, dst, sign, time = (np.asarray(column, dtype=np.int64)
+        them.  The caller's arrays are not changed.  Columns not 1-d and of
+        equal length, or not exact int64 values (:func:`_int64`), raise
+        :class:`EventFormatError`."""
+        message = "src, dst, sign and time must be 1-d arrays of equal length"
+        src, dst, sign, time = (_int64(column, EventFormatError, "event columns", message)
                                 for column in (src, dst, sign, time))
-        if src.ndim != 1 or not src.shape == dst.shape == sign.shape == time.shape:
-            raise EventFormatError(
-                "src, dst, sign and time must be 1-d arrays of equal length")
+        if not src.shape == dst.shape == sign.shape == time.shape:
+            raise EventFormatError(message)
         node_ids = list(node_ids)
         n = len(node_ids)
         if len(src) and (src.min() < 0 or dst.min() < 0
@@ -429,41 +468,18 @@ class TemporalEdgeList:
         """Build from already-indexed ``(src, dst, sign, time)`` tuples.
 
         ``node_ids`` (or ``n``, producing string tokens ``"0".."n-1"``) fixes
-        the node universe; otherwise it is ``max index + 1``.  A record of
-        other than four fields, or a sign other than +1 or -1, raises
-        :class:`EventFormatError`.
+        the node universe; otherwise it is ``max index + 1``.  Records of
+        other than four fields (ragged ones too), values int64 does not hold
+        exactly, or a sign other than +1 or -1 raise :class:`EventFormatError`.
         """
-        rows = list(records)
-        table = (np.array(rows, dtype=np.int64) if rows
-                 else np.empty((0, 4), dtype=np.int64))
-        if table.ndim != 2 or table.shape[1] != 4:
-            raise EventFormatError(
-                "records must be (src, dst, sign, time) tuples, got an array "
-                f"of shape {table.shape}")
+        table = _int64(records, EventFormatError, "records",
+                       "records must be (src, dst, sign, time) tuples, got an "
+                       "array of shape {}", width=4)
         if node_ids is None:
-            count = n
-            if count is None:
-                count = int(table[:, :2].max()) + 1 if rows else 0
-            node_ids = [str(i) for i in range(count)]
+            if n is None:
+                n = int(table[:, :2].max()) + 1 if len(table) else 0
+            node_ids = [str(i) for i in range(n)]
         return cls(*table.T, node_ids, strict_deletes=strict_deletes)
-
-    @classmethod
-    def read(cls, source: PathOrFile, *, self_loops: str = "skip",
-             strict_deletes: bool = False) -> "TemporalEdgeList":
-        """Parse an event file; see :func:`read_events`."""
-        if self_loops not in ("skip", "error"):
-            raise ValueError(f"self_loops must be 'skip' or 'error', got {self_loops!r}")
-        if not isinstance(source, (str, Path)):
-            return cls._parse(source, self_loops, strict_deletes)
-        with open(source, "rb") as raw:
-            # A fallback to the loop must read again from the start.
-            if raw.seekable():
-                tel = cls._read_canonical(raw, self_loops, strict_deletes)
-                if tel is not None:
-                    return tel
-                raw.seek(0)
-            with io.TextIOWrapper(raw, encoding="utf-8") as handle:
-                return cls._parse(handle, self_loops, strict_deletes)
 
     @classmethod
     def _read_canonical(cls, raw: BinaryIO, self_loops: str,
@@ -649,8 +665,19 @@ def read_events(source: PathOrFile, *, self_loops: str = "skip",
         On a ``self_loops`` policy other than ``'skip'`` or ``'error'``,
         even for a path that does not exist.
     """
-    return TemporalEdgeList.read(source, self_loops=self_loops,
-                                 strict_deletes=strict_deletes)
+    if self_loops not in ("skip", "error"):
+        raise ValueError(f"self_loops must be 'skip' or 'error', got {self_loops!r}")
+    if not isinstance(source, (str, Path)):
+        return TemporalEdgeList._parse(source, self_loops, strict_deletes)
+    with open(source, "rb") as raw:
+        # A fallback to the loop must read again from the start.
+        if raw.seekable():
+            tel = TemporalEdgeList._read_canonical(raw, self_loops, strict_deletes)
+            if tel is not None:
+                return tel
+            raw.seek(0)
+        with io.TextIOWrapper(raw, encoding="utf-8") as handle:
+            return TemporalEdgeList._parse(handle, self_loops, strict_deletes)
 
 
 def read_id_map(source: PathOrFile) -> dict[str, int]:

@@ -19,11 +19,11 @@ the decay scorers and the pairwise queries read its columns.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .events import TemporalEdgeList
+from .events import TemporalEdgeList, _int64
 
 __all__ = [
     "DegreeCombination",
@@ -36,28 +36,38 @@ __all__ = [
 ]
 
 
+def _as_pairs(pairs: Iterable[Sequence[int]]) -> np.ndarray:
+    """``pairs`` as ``(k, 2)`` int64 rows by :func:`_int64`, else ``ValueError``."""
+    return _int64(pairs, ValueError, "pairs", "pairs must have shape (k, 2), got {}", 2)
+
+
 class Graph:
     """Immutable directed simple graph with sorted neighbor arrays.
 
     Every build checks that endpoints lie in ``0..n-1`` and that there are
-    no self-loops and no duplicate edges, raising ``ValueError`` otherwise.
+    no self-loops and no duplicate edges, raising ``ValueError`` otherwise,
+    as it does for a node count, endpoint or query node int64 does not hold
+    exactly (:func:`_int64`); an integer query node not in ``0..n-1`` is an
+    ``IndexError``.
     """
 
     __slots__ = ("_n", "_rows")
 
     def __init__(self, n: int, src: np.ndarray, dst: np.ndarray):
+        n = int(_int64([n], ValueError, "node count", "node count must be one integer")[0])
         if n < 0:
             raise ValueError(f"node count must be >= 0, got {n}")
-        src = np.asarray(src, dtype=np.int64)
-        dst = np.asarray(dst, dtype=np.int64)
-        if src.shape != dst.shape or src.ndim != 1:
-            raise ValueError("src and dst must be 1-d arrays of equal length")
+        message = "src and dst must be 1-d arrays of equal length"
+        src = _int64(src, ValueError, "edge endpoints", message)
+        dst = _int64(dst, ValueError, "edge endpoints", message)
+        if src.shape != dst.shape:
+            raise ValueError(message)
         if len(src):
             if src.min() < 0 or dst.min() < 0 or src.max() >= n or dst.max() >= n:
                 raise ValueError("edge endpoint out of range")
             if np.any(src == dst):
                 raise ValueError("self-loops are not allowed")
-        self._n = int(n)
+        self._n = n
         out_keys = _sorted_keys(n, src, dst)
         if np.any(out_keys[1:] == out_keys[:-1]):
             raise ValueError("duplicate edges are not allowed")
@@ -74,9 +84,8 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        """Build a graph on ``n`` nodes from ``(src, dst)`` pairs."""
-        pairs = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
-        return cls(n, pairs[:, 0], pairs[:, 1])
+        """Build a graph on ``n`` nodes from ``(src, dst)`` pairs (:func:`_as_pairs`)."""
+        return cls(n, *_as_pairs(edges).T)
 
     # ---- size ----
 
@@ -91,7 +100,7 @@ class Graph:
     # ---- per-node queries ----
 
     def _check_node(self, v: int) -> int:
-        v = int(v)
+        v = int(_int64([v], ValueError, "node", "node must be one integer")[0])
         if not 0 <= v < self._n:
             raise IndexError(f"unknown node {v} (graph has {self._n} nodes)")
         return v
@@ -325,8 +334,8 @@ def pair_features(g: Graph, pairs: np.ndarray,
     g : Graph
         Snapshot to read.
     pairs : array of shape (k, 2)
-        Valid pairs of distinct nodes.  Temporaries grow with the summed
-        row lengths of the block, so callers split large batches.
+        Valid pairs of distinct nodes (:func:`_as_pairs`).  Temporaries grow
+        with the summed row lengths of the block, so callers split batches.
     combo : DegreeCombination
         Which rows fill the two slots.
 
@@ -337,7 +346,7 @@ def pair_features(g: Graph, pairs: np.ndarray,
         the keys their merge repeats are the common neighbours (a repeated
         pair has keys of its own), grouped by pair and ascending within each.
     """
-    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    pairs = _as_pairs(pairs)
     n = g.node_count
     (ptr1, idx1), (ptr2, idx2) = DegreeCombination(combo).slot_csr(g)
     rows1, d1 = _gather_rows(ptr1, idx1, pairs[:, 0])
@@ -348,9 +357,7 @@ def pair_features(g: Graph, pairs: np.ndarray,
 
 
 def _check_pair(g: Graph, i: int, j: int) -> None:
-    g._check_node(i)
-    g._check_node(j)
-    if int(i) == int(j):
+    if g._check_node(i) == g._check_node(j):
         raise ValueError(f"candidate pair must have distinct endpoints, got ({i}, {j})")
 
 
@@ -361,12 +368,12 @@ def common_neighbor_count(g: Graph, i: int, j: int,
     For ASYM this is the number of directed 2-paths ``i -> k -> j``.
     """
     _check_pair(g, i, j)
-    return int(pair_features(g, np.array([[i, j]]), combo).cn[0])
+    return int(pair_features(g, [(i, j)], combo).cn[0])
 
 
 def union_neighborhood_size(g: Graph, i: int, j: int,
                             combo: DegreeCombination = DegreeCombination.SYM) -> int:
     """Size of the union of the combo-selected neighbor sets."""
     _check_pair(g, i, j)
-    d1, d2, cn, _ = pair_features(g, np.array([[i, j]]), combo)
+    d1, d2, cn, _ = pair_features(g, [(i, j)], combo)
     return int(d1[0] + d2[0] - cn[0])

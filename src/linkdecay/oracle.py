@@ -127,8 +127,7 @@ def materialize_complement(g: Graph) -> Graph:
     Raises ``ValueError`` beyond ``COMPLEMENT_NODE_LIMIT`` nodes: the
     result has ``n*(n-1) - m`` edges, which is dense for any sparse input.
     """
-    src, dst = np.nonzero(_complement_matrix(g, False))
-    return Graph(g.node_count, src.astype(np.int64), dst.astype(np.int64))
+    return Graph(g.node_count, *np.nonzero(_complement_matrix(g, False)))
 
 
 def symmetrize(g: Graph) -> Graph:

@@ -42,8 +42,8 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .graph import (DegreeCombination, Graph, _check_pair, _gather_rows, _parse_choice,
-                    pair_features)
+from .graph import (DegreeCombination, Graph, _as_pairs, _check_pair, _gather_rows,
+                    _parse_choice, pair_features)
 
 __all__ = [
     "Measure",
@@ -267,23 +267,12 @@ def _decay_scores(g: Graph, pairs: np.ndarray, specs: Sequence[ScoreSpec],
             np.negative(row, out=row)
 
 
-def _as_pairs(pairs: Iterable[Sequence[int]]) -> np.ndarray:
-    """``pairs`` as a ``(k, 2)`` int64 array; empty input is zero pairs."""
-    arr = np.asarray(pairs if isinstance(pairs, np.ndarray) else list(pairs),
-                     dtype=np.int64)
-    if arr.size == 0:
-        return np.empty((0, 2), dtype=np.int64)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValueError(f"pairs must have shape (k, 2), got {arr.shape}")
-    return arr
-
-
 def score_matrix(g: Graph, pairs: Iterable[Sequence[int]],
                  specs: Sequence[ScoreSpec]) -> np.ndarray:
     """Decay scores of ``(k, 2)`` pairs under each spec, as a float array
     of shape ``(len(specs), k)`` in input order.  A bad pair raises the
     error :func:`decay_score` would, with its position prepended; input not
-    shaped ``(k, 2)`` raises ``ValueError``."""
+    read as ``(k, 2)`` int64 pairs by ``_as_pairs`` raises ``ValueError``."""
     arr = _as_pairs(pairs)
     i, j = arr[:, 0], arr[:, 1]
     n = g.node_count
@@ -306,7 +295,7 @@ def score_matrix(g: Graph, pairs: Iterable[Sequence[int]],
 def decay_score(g: Graph, i: int, j: int, spec: ScoreSpec) -> float:
     """Score one pair under a fully resolved :class:`ScoreSpec`."""
     _check_pair(g, i, j)
-    return float(score_matrix(g, np.array([[i, j]], dtype=np.int64), [spec])[0, 0])
+    return float(score_matrix(g, [(i, j)], [spec])[0, 0])
 
 
 def complement_score(g: Graph, i: int, j: int, measure: Measure,
@@ -408,7 +397,8 @@ def complement_network_score(g: Graph, i: int, j: int, measure: Measure,
 def score_batch(g: Graph, pairs: Iterable[Sequence[int]],
                 spec: ScoreSpec) -> list[ScoredEdge]:
     """Score many pairs under one spec, preserving input order: the one
-    row of :func:`score_matrix` as :class:`ScoredEdge` objects."""
+    row of :func:`score_matrix` (which reads and checks the pairs) as
+    :class:`ScoredEdge` objects."""
     arr = _as_pairs(pairs)
     scores = score_matrix(g, arr, [spec])[0]
     return list(map(ScoredEdge._make, zip(*arr.T.tolist(), scores.tolist())))
