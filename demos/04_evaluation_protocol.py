@@ -46,7 +46,7 @@ print(f"cut at t1 = {split.t1:.2f}: {len(split.test_set)} decayed edges, "
 # compare against the random floor.
 
 spec = ScoreSpec(ScoreModel.COMPLEMENT_SCORE, Measure.PA, DegreeCombination.OUT)
-result = evaluate(tel, spec, seed=0, split=split)
+result = evaluate(tel, spec, split)
 floor = random_baseline(split, seed=0)
 print(f"\n{spec}: AP = {result.ap:.4f}")
 print(f"random baseline: AP = {floor.ap:.4f}")
@@ -65,7 +65,7 @@ creation = evaluate_link_prediction(tel, Measure.CN, DegreeCombination.SYM, seed
 with warnings.catch_warnings():
     warnings.simplefilter("ignore")
     decay = evaluate(tel, ScoreSpec(ScoreModel.COMPLEMENT_SCORE, Measure.CN,
-                                    DegreeCombination.SYM), seed=0, split=split)
+                                    DegreeCombination.SYM), split)
 print(f"\ncommon neighbors, creation side: AP = {creation.ap:.4f}")
 print(f"common neighbors, decay side:    AP = {decay.ap:.4f}")
 
@@ -78,5 +78,5 @@ print("\nAP by scorer:")
 for model in ScoreModel:
     for measure in (Measure.PA, Measure.CN, Measure.ADAD):
         s = ScoreSpec(model, measure, DegreeCombination.SYM)
-        r = evaluate(tel, s, seed=0, split=split)
+        r = evaluate(tel, s, split)
         print(f"  {str(s):20s} {r.ap:.4f}")

@@ -160,8 +160,8 @@ def _require_seed(args) -> None:
 
 
 def _spec_from_args(args) -> ScoreSpec:
-    return ScoreSpec.from_strings(args.model, args.measure, args.combo,
-                                  args.adad_complement_weights)
+    return ScoreSpec(args.model, args.measure, args.combo,
+                     args.adad_complement_weights)
 
 
 def _write_table(path, header, rows) -> None:
@@ -268,8 +268,7 @@ def _cmd_evaluate(args) -> list:
     tel = _read_input(args)
     spec = _spec_from_args(args)
     split = temporal_split(tel, args.fraction, seed=args.seed)
-    result = evaluate(tel, spec, args.fraction, seed=args.seed,
-                      tie_break=args.tie_break, split=split)
+    result = evaluate(tel, spec, split, args.tie_break)
     _write_ranking(args, tel, result)
     if args.survival_output is not None:
         _write_curve(args.survival_output, edge_lifetimes(tel))

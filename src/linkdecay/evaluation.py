@@ -3,14 +3,17 @@
 The protocol: cut an event stream at ``t1 = first + fraction * span``.
 Edges alive at ``t1`` but gone by the final time form the positive test
 set; an equal-size seeded sample of edges that survived forms the zero
-(negative) set.  A scorer ranks the union, and average precision over that
-ranking measures how well decayed edges float to the top.  A creation-side
-twin (:func:`evaluate_link_prediction`) ranks newly formed edges against
-never-present pairs with the raw measures, so decay and creation
-difficulty can be compared on the same stream.  Every protocol scores its
-pairs with one :func:`~linkdecay.scoring.score_matrix` call on the ``t1``
-snapshot; :func:`sweep` passes all 40 specs at once, so they share one
-snapshot and one pair-feature pass per degree combination.
+(negative) set.  :func:`temporal_split` makes that cut and owns its
+options.  A scorer ranks the union, and average precision over that
+ranking measures how well decayed edges float to the top:
+:func:`evaluate` ranks a given split with one spec, :func:`sweep` with
+all 40.  A creation-side twin (:func:`evaluate_link_prediction`) ranks
+newly formed edges against never-present pairs with the raw measures, so
+decay and creation difficulty can be compared on the same stream.  Every
+protocol scores its pairs with one
+:func:`~linkdecay.scoring.score_matrix` call on the ``t1`` snapshot;
+:func:`sweep` passes all 40 specs at once, so they share one snapshot and
+one pair-feature pass per degree combination.
 
 Every protocol ranks through one array path.  The pairs are put in their
 stable lexicographic order once; each score row then gets one stable
@@ -285,34 +288,17 @@ def _rank_split(tel: TemporalEdgeList, split: EvaluationSplit,
     return _rank_rows(pairs, scores, positive, tie_break)
 
 
-def evaluate(tel: TemporalEdgeList, spec: ScoreSpec, fraction: float = 0.75, *,
-             seed: int, tie_break: str = "lexicographic",
-             split: EvaluationSplit | None = None) -> APResult:
-    """Run the decay-evaluation protocol end to end.
+def evaluate(tel: TemporalEdgeList, spec: ScoreSpec, split: EvaluationSplit,
+             tie_break: str = "lexicographic") -> APResult:
+    """Rank one split's test and zero pairs with one spec.
 
-    Parameters
-    ----------
-    tel : TemporalEdgeList
-        Event stream to evaluate on.
-    spec : ScoreSpec
-        Scorer to rank with; scoring happens on the snapshot at ``t1``.
-    fraction : float
-        Temporal cut position (default 3/4 of the span).
-    seed : int
-        Drives the zero-test-set sample; everything else is deterministic.
-    tie_break : str
-        How the ranking scores ties: ``"lexicographic"`` or ``"expected"``,
-        as in :func:`average_precision`.
-    split : EvaluationSplit, optional
-        Reuse an existing split (skips recomputation); its seed wins.
-
-    Returns
-    -------
-    APResult
+    Build ``split`` with :func:`temporal_split`, which owns the cut's
+    options; scoring happens on the snapshot at ``split.t1``.
+    ``tie_break`` is ``"lexicographic"`` or ``"expected"``, as in
+    :func:`average_precision`.  :func:`sweep` does the same for all 40
+    specs.
     """
     _check_tie_break(tie_break)
-    if split is None:
-        split = temporal_split(tel, fraction, seed=seed)
     return next(_rank_split(tel, split, [spec], tie_break))
 
 

@@ -144,6 +144,36 @@ def _int64(values, error: type[Exception], what: str, shape_message: str,
     return arr.astype(np.int64)
 
 
+def _node_count(n, error: type[Exception]) -> int:
+    """A caller's node count as an int by :func:`_int64`; a negative one
+    raises ``error`` too."""
+    n = int(_int64([n], error, "node count", "node count must be one integer")[0])
+    if n < 0:
+        raise error(f"node count must be >= 0, got {n}")
+    return n
+
+
+def _check_tokens(node_ids: Sequence[str]) -> None:
+    """Raise ``ValueError`` at the first node token a reader would not give
+    back: a repeated or empty one, one holding whitespace or one that
+    starts with ``#`` (its line would be a comment)."""
+    tokens = list(map(str, node_ids))
+    # The usual all-readable case in a few C passes: the joined tokens split
+    # back into themselves only if none is empty or holds whitespace, and
+    # then a " #" in the join starts a token.
+    joined = " " + " ".join(tokens)
+    if joined.split() == tokens and " #" not in joined and len(set(tokens)) == len(tokens):
+        return
+    seen: set[str] = set()
+    for token in tokens:
+        problem = ("is repeated" if token in seen else "is empty" if not token
+                   else "holds whitespace" if token.split() != [token]
+                   else "starts with '#'" if token.startswith("#") else None)
+        if problem:
+            raise ValueError(f"node token {token!r} {problem}: it cannot be read back")
+        seen.add(token)
+
+
 @contextmanager
 def _opened(target: PathOrFile, mode: str) -> Iterator[TextIO]:
     """``target`` if it is a file object, else the UTF-8 file at that path."""
@@ -470,7 +500,9 @@ class TemporalEdgeList:
         ``node_ids`` (or ``n``, producing string tokens ``"0".."n-1"``) fixes
         the node universe; otherwise it is ``max index + 1``.  Records of
         other than four fields (ragged ones too), values int64 does not hold
-        exactly, or a sign other than +1 or -1 raise :class:`EventFormatError`.
+        exactly, a sign other than +1 or -1, an ``n`` that is not a
+        non-negative integer (:func:`_node_count`), or both ``node_ids`` and
+        ``n`` raise :class:`EventFormatError`.
         """
         table = _int64(records, EventFormatError, "records",
                        "records must be (src, dst, sign, time) tuples, got an "
@@ -478,7 +510,9 @@ class TemporalEdgeList:
         if node_ids is None:
             if n is None:
                 n = int(table[:, :2].max()) + 1 if len(table) else 0
-            node_ids = [str(i) for i in range(n)]
+            node_ids = [str(i) for i in range(_node_count(n, EventFormatError))]
+        elif n is not None:
+            raise EventFormatError("pass node_ids or n, not both")
         return cls(*table.T, node_ids, strict_deletes=strict_deletes)
 
     @classmethod
@@ -605,7 +639,10 @@ class TemporalEdgeList:
     # ---- persistence ----
 
     def write(self, target: PathOrFile) -> None:
-        """Write the canonical event file (tab-separated, original tokens)."""
+        """Write the canonical event file (tab-separated, original tokens).
+        A token that cannot be read back raises ``ValueError`` before
+        ``target`` is opened (:func:`_check_tokens`)."""
+        _check_tokens(self.node_ids)
         encoded = [f"{token}".encode("utf-8", "surrogatepass")
                    for token in self.node_ids]
         token_length = np.fromiter(map(len, encoded), dtype=np.int64,
@@ -621,7 +658,9 @@ class TemporalEdgeList:
                 handle.write(data.decode("utf-8", "surrogatepass"))
 
     def write_id_map(self, target: PathOrFile) -> None:
-        """Persist the token -> index map as ``node<TAB>index`` lines."""
+        """Persist the token -> index map as ``node<TAB>index`` lines; a
+        token that cannot be read back raises as in :meth:`write`."""
+        _check_tokens(self.node_ids)
         with _opened(target, "w") as handle:
             handle.writelines(f"{token}\t{i}\n"
                               for i, token in enumerate(self.node_ids))

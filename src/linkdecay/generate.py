@@ -54,7 +54,7 @@ from typing import Optional
 
 import numpy as np
 
-from .events import TemporalEdgeList
+from .events import TemporalEdgeList, _int64
 
 __all__ = ["GenConfig", "deletion_share", "generate", "solve_window_span"]
 
@@ -93,14 +93,19 @@ class GenConfig:
     def validated(self) -> "GenConfig":
         if self.seed is None:
             raise ValueError("a seed is required")
-        if self.n_nodes < 2:
-            raise ValueError(f"need at least 2 nodes, got {self.n_nodes}")
-        if self.n_add_events < 1:
+        # Integral floats read as ints, so they give the int config's stream.
+        ints = {name: int(_int64([getattr(self, name)], ValueError, name,
+                                 f"{name} must be one integer")[0])
+                for name in ("seed", "n_nodes", "n_add_events")}
+        n_nodes, n_add_events = ints["n_nodes"], ints["n_add_events"]
+        if n_nodes < 2:
+            raise ValueError(f"need at least 2 nodes, got {n_nodes}")
+        if n_add_events < 1:
             raise ValueError("need at least one add event")
-        if self.n_add_events > self.n_nodes * (self.n_nodes - 1):
+        if n_add_events > n_nodes * (n_nodes - 1):
             raise ValueError(
-                f"{self.n_add_events} adds exceed the simple-graph capacity "
-                f"of {self.n_nodes} nodes ({self.n_nodes * (self.n_nodes - 1)} pairs)"
+                f"{n_add_events} adds exceed the simple-graph capacity "
+                f"of {n_nodes} nodes ({n_nodes * (n_nodes - 1)} pairs)"
             )
         for name in ("attach_exponent", "decay_half_life",
                      "hazard_multiplier", "span"):
@@ -131,7 +136,7 @@ class GenConfig:
             raise ValueError(
                 f"{source} {getattr(self, source)!r} gives a window of "
                 f"{span:.6g} ticks, more than int64 times hold")
-        return replace(self, span=span)
+        return replace(self, span=span, **ints)
 
 
 def solve_window_span(share_target: float, half_life: float) -> float:

@@ -23,7 +23,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .events import TemporalEdgeList, _int64
+from .events import TemporalEdgeList, _int64, _node_count
 
 __all__ = [
     "DegreeCombination",
@@ -54,9 +54,7 @@ class Graph:
     __slots__ = ("_n", "_rows")
 
     def __init__(self, n: int, src: np.ndarray, dst: np.ndarray):
-        n = int(_int64([n], ValueError, "node count", "node count must be one integer")[0])
-        if n < 0:
-            raise ValueError(f"node count must be >= 0, got {n}")
+        n = _node_count(n, ValueError)
         message = "src and dst must be 1-d arrays of equal length"
         src = _int64(src, ValueError, "edge endpoints", message)
         dst = _int64(dst, ValueError, "edge endpoints", message)
@@ -137,19 +135,16 @@ class Graph:
     def in_degree(self, v: int) -> int:
         return len(self.in_neighbors(v))
 
-    def total_degree(self, v: int) -> int:
-        """Out-degree plus in-degree.  An edge present in both directions
-        contributes twice."""
-        return self.out_degree(v) + self.in_degree(v)
-
     def neighbor_count(self, v: int) -> int:
         """Number of distinct neighbors, irrespective of direction."""
         return len(self.all_neighbors(v))
 
     def degree(self, v: int, mode: str = "total") -> int:
-        """Degree of ``v``: ``'out'``, ``'in'`` or ``'total'`` (= out + in)."""
+        """Degree of ``v``: ``'out'``, ``'in'`` or ``'total'`` (= out + in).
+
+        In the total, an edge present in both directions counts twice."""
         if mode == "total":
-            return self.total_degree(v)
+            return self.out_degree(v) + self.in_degree(v)
         if mode in ("out", "in"):
             return len(self.neighbors(v, mode))
         raise ValueError(f"mode must be 'out', 'in' or 'total', got {mode!r}")

@@ -102,11 +102,6 @@ class ScoreSpec:
         object.__setattr__(self, "adad_complement_weights",
                            bool(self.adad_complement_weights))
 
-    @classmethod
-    def from_strings(cls, model: str, measure: str, combo: str,
-                     adad_complement_weights: bool = False) -> "ScoreSpec":
-        return cls(model, measure, combo, adad_complement_weights)
-
     def fields(self) -> dict[str, str]:
         """Serialized form, e.g. for manifests and TSV rows."""
         return {

@@ -173,8 +173,7 @@ def test_criterion_06_planted_signal_detected(planted_suite):
     aps, baselines, per_run = [], [], []
     for entry in planted_suite:
         t0 = time.perf_counter()
-        result = evaluate(entry["tel"], spec, seed=entry["seed"],
-                          split=entry["split"])
+        result = evaluate(entry["tel"], spec, entry["split"])
         per_run.append(entry["gen_seconds"] + time.perf_counter() - t0)
         aps.append(result.ap)
         baselines.append(random_baseline(entry["split"],
@@ -199,8 +198,7 @@ def test_criterion_07_decay_harder_than_creation(planted_suite):
         creation = evaluate_link_prediction(
             entry["tel"], Measure.CN, DegreeCombination.SYM,
             seed=entry["seed"]).ap
-        decay = evaluate(entry["tel"], decay_spec, seed=entry["seed"],
-                         split=entry["split"]).ap
+        decay = evaluate(entry["tel"], decay_spec, entry["split"]).ap
         wins += creation > decay
         gaps.append(creation - decay)
     assert wins >= 8, f"creation beat decay in only {wins}/10 seeds"

@@ -16,11 +16,11 @@ from linkdecay.evaluation import (APResult, EdgeLifetimes, EvaluationSplit,
                                   edge_ages, edge_lifetimes, evaluate,
                                   evaluate_link_prediction,
                                   fit_exponential_half_life, random_baseline,
-                                  survival_curve, temporal_split)
+                                  survival_curve, sweep, temporal_split)
 from linkdecay.events import read_events
 from linkdecay.generate import GenConfig, generate
 from linkdecay.graph import DegreeCombination, snapshot_at
-from linkdecay.scoring import Measure, ScoreModel, ScoreSpec
+from linkdecay.scoring import Measure, ScoreModel, ScoreSpec, all_specs
 
 
 def _read(text):
@@ -237,7 +237,7 @@ def test_evaluate_fixture_bridge_is_perfectly_ranked():
     tel = swim_surf_events(bridge_delete_time=80)
     spec = ScoreSpec(ScoreModel.COMPLEMENT_SCORE, Measure.CN,
                      DegreeCombination.SYM)
-    result = evaluate(tel, spec, seed=3)
+    result = evaluate(tel, spec, temporal_split(tel, 0.75, seed=3))
     assert result.ap == 1.0
     assert result.positives == 2
 
@@ -246,8 +246,8 @@ def test_evaluate_deterministic_given_seed():
     tel = swim_surf_events()
     spec = ScoreSpec(ScoreModel.COMPLEMENT_NETWORK, Measure.PA,
                      DegreeCombination.SYM)
-    a = evaluate(tel, spec, seed=11)
-    b = evaluate(tel, spec, seed=11)
+    a = evaluate(tel, spec, temporal_split(tel, 0.75, seed=11))
+    b = evaluate(tel, spec, temporal_split(tel, 0.75, seed=11))
     assert a.ap == b.ap
     assert a.ranking == b.ranking
 
@@ -257,8 +257,8 @@ def test_evaluate_accepts_precomputed_split():
     spec = ScoreSpec(ScoreModel.COMPLEMENT_SCORE, Measure.CN,
                      DegreeCombination.SYM)
     split = temporal_split(tel, 0.75, seed=5)
-    assert evaluate(tel, spec, seed=5, split=split).ap == \
-        evaluate(tel, spec, seed=5).ap
+    assert evaluate(tel, spec, split).ap == \
+        sweep(tel, split)[all_specs().index(spec)]
 
 
 def test_random_baseline_bounds_and_determinism():

@@ -1,10 +1,15 @@
 """Event-file parsing, validation, and round-trip behavior."""
 
 import io
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from linkdecay import events
 from linkdecay.events import (EdgeEvent, EventFormatError, TemporalEdgeList,
                               read_events, read_id_map)
 
@@ -127,6 +132,85 @@ def test_id_map_round_trip(tmp_path):
     tel.write_id_map(str(path))
     mapping = read_id_map(str(path))
     assert mapping == {"u": 0, "v": 1, "w": 2}
+
+
+def _chain(tokens):
+    """A stream whose events touch every token in order: i -> i + 1."""
+    records = [(i, (i + 1) % len(tokens), 1, i) for i in range(len(tokens))]
+    return TemporalEdgeList.from_records(records, node_ids=tokens)
+
+
+def _named(tel):
+    return [(tel.node_ids[e.src], tel.node_ids[e.dst], e.sign, e.time)
+            for e in tel.events]
+
+
+def _assert_round_trip(tokens):
+    tel = _chain(tokens)
+    lines, ids = io.StringIO(), io.StringIO()
+    tel.write(lines)
+    tel.write_id_map(ids)
+    back = _read(lines.getvalue())
+    assert back.node_ids == list(tokens)
+    assert _named(back) == _named(tel)
+    assert read_id_map(io.StringIO(ids.getvalue())) == \
+        {token: i for i, token in enumerate(tokens)}
+
+
+@pytest.mark.parametrize("tokens", [
+    ["a", "b", "c"],
+    ["0", "-1", "+1", "007"],
+    ["x#", "a#b", "é", "中", "\U0001f600"],
+    ["'q'", '"r"', "a,b", "\x00"],
+], ids=["words", "numbers", "inner-hash-and-unicode", "punctuation"])
+def test_readable_tokens_round_trip_exactly(tokens):
+    _assert_round_trip(tokens)
+
+
+@pytest.mark.parametrize("tokens, bad, problem", [
+    (["a", "a", "b"], "a", "is repeated"),
+    (["a", "", "b"], "", "is empty"),
+    (["a", "p q", "b"], "p q", "holds whitespace"),
+    (["a", "p\tq", "b"], "p\tq", "holds whitespace"),
+    (["a", "b\n", "c"], "b\n", "holds whitespace"),
+    (["a", "\xa0", "c"], "\xa0", "holds whitespace"),
+    (["#x", "y", "z"], "#x", "starts with '#'"),
+    (["a", "b", "#", "#"], "#", "starts with '#'"),
+], ids=["repeated", "empty", "space", "tab", "newline", "nbsp", "hash",
+        "first-of-two-faults"])
+def test_unreadable_token_refused_before_writing(tmp_path, tokens, bad, problem):
+    tel = _chain(tokens)
+    message = re.escape(f"node token {bad!r} {problem}: it cannot be read back")
+    for write in (TemporalEdgeList.write, TemporalEdgeList.write_id_map):
+        path = tmp_path / "out.tsv"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            write(tel, str(path))
+        assert not path.exists()
+
+
+#: Tokens of every character a str may hold but lone surrogates, which
+#: UTF-8 cannot encode.
+_TOKENS = st.lists(st.text(st.characters(blacklist_categories=("Cs",)), max_size=3),
+                   min_size=2, max_size=6)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(_TOKENS)
+def test_write_refuses_exactly_the_tokens_that_do_not_read_back(tokens):
+    try:
+        _chain(tokens).write(io.StringIO())
+    except ValueError as exc:
+        assert "cannot be read back" in str(exc)
+        with mock.patch.object(events, "_check_tokens", lambda node_ids: None):
+            with pytest.raises((AssertionError, EventFormatError)):
+                _assert_round_trip(tokens)
+    else:
+        _assert_round_trip(tokens)
+
+
+def test_from_records_node_ids_and_n_are_exclusive():
+    with pytest.raises(EventFormatError, match="^pass node_ids or n, not both$"):
+        TemporalEdgeList.from_records([(0, 1, 1, 5)], node_ids=["a", "b"], n=2)
 
 
 def test_from_records_with_explicit_n():

@@ -313,6 +313,26 @@ def test_non_finite_float_rejected(field, value):
         config.validated()
 
 
+@pytest.mark.parametrize("field, value", [("seed", 10.5), ("n_nodes", 5.5),
+                                          ("n_add_events", 1.5)])
+def test_non_integer_seed_and_counts_rejected(field, value):
+    config = GenConfig(**{"seed": 0, field: value})
+    with pytest.raises(ValueError,
+                       match=rf"^{field}: expected integers that int64 holds, got {value}$"):
+        config.validated()
+
+
+def test_integral_float_seed_and_counts_give_the_int_stream():
+    floats = GenConfig(seed=3.0, n_nodes=50.0, n_add_events=200.0)
+    valid = floats.validated()
+    assert (valid.seed, valid.n_nodes, valid.n_add_events) == (3, 50, 200)
+    assert all(type(v) is int for v in (valid.seed, valid.n_nodes, valid.n_add_events))
+    a, b = generate(floats), generate(GenConfig(seed=3, n_nodes=50, n_add_events=200))
+    assert a.node_ids == b.node_ids
+    for column in ("src", "dst", "sign", "time"):
+        assert np.array_equal(getattr(a, column), getattr(b, column))
+
+
 @pytest.mark.parametrize("field, value", [("span", 1e19),
                                           ("decay_half_life", 1e300)])
 def test_window_beyond_int64_rejected(field, value):

@@ -272,6 +272,16 @@ def test_empty_columns_are_zero_events_and_edges(empty):
     assert len(TemporalEdgeList(empty, empty, empty, empty, "ab")) == 0
 
 
+def test_from_records_reads_n_as_graph_reads_its_node_count():
+    tel = TemporalEdgeList.from_records([(0, 1, 1, 0)], n=3.0)
+    assert tel.node_ids == ["0", "1", "2"]
+    assert Graph(3.0, [0], [1]).node_count == tel.node_count
+    _raises_cleanly(lambda: TemporalEdgeList.from_records([(0, 1, 1, 0)], n=2.5),
+                    EventFormatError, f"node count: {VALUE}, got 2.5")
+    _raises_cleanly(lambda: TemporalEdgeList.from_records([], n=-1),
+                    EventFormatError, "node count must be >= 0, got -1")
+
+
 def test_an_int64_array_is_taken_as_it_is():
     """No copy of an int64 column or table: the caller's array is what the
     checks read, and it stays unchanged and writable."""

@@ -175,8 +175,7 @@ def test_bad_tie_break_is_rejected_before_scoring(small_split, monkeypatch):
     spec = all_specs()[0]
     calls = [
         lambda: sweep(tel, split, "bogus"),
-        lambda: evaluate(tel, spec, seed=2, tie_break="bogus", split=split),
-        lambda: evaluate(tel, spec, seed=2, tie_break="bogus"),
+        lambda: evaluate(tel, spec, split, "bogus"),
         lambda: evaluate_link_prediction(tel, spec.measure, spec.combo,
                                          seed=2, tie_break="bogus"),
         lambda: random_baseline(split, seed=2, tie_break="bogus"),
@@ -243,7 +242,7 @@ def test_evaluate_matches_reference_over_score_batch_for_all_specs(small_split):
         items = [((e.src, e.dst), e.score, label)
                  for e, label in zip(scored, labels)]
         for tie_break in TIE_BREAKS:
-            got = evaluate(tel, spec, seed=2, tie_break=tie_break, split=split)
+            got = evaluate(tel, spec, split, tie_break)
             want = reference.average_precision(items, tie_break)
             assert _bits(got.ap) == _bits(want.ap), (str(spec), tie_break)
             assert got.ranking == want.ranking

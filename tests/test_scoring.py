@@ -257,11 +257,11 @@ def test_spec_grid_complete_and_ordered():
 
 
 def test_spec_from_strings_and_fields():
-    spec = ScoreSpec.from_strings("network", "adad", "out", True)
+    spec = ScoreSpec("network", "adad", "out", True)
     assert spec.fields() == {"model": "network", "measure": "adad",
                              "combo": "out", "adad-complement-weights": "true"}
     with pytest.raises(ValueError):
-        ScoreSpec.from_strings("hybrid", "pa", "sym")
+        ScoreSpec("hybrid", "pa", "sym")
 
 
 # ---- batch semantics ----
