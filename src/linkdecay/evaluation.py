@@ -29,6 +29,7 @@ arrays.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -426,14 +427,11 @@ def edge_lifetimes(tel: TemporalEdgeList) -> EdgeLifetimes:
     in ``(src, dst)`` order.
     """
     iv = tel.intervals
-    closed = np.flatnonzero(~iv.censored)
-    closed = closed[np.argsort(iv.end[closed])]
-    durations = tel.time[iv.end[closed]] - tel.time[iv.start[closed]]
-    still_open = tel.time[iv.start[iv.censored]]
-    if len(still_open):
-        durations = np.concatenate((durations, tel.time_last - still_open))
-    censored = np.arange(len(durations)) >= len(closed)
-    return EdgeLifetimes(durations, censored)
+    censored = iv.censored
+    closed = np.flatnonzero(~censored)
+    rows = np.concatenate((closed[np.argsort(iv.end[closed])],
+                           np.flatnonzero(censored)))
+    return EdgeLifetimes(iv.end_time[rows] - iv.start_time[rows], censored[rows])
 
 
 @dataclass
@@ -527,6 +525,14 @@ def edge_ages(tel: TemporalEdgeList, t: float) -> dict[tuple[int, int], float]:
     """
     start = tel.intervals.start[tel.alive(t)]
     start.sort()
-    return {(u, v): float(t - added) for u, v, added in
-            zip(tel.src[start].tolist(), tel.dst[start].tolist(),
-                tel.time[start].tolist())}
+    added = tel.time[start]
+    # Each age is float(t - added): a float t converts added to float first;
+    # an integer t (below 2**64, as the alive mask takes it, and at least
+    # every live added) subtracts exactly and rounds once.
+    if isinstance(t, float):
+        ages = (t - added).tolist()
+    elif isinstance(t, numbers.Integral) and len(added):
+        ages = (np.uint64(t) - added.astype(np.uint64)).astype(np.float64).tolist()
+    else:
+        ages = [float(t - a) for a in added.tolist()]
+    return dict(zip(zip(tel.src[start].tolist(), tel.dst[start].tolist()), ages))

@@ -22,8 +22,15 @@ comments, spaces, ``\\r\\n``, a BOM, non-ASCII or other tokens, longer
 numbers, malformed lines) and a self-loop under ``self_loops='error'``
 send the whole file to the line loop, which gives the same stream and
 every error with its line number.  File objects always take the line
-loop, and so does a path that cannot seek.  ``write`` formats rows in
-byte chunks for every target.
+loop, and so does a path that cannot seek.  The block parser reads each
+number 8 digits at a time from one unaligned 8-byte word
+(:func:`_digit_values`).
+
+``write`` formats each chunk of rows as one fixed-width matrix of 8-byte
+words for every target: each node token with its tab sits left-aligned in
+whole words gathered per row from a token table, the sign, the
+right-aligned time digits and the newline fill the last words, and one
+boolean-mask compress drops the padding (:func:`_format_rows`).
 
 Every stream, read from a file, built from records or generated, comes from
 the one :class:`TemporalEdgeList` constructor.  It validates the indexed
@@ -32,10 +39,11 @@ into a presence-interval table (:class:`PresenceIntervals`): one row
 ``(key, start, end)`` per interval in which an edge is present, with
 ``key = src * n + dst``, ``start`` the event index of the opening add and
 ``end`` that of the closing delete, or censored when the edge is still
-present after the last event.  The ingest counts of duplicate adds and
-no-op deletes come from the same pass.  Snapshots (``start <= t < end`` in
-event time), lifetimes (``end - start``) and ages (``t - start``) are all
-read off this one table.
+present after the last event; the table keeps the times of both events
+too.  The ingest counts of duplicate adds and no-op deletes come from the
+same pass.  Snapshots (``start <= t < end`` in event time), lifetimes
+(``end - start``) and ages (``t - start``) are all read off this one
+table.
 
 Each stable order a load needs (events by time, events by edge key, node
 values for first-seen ids) comes from one default numpy sort of distinct
@@ -153,16 +161,16 @@ def _node_count(n, error: type[Exception]) -> int:
     return n
 
 
-def _check_tokens(node_ids: Sequence[str]) -> None:
+def _check_tokens(tokens: list[str], joined: str) -> None:
     """Raise ``ValueError`` at the first node token a reader would not give
     back: a repeated or empty one, one holding whitespace or one that
-    starts with ``#`` (its line would be a comment)."""
-    tokens = list(map(str, node_ids))
+    starts with ``#`` (its line would be a comment).  ``joined`` is
+    ``"\\t".join(tokens)``, which the writer encodes too."""
     # The usual all-readable case in a few C passes: the joined tokens split
     # back into themselves only if none is empty or holds whitespace, and
-    # then a " #" in the join starts a token.
-    joined = " " + " ".join(tokens)
-    if joined.split() == tokens and " #" not in joined and len(set(tokens)) == len(tokens):
+    # then a tab followed by '#' starts a token.
+    if (joined.split() == tokens and not joined.startswith("#")
+            and "\t#" not in joined and len(set(tokens)) == len(tokens)):
         return
     seen: set[str] = set()
     for token in tokens:
@@ -172,6 +180,15 @@ def _check_tokens(node_ids: Sequence[str]) -> None:
         if problem:
             raise ValueError(f"node token {token!r} {problem}: it cannot be read back")
         seen.add(token)
+
+
+def _joined_tokens(node_ids: Sequence[str]) -> tuple[list[str], str]:
+    """The node tokens as ``str`` and their tab join, checked by
+    :func:`_check_tokens`."""
+    tokens = list(map(str, node_ids))
+    joined = "\t".join(tokens)
+    _check_tokens(tokens, joined)
+    return tokens, joined
 
 
 @contextmanager
@@ -200,9 +217,66 @@ _BLOCK = 1 << 18
 #: and four separators.  A longer run of bytes without a newline is not
 #: canonical.
 _MAX_LINE = 60
-#: Rows ``write`` formats per chunk.
+#: Rows ``write`` formats per chunk, at most.
 _WRITE_ROWS = 1 << 13
+#: Bytes of one chunk's word matrix in ``write``: a chunk holds fewer rows
+#: when the widest token makes each row wider.
+_WRITE_BYTES = 1 << 18
+#: ``10**1 .. 10**19``: a time has one digit more than the powers at or
+#: below it.
 _POW10 = 10 ** np.arange(1, 20, dtype=np.uint64)
+#: The kernels read and write bytes as little-endian 8-byte words, so a
+#: word's byte ``s`` is its bits ``8s`` to ``8s + 7``.
+_WORD = np.dtype("<u8")
+#: ``_BYTES_FROM[s]`` has every bit of a word's bytes ``s`` to 7 set
+#: (``s`` in 0..8).  The tables below keep the low nibble of those bytes (a
+#: digit's value), or the lowest bit (a ``True`` byte) of those bytes or of
+#: the bytes before them.
+_BYTES_FROM = np.array([((1 << 64) - 1) << 8 * s & ((1 << 64) - 1) for s in range(9)],
+                       dtype=np.uint64)
+_DIGITS_FROM = _BYTES_FROM & np.uint64(0x0F0F0F0F0F0F0F0F)
+_TRUE_FROM = _BYTES_FROM & np.uint64(0x0101010101010101)
+_TRUE_BEFORE = ~_BYTES_FROM & np.uint64(0x0101010101010101)
+#: ``word = (word * m + (word >> s)) & c``, three times, turns 8 digit values
+#: (the first in the low byte) into their number: two digits per 16 bits,
+#: then four per 32, then eight.
+_JOIN_STEPS = [(np.uint64(m), np.uint64(s), np.uint64(c)) for m, s, c in
+               ((10, 8, 0x00FF00FF00FF00FF), (100, 16, 0x0000FFFF0000FFFF),
+                (10_000, 32, 0xFFFFFFFF))]
+
+
+def _digit_word(word: np.ndarray, width: np.ndarray) -> np.ndarray:
+    """The number of the last ``min(width, 8)`` bytes of each 8-byte
+    ``word``, all ASCII digits; the bytes before them count as ``'0'``."""
+    word = word.astype(np.uint64, copy=False)
+    word &= _DIGITS_FROM[np.maximum(8 - width, 0)]
+    for m, s, c in _JOIN_STEPS:
+        high = word >> s
+        word *= m
+        word += high
+        word &= c
+    return word
+
+
+def _digit_values(data: bytes, ends: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """int64 numbers of the ASCII digit fields of ``data`` that are
+    ``widths`` (1-18) bytes wide and end just before byte ``ends``.
+
+    ``before[i]`` is the unaligned word of the 8 bytes before byte ``i``
+    (8 zero bytes pad the front), so one gather gives a field's last 8
+    digits; fields of more than 8 and more than 16 digits take one and two
+    more words, 8 bytes further back each.
+    """
+    before = np.ndarray((len(data) + 1,), dtype=_WORD, buffer=bytes(8) + data,
+                        strides=(1,))
+    values = _digit_word(before[ends], widths)
+    for skip in (8, 16):
+        more = np.flatnonzero(widths > skip)
+        if not len(more):
+            break
+        values.flat[more] += _digit_word(before[ends.flat[more] - skip],
+                                         widths.flat[more] - skip) * np.uint64(10 ** skip)
+    return values.view(np.int64)
 
 
 def _parse_block(data: bytes) -> tuple[np.ndarray, ...] | None:
@@ -213,8 +287,9 @@ def _parse_block(data: bytes) -> tuple[np.ndarray, ...] | None:
     A canonical line is ``src<TAB>dst<TAB>sign<TAB>time<NEWLINE>``: the
     nodes are ASCII decimals of 1-18 digits with no leading zero (so each
     token is ``str`` of its value), the sign is ``+1``, ``1`` or ``-1`` and
-    the time is 1-18 ASCII digits.  Numbers are read by digit position, so
-    the work arrays are per field, not per byte.
+    the time is 1-18 ASCII digits.  The separators and the byte classes are
+    checked for the whole block first; then each number is read 8 digits
+    at a time (:func:`_digit_values`).
     """
     b = np.frombuffer(data, dtype=np.uint8)
     plus_minus = (b == 43) | (b == 45)
@@ -232,8 +307,8 @@ def _parse_block(data: bytes) -> tuple[np.ndarray, ...] | None:
     starts = starts.reshape(-1, 4)
     lengths = ends - starts
     signed = lengths[:, 2] == 2
-    fields = starts[:, [0, 1, 3]]
-    widths = lengths[:, [0, 1, 3]]
+    # The node and time fields, C-ordered as the values read from them.
+    widths = np.take(lengths, [0, 1, 3], axis=1)
     # Every other byte is a digit, a separator or a '+'/'-'; the '+'/'-'
     # bytes must be exactly the first bytes of the two-byte signs.
     if not (lengths.min() >= 1 and lengths[:, 2].max() <= 2
@@ -243,10 +318,7 @@ def _parse_block(data: bytes) -> tuple[np.ndarray, ...] | None:
             and np.count_nonzero(signed) == np.count_nonzero(plus_minus)
             and ((b[starts[:, :2]] != 48) | (lengths[:, :2] == 1)).all()):
         return None
-    values = np.zeros(fields.shape, dtype=np.int64)
-    for k in range(int(widths.max())):
-        digit = np.take(b, fields + k, mode="clip") - np.uint8(48)
-        values = np.where(widths > k, values * 10 + digit, values)
+    values = _digit_values(data, np.take(ends, [0, 1, 3], axis=1), widths)
     sign = np.where(b[starts[:, 2]] == 45, -1, 1).astype(np.int64)
     return values[:, :2], sign, values[:, 2]
 
@@ -326,53 +398,87 @@ def _first_seen_ids(values: np.ndarray) -> tuple[np.ndarray, list[str]]:
             [str(value) for value in ordered[head][by_first].tolist()])
 
 
-def _decimals(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``str`` of each int64 value as ASCII: ``(table, start, length)``
-    with value ``i`` at ``table[start[i]:start[i] + length[i]]``."""
-    negative = values < 0
-    magnitude = np.abs(values).astype(np.uint64)
-    length = 1 + np.searchsorted(_POW10, magnitude, side="right") + negative
-    width = int(length.max())
-    digits = np.empty((len(values), width), dtype=np.uint8)
-    for k in range(width - 1, -1, -1):
-        digits[:, k] = magnitude % 10 + 48
-        magnitude //= 10
-    start = np.arange(len(values)) * width + width - length
-    digits.ravel()[start[negative]] = 45
-    return digits.ravel(), start, length
+def _token_words(tokens: list[str], joined: str) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(n, width)`` word table of the tokens, each token's UTF-8 bytes
+    (lone surrogates pass) and a tab left-aligned in its row, and the
+    number of those bytes per token.
+
+    ``joined`` is ``"\\t".join(tokens)``, encoded once.  A token's bytes run
+    from the byte of its first code point to that of the next token's: in
+    UTF-8 a code point starts at every byte but ``0b10xxxxxx``.
+    """
+    data = np.frombuffer(f"{joined}\t".encode("utf-8", "surrogatepass"), dtype=np.uint8)
+    points = np.fromiter(map(len, tokens), dtype=np.int64, count=len(tokens)) + 1
+    if len(data) == points.sum():  # ASCII: one byte per code point
+        length = points
+    else:
+        first = np.append(np.flatnonzero((data & 0xC0) != 0x80), len(data))
+        length = np.diff(first[np.cumsum(points)], prepend=0)
+    width = -(-int(length.max()) // 8)
+    table = np.zeros((len(tokens), 8 * width), dtype=np.uint8)
+    table[np.arange(8 * width) < length[:, None]] = data
+    return table.view(_WORD), length
 
 
-def _copy_spans(out: np.ndarray, at: np.ndarray, table: np.ndarray,
-                start: np.ndarray, length: np.ndarray) -> None:
-    """``out[at[i]:at[i] + length[i]] = table[start[i]:start[i] + length[i]]``
-    for every ``i``."""
-    first = np.cumsum(length) - length
-    offset = np.arange(int(length.sum())) - np.repeat(first, length)
-    out[np.repeat(at, length) + offset] = table[np.repeat(start, length) + offset]
+def _byte_mask(table: np.ndarray, at: np.ndarray, words: int) -> np.ndarray:
+    """``(k, words)`` masks that split each row of ``words`` words at its
+    byte ``at``: word ``j`` is ``table[clip(at - 8 * j, 0, 8)]``, so
+    ``_TRUE_BEFORE`` keeps the bytes before the split, ``_TRUE_FROM`` the
+    bytes from it on."""
+    return table[np.clip(at[:, None] - 8 * np.arange(words), 0, 8)]
 
 
-def _format_rows(tokens: np.ndarray, token_start: np.ndarray,
-                 token_length: np.ndarray, src: np.ndarray, dst: np.ndarray,
-                 sign: np.ndarray, time: np.ndarray) -> bytes:
-    """Canonical lines of a non-empty run of events, as UTF-8 bytes."""
-    times, time_start, time_length = _decimals(time)
-    src_length, dst_length = token_length[src], token_length[dst]
-    row = src_length + dst_length + time_length + 6
-    end = np.cumsum(row)
-    out = np.empty(int(end[-1]), dtype=np.uint8)
-    at = end - row
-    _copy_spans(out, at, tokens, token_start[src], src_length)
-    at += src_length
-    out[at] = 9
-    _copy_spans(out, at + 1, tokens, token_start[dst], dst_length)
-    at += dst_length + 1
-    out[at] = 9
-    out[at + 1] = np.where(sign > 0, 43, 45)
-    out[at + 2] = 49
-    out[at + 3] = 9
-    _copy_spans(out, at + 4, times, time_start, time_length)
-    out[end - 1] = 10
-    return out.tobytes()
+def _digits8(v: np.ndarray) -> np.ndarray:
+    """The 8 ASCII digits of each uint64 ``v < 10**8``, zero-padded, as one
+    word with the first digit in the low byte.  Multiply-shift division
+    moves the high and low halves of the decimal string into 32-bit lanes,
+    then quarters into 16-bit and digits into 8-bit lanes."""
+    high = v // np.uint64(10_000)
+    v = high | (v - high * np.uint64(10_000)) << np.uint64(32)
+    high = (v * np.uint64(10_486)) >> np.uint64(20) & np.uint64(0x0000007F0000007F)
+    v = high | (v - high * np.uint64(100)) << np.uint64(16)
+    high = (v * np.uint64(103)) >> np.uint64(10) & np.uint64(0x000F000F000F000F)
+    return high | (v - high * np.uint64(10)) << np.uint64(8) | np.uint64(0x3030303030303030)
+
+
+def _time_words(sign: np.ndarray, time: np.ndarray, tail: int) -> tuple[np.ndarray, np.ndarray]:
+    """The last ``tail`` words of each row and their mask: the sign and its
+    tab in bytes 0-2, the time's digits right-aligned after them and the
+    newline in the last byte.  ``tail`` words hold ``8 * tail - 4`` digits."""
+    t = time.astype(np.uint64)
+    # Keep the bytes from the first significant digit on (the last digit of
+    # 0), and the sign's three.
+    mask = _byte_mask(_TRUE_FROM, 8 * tail - 2 - np.searchsorted(_POW10, t, side="right"),
+                      tail)
+    mask[:, 0] |= np.uint64(0x010101)
+    # The last word holds 7 digits and the newline, each other word 8 digits.
+    words = np.empty((len(t), tail), dtype=np.uint64)
+    words[:, -1] = _digits8(t % np.uint64(10 ** 7)) >> np.uint64(8) | np.uint64(0x0A << 56)
+    t //= np.uint64(10 ** 7)
+    for j in range(tail - 2, -1, -1):
+        words[:, j] = _digits8(t % np.uint64(10 ** 8))
+        t //= np.uint64(10 ** 8)
+    words[:, 0] &= ~np.uint64(0xFFFFFF)
+    words[:, 0] |= np.where(sign > 0, np.uint64(0x09312B), np.uint64(0x09312D))
+    return words, mask
+
+
+def _format_rows(table: np.ndarray, length: np.ndarray, src: np.ndarray,
+                 dst: np.ndarray, sign: np.ndarray, time: np.ndarray,
+                 tail: int) -> bytes:
+    """Canonical lines of a non-empty run of events, as UTF-8 bytes: the
+    ``src`` and ``dst`` rows of the token table (:func:`_token_words`) and
+    the ``tail`` time words (:func:`_time_words`) side by side in one word
+    matrix, compressed by a mask of the bytes each part fills."""
+    width = table.shape[1]
+    rows = np.empty((len(src), 2 * width + tail), dtype=_WORD)
+    mask = np.empty_like(rows)
+    rows[:, :width] = table[src]
+    mask[:, :width] = _byte_mask(_TRUE_BEFORE, length[src], width)
+    rows[:, width:-tail] = table[dst]
+    mask[:, width:-tail] = _byte_mask(_TRUE_BEFORE, length[dst], width)
+    rows[:, -tail:], mask[:, -tail:] = _time_words(sign, time, tail)
+    return rows.view(np.uint8)[mask.view(np.bool_)].tobytes()
 
 
 #: ``PresenceIntervals.end`` of an interval still open after the last event.
@@ -386,20 +492,25 @@ class PresenceIntervals:
     ``key`` is the edge key ``src * n + dst``; ``start`` is the event index
     of the add that opened the interval and ``end`` that of the delete that
     closed it, or :data:`CENSORED` when the edge is still present after the
-    last event.  Rows are sorted by key, then by start, so a key's
-    intervals are adjacent and in time order.  The arrays are read-only.
+    last event.  ``start_time`` and ``end_time`` are the times of those
+    events; a censored interval's ``end_time`` is the last event's time, so
+    ``end_time - start_time`` is every interval's lifetime.  Rows are
+    sorted by key, then by start, so a key's intervals are adjacent and in
+    time order.  The arrays are read-only.
     """
 
     key: np.ndarray
     start: np.ndarray
     end: np.ndarray
+    start_time: np.ndarray
+    end_time: np.ndarray
 
     @property
     def censored(self) -> np.ndarray:
         return self.end == CENSORED
 
 
-def _replay(src: np.ndarray, dst: np.ndarray, sign: np.ndarray,
+def _replay(src: np.ndarray, dst: np.ndarray, sign: np.ndarray, time: np.ndarray,
             n: int) -> tuple[PresenceIntervals, IngestStats, int]:
     """Replay a time-sorted stream in one vectorized pass.
 
@@ -413,8 +524,9 @@ def _replay(src: np.ndarray, dst: np.ndarray, sign: np.ndarray,
     alternate within a key, starting with an open, so each close pairs
     with the last open before it; an open no close pairs with is censored.
 
-    Returns the interval table, the duplicate/no-op counts and the event
-    index of the first no-op delete in time order (-1 if there is none).
+    Returns the interval table, with the ``time`` of each interval's two
+    events, the duplicate/no-op counts and the event index of the first
+    no-op delete in time order (-1 if there is none).
     """
     keys = src * np.int64(n) + dst
     order = _stable_order(keys)
@@ -425,10 +537,13 @@ def _replay(src: np.ndarray, dst: np.ndarray, sign: np.ndarray,
     opens = np.flatnonzero(add & ~present)
     closes = np.flatnonzero(~add & present)
     noops = order[~add & ~present]
+    start = order[opens]
     end = np.full(len(opens), CENSORED, dtype=np.int64)
     end[np.searchsorted(opens, closes) - 1] = order[closes]
-    intervals = PresenceIntervals(keys[opens], order[opens], end)
-    for arr in (intervals.key, intervals.start, intervals.end):
+    # CENSORED is -1, so a censored interval's end time is the last time.
+    intervals = PresenceIntervals(keys[opens], start, end, time[start], time[end])
+    for arr in (intervals.key, intervals.start, intervals.end,
+                intervals.start_time, intervals.end_time):
         arr.flags.writeable = False
     stats = IngestStats(noop_deletes=len(noops),
                         duplicate_adds=int(np.count_nonzero(add & present)))
@@ -475,7 +590,7 @@ class TemporalEdgeList:
             raise EventFormatError("self-loop in indexed event records")
         order = _stable_order(time)
         src, dst, sign, time = src[order], dst[order], sign[order], time[order]
-        intervals, stats, first_noop = _replay(src, dst, sign, n)
+        intervals, stats, first_noop = _replay(src, dst, sign, time, n)
         if strict_deletes and first_noop >= 0:
             pair = (int(src[first_noop]), int(dst[first_noop]))
             raise EventFormatError(
@@ -625,12 +740,14 @@ class TemporalEdgeList:
 
         An interval is present iff it opened at or before ``t`` and is
         censored or closed after ``t``; a key has at most one such interval.
+        The interval times are compared as stored; a censored interval
+        stays present however late ``t`` is, even past the last time or at
+        a float ``t`` that an int64 time rounds up to.
         """
         if np.isnan(t):
             raise ValueError("time must be a number, got NaN")
         iv = self.intervals
-        return ((self.time[iv.start] <= t)
-                & (iv.censored | (self.time[iv.end] > t)))
+        return (iv.start_time <= t) & (iv.censored | (iv.end_time > t))
 
     def live_keys(self, t: float) -> np.ndarray:
         """Ascending keys ``src * n + dst`` of the edges present at ``t``."""
@@ -641,29 +758,34 @@ class TemporalEdgeList:
     def write(self, target: PathOrFile) -> None:
         """Write the canonical event file (tab-separated, original tokens).
         A token that cannot be read back raises ``ValueError`` before
-        ``target`` is opened (:func:`_check_tokens`)."""
-        _check_tokens(self.node_ids)
-        encoded = [f"{token}".encode("utf-8", "surrogatepass")
-                   for token in self.node_ids]
-        token_length = np.fromiter(map(len, encoded), dtype=np.int64,
-                                   count=len(encoded))
-        token_start = np.cumsum(token_length) - token_length
-        tokens = np.frombuffer(b"".join(encoded), dtype=np.uint8)
+        ``target`` is opened (:func:`_check_tokens`).
+
+        Rows go out in chunks of at most ``_WRITE_ROWS``, each formatted as
+        one word matrix of at most ``_WRITE_BYTES`` (one row if a row is
+        wider) by :func:`_format_rows`, decoded with lone surrogates passed
+        through and written as text, so ``target``'s encoding and error
+        policy decide as for any text."""
+        tokens, joined = _joined_tokens(self.node_ids)
         with _opened(target, "w") as handle:
-            for lo in range(0, len(self.src), _WRITE_ROWS):
-                rows = slice(lo, lo + _WRITE_ROWS)
-                data = _format_rows(tokens, token_start, token_length,
-                                    self.src[rows], self.dst[rows],
-                                    self.sign[rows], self.time[rows])
+            if not len(self):
+                return
+            table, length = _token_words(tokens, joined)
+            # Sign, tab, digits and newline: 8 * tail - 4 digits fit.
+            tail = (len(str(self.time_last)) + 11) // 8
+            row_bytes = 8 * (2 * table.shape[1] + tail)
+            rows = max(1, min(_WRITE_ROWS, _WRITE_BYTES // row_bytes))
+            for lo in range(0, len(self), rows):
+                chunk = slice(lo, lo + rows)
+                data = _format_rows(table, length, self.src[chunk], self.dst[chunk],
+                                    self.sign[chunk], self.time[chunk], tail)
                 handle.write(data.decode("utf-8", "surrogatepass"))
 
     def write_id_map(self, target: PathOrFile) -> None:
         """Persist the token -> index map as ``node<TAB>index`` lines; a
         token that cannot be read back raises as in :meth:`write`."""
-        _check_tokens(self.node_ids)
+        tokens, _ = _joined_tokens(self.node_ids)
         with _opened(target, "w") as handle:
-            handle.writelines(f"{token}\t{i}\n"
-                              for i, token in enumerate(self.node_ids))
+            handle.writelines(f"{token}\t{i}\n" for i, token in enumerate(tokens))
 
 
 def read_events(source: PathOrFile, *, self_loops: str = "skip",

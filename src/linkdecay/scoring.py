@@ -191,7 +191,10 @@ def _run_sums(values: np.ndarray, counts: np.ndarray,
 
 def _row_sums(weights: np.ndarray, indptr: np.ndarray, indices: np.ndarray,
               nodes: np.ndarray) -> np.ndarray:
-    """``weights[row].sum()`` of each node's row, once per distinct node."""
+    """``weights[row].sum()`` of each node's row: of every row at once when
+    there are at least as many nodes as rows, else once per distinct node."""
+    if len(nodes) >= len(indptr) - 1:
+        return _run_sums(weights[indices], np.diff(indptr), pairwise=True)[nodes]
     distinct, inverse = np.unique(nodes, return_inverse=True)
     rows, lengths = _gather_rows(indptr, indices, distinct)
     return _run_sums(weights[rows], lengths, pairwise=True)[inverse]

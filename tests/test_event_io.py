@@ -3,8 +3,10 @@
 ``read_events`` parses a canonical file given by path in blocks with numpy
 and falls back to the line loop for anything else; file objects always
 take the loop.  Every path read here is compared with the loop's reading
-of the same text, results and errors alike.  ``write`` formats rows in
-byte chunks; its output is compared with ``tests/reference_events.py``.
+of the same text, results and errors alike, numbers of every digit width
+included.  ``write`` formats rows in chunks of 8-byte words; its output
+is compared with ``tests/reference_events.py``, for tokens of one and of
+many words.
 The stable orders under every read come from ``_stable_order``; it is
 compared with numpy's stable argsort at and just past the widest value
 range its packed keys hold, and so is a file whose times reach past it.
@@ -13,6 +15,8 @@ Times beyond int64 are rejected with their line number.
 
 import gc
 import io
+import itertools
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -66,8 +70,9 @@ def _outcome(read):
         tel = read()
     except ValueError as exc:  # EventFormatError, UnicodeDecodeError
         return type(exc), str(exc)
-    columns = (tel.src, tel.dst, tel.sign, tel.time, tel.intervals.key,
-               tel.intervals.start, tel.intervals.end)
+    iv = tel.intervals
+    columns = (tel.src, tel.dst, tel.sign, tel.time, iv.key, iv.start, iv.end,
+               iv.start_time, iv.end_time)
     return (tel.node_ids, [(a.dtype.str, a.tolist()) for a in columns],
             tel.stats.as_dict())
 
@@ -174,6 +179,40 @@ def test_strict_deletes_error_from_the_block_path(tmp_path):
     assert message == "delete of absent edge (2, 3) at event index 0"
 
 
+#: Digit counts around the 8-digit words the block parser reads numbers in.
+WIDTHS = (1, 7, 8, 9, 16, 17, 18)
+
+
+def _digits(rng, width, lead):
+    """A ``width``-digit decimal; the first digit is from ``lead``."""
+    return str(rng.choice(lead)) + "".join(map(str, rng.integers(0, 10, width - 1)))
+
+
+@pytest.mark.parametrize("block", [23, events._BLOCK])
+def test_fields_of_every_digit_width_match_the_loop(tmp_path, block):
+    # Every (src, dst, time) width triple, with the smallest and largest
+    # numbers of each width among them; times may have leading zeros.  A
+    # 23-byte block puts each line at the start of its own block.
+    rng = np.random.default_rng(4)
+    lines = []
+    for a, b, c in itertools.product(WIDTHS, repeat=3):
+        u = _digits(rng, a, [1, 9] if a > 1 else [0, 5, 9])
+        v = _digits(rng, b, [1, 9] if b > 1 else [0, 5, 9])
+        lines.append(f"{u}\t{v}\t{rng.choice(SIGNS)}\t{_digits(rng, c, [0, 1, 9])}\n")
+    for width in WIDTHS:
+        low, high = "1".ljust(width, "0"), "9" * width
+        lines.append(f"{high}\t{low}\t-1\t{high}\n{low}\t{high}\t+1\t{'0' * width}\n")
+    text = "".join(lines)
+    path = tmp_path / "events.tsv"
+    path.write_text(text)
+    with mock.patch.object(events, "_BLOCK", block), \
+            mock.patch.object(TemporalEdgeList, "_parse",
+                              side_effect=AssertionError("the line loop ran")):
+        got = _outcome(lambda: read_events(str(path)))
+    assert got == _outcome(lambda: read_events(io.StringIO(text)))
+    assert got[2]["self_loops_skipped"] < 5
+
+
 @pytest.fixture()
 def generated(tmp_path):
     """A ``gen``-written canonical file longer than one block."""
@@ -221,8 +260,11 @@ TOKEN_CHARS = ["a", "7", "é", "中", "\U0001f600", "\udcff", "\udc80",
 @st.composite
 def streams(draw):
     """Streams over arbitrary tokens: non-ASCII, lone surrogates and
-    characters a parsed file cannot hold."""
-    tokens = draw(st.lists(st.text(st.sampled_from(TOKEN_CHARS), max_size=4),
+    characters a parsed file cannot hold, in tokens of one 8-byte word or
+    of several."""
+    letters = st.sampled_from(TOKEN_CHARS)
+    tokens = draw(st.lists(st.one_of(st.text(letters, max_size=4),
+                                     st.text(letters, min_size=5, max_size=24)),
                            min_size=2, max_size=8, unique=True))
     n = len(tokens)
     records = draw(st.lists(
@@ -247,7 +289,7 @@ def test_writer_matches_reference(tmp_path_factory, tel, rows):
     # The byte kernel is compared on every token; the refusal of tokens a
     # reader would not give back is tested in test_events.py.
     with mock.patch.object(events, "_WRITE_ROWS", rows), \
-            mock.patch.object(events, "_check_tokens", lambda node_ids: None):
+            mock.patch.object(events, "_check_tokens", lambda *args: None):
         got, want = io.StringIO(), io.StringIO()
         tel.write(got)
         write_events(tel, want)
@@ -290,13 +332,71 @@ def test_writer_matches_reference_on_a_generated_stream(generated, tmp_path):
             == (tmp_path / "want.tsv").read_bytes() == generated.read_bytes())
 
 
-def test_decimals_are_str_of_every_int64():
+def test_time_words_are_str_of_every_time():
+    # A time field is the sign, a tab, str(time) and a newline, for every
+    # time an int64 column holds and every width of 1-3 words.  Negative
+    # int64 values never reach it: a stream refuses them.
     info = np.iinfo(np.int64)
-    values = np.array([0, 9, 10, 99, 100, 10**18 - 1, 10**18, info.max,
-                       -1, -10, info.min, info.min + 1], dtype=np.int64)
-    table, start, length = events._decimals(values)
-    assert [table[s:s + k].tobytes().decode() for s, k in zip(start, length)] \
-        == [str(v) for v in values.tolist()]
+    values = [0, 9, 10, 99, 100, 10**18 - 1, 10**18, info.max,
+              -1, -10, info.min, info.min + 1]
+    for value in values:
+        if value < 0:
+            with pytest.raises(events.EventFormatError, match="^negative timestamp$"):
+                TemporalEdgeList.from_records([(0, 1, 1, value)], n=2)
+    times = [v for v in values if v >= 0] + [10**k + d for k in range(1, 19)
+                                             for d in (-1, 0)]
+    for tail in (1, 2, 3):
+        fit = np.array([t for t in times if len(str(t)) <= 8 * tail - 4], dtype=np.int64)
+        sign = np.resize(np.array([1, -1], dtype=np.int64), len(fit))
+        words, mask = events._time_words(sign, fit, tail)
+        got = words.astype(events._WORD).view(np.uint8)[
+            mask.astype(events._WORD).view(np.bool_)].tobytes()
+        assert got.decode() == "".join(f"{'+1' if s > 0 else '-1'}\t{t}\n" for s, t in
+                                       zip(sign.tolist(), fit.tolist()))
+        assert len(fit) >= 4 * tail
+
+
+class _Chunks(io.StringIO):
+    """A text target that records the lines of each write."""
+
+    def __init__(self):
+        super().__init__()
+        self.lines = []
+
+    def write(self, text):
+        self.lines.append(text.count("\n"))
+        return super().write(text)
+
+
+def test_long_token_matches_reference_within_the_chunk_budget(tmp_path):
+    # A 300-character token widens every row of a chunk's word matrix, so a
+    # chunk holds fewer rows: the matrix stays within _WRITE_BYTES, and the
+    # whole write allocates a few times that at most.
+    long = "ab中\U0001f600\udc80" * 60
+    width = 2 * len(long.encode("utf-8", "surrogatepass"))
+    rng = np.random.default_rng(3)
+    src = rng.integers(0, 3, 4000)
+    records = np.column_stack((src, (src + rng.integers(1, 3, 4000)) % 3,
+                               rng.choice([1, -1], 4000), rng.integers(0, 2**62, 4000)))
+    tel = TemporalEdgeList.from_records(records, node_ids=[long, "b", "中"])
+
+    chunks, want = _Chunks(), io.StringIO()
+    tel.write(chunks)
+    write_events(tel, want)
+    assert chunks.getvalue() == want.getvalue()
+    assert sum(chunks.lines) == 4000 and len(chunks.lines) > 1
+    assert max(chunks.lines) * width <= events._WRITE_BYTES
+
+    got = tmp_path / "got.tsv"
+    with open(got, "w", encoding="utf-8", errors="surrogateescape") as handle:
+        tracemalloc.start()
+        try:
+            tel.write(handle)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert got.read_bytes() == want.getvalue().encode("utf-8", "surrogateescape")
+    assert peak <= 8 * events._WRITE_BYTES
 
 
 @st.composite

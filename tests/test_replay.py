@@ -10,7 +10,9 @@ between ticks.
 """
 
 import io
+import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -79,6 +81,9 @@ def test_interval_table_on_hand_stream():
     assert iv.start.tolist() == [0, 7, 4, 6]
     assert iv.end.tolist() == [3, -1, 5, -1]
     assert iv.censored.tolist() == [False, True, False, True]
+    # The times of those events; a censored interval ends at the last time.
+    assert iv.start_time.tolist() == [0, 4, 3, 3]
+    assert iv.end_time.tolist() == [3, 4, 3, 4]
     assert tel.stats.duplicate_adds == 1 and tel.stats.noop_deletes == 1
     assert tel.live_keys(3).tolist() == [2]
     assert tel.live_keys(4).tolist() == [1, 2]
@@ -86,8 +91,9 @@ def test_interval_table_on_hand_stream():
 
 def test_event_columns_and_table_are_read_only():
     tel = read_events(io.StringIO("a\tb\t+1\t1\na\tb\t-1\t2\n"))
-    for arr in (tel.src, tel.dst, tel.sign, tel.time, tel.intervals.key,
-                tel.intervals.start, tel.intervals.end):
+    iv = tel.intervals
+    for arr in (tel.src, tel.dst, tel.sign, tel.time, iv.key, iv.start, iv.end,
+                iv.start_time, iv.end_time):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0
 
@@ -98,3 +104,27 @@ def test_nan_time_is_rejected():
                   lambda t: edge_ages(tel, t)):
         with pytest.raises(ValueError, match="NaN"):
             query(float("nan"))
+
+
+def test_ages_and_snapshots_near_the_top_of_int64():
+    # Times above 2**53 up to 2**63 - 1, queried at ints (exact, up to the
+    # largest a NaN check takes), floats (which the times round to) and
+    # numpy scalars: the ages keep their keys, order and float bits, and a
+    # censored interval stays present at 2.0**63, which its time rounds to.
+    top = 2**63 - 1
+    tel = TemporalEdgeList.from_records(
+        [(0, 1, 1, 2**53 + 1), (1, 2, 1, 2**53 + 3), (0, 1, -1, top - 1000),
+         (2, 0, 1, top - 1), (1, 2, -1, top), (0, 2, 1, top)], n=3)
+    queries = [2**53, 2**53 + 1, 2**53 + 2, 2.0**53 + 2, 2.0**53 + 4,
+               top - 1000, float(top - 1000), top - 1, top, float(top), 2**63,
+               2**64 - 1, np.int64(top - 1), np.uint64(2**64 - 1),
+               np.float64(2.0**62), np.float32(2.0**62)]
+    for t in queries:
+        got, want = edge_ages(tel, t), reference.edge_ages(tel, t)
+        assert list(got) == list(want), t
+        assert [struct.pack("<d", age) for age in got.values()] == \
+            [struct.pack("<d", age) for age in want.values()], t
+        assert all(type(age) is float for age in got.values())
+        if t < 2**63:
+            assert snapshot_at(tel, t) == reference.snapshot_at(tel, t), t
+    assert list(edge_ages(tel, 2.0**63)) == [(2, 0), (0, 2)]

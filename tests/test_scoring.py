@@ -4,6 +4,7 @@ import math
 
 import struct
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -478,6 +479,29 @@ def test_run_sums_match_sum_and_python_loop(lengths, seed, zero_share):
             total += x
         assert _bits(pairwise[k]) == _bits(run.sum()), (k, length)
         assert _bits(looped[k]) == _bits(total), (k, length)
+
+
+@pytest.mark.parametrize("combo", COMBOS)
+def test_row_sums_switch_branches_at_n_endpoints(combo):
+    """From n endpoints on, ``_row_sums`` sums every CSR row once; below
+    that it gathers and sums each distinct node's row.
+    Just under and just over the switch, every total has the bits of
+    ``weights[row].sum()``, rows of 8 or more entries included."""
+    rng = np.random.default_rng(11)
+    g = _random_graph(rng, n=60, density=0.3)
+    n = g.node_count
+    weights = rng.random(n)
+    weights[rng.random(n) < 0.2] = 0.0
+    (indptr, indices), _ = combo.slot_csr(g)
+    assert np.diff(indptr).max() >= 8
+    for size, gathers in ((n - 1, 1), (n, 0), (n + 1, 0)):
+        nodes = rng.integers(0, n, size=size)
+        with mock.patch.object(scoring, "_gather_rows",
+                               wraps=scoring._gather_rows) as gather:
+            got = scoring._row_sums(weights, indptr, indices, nodes)
+        assert gather.call_count == gathers
+        want = [weights[indices[indptr[v]:indptr[v + 1]]].sum() for v in nodes.tolist()]
+        assert [_bits(x) for x in got.tolist()] == [_bits(x) for x in want]
 
 
 def test_pair_features_columns():
