@@ -16,14 +16,14 @@ protocol scores its pairs with one
 one pair-feature pass per degree combination.
 
 Every protocol ranks through one array path.  The pairs are put in their
-stable lexicographic order once; each score row then gets one stable
-``argsort`` by descending score over that order, so ties fall by endpoint
-pair and then by input position.  Precision is ``cumsum(positive) /
-rank``, and the expected AP under random tie order is a closed form per
-tie block.  :func:`sweep` ranks its 40 rows against one shared pair
-order.  Sums run left to right with ``np.cumsum``, so AP has the bits of
-a plain loop over the ranking.  :class:`APResult` keeps the ranking as
-arrays.
+stable lexicographic order once; each score row over that order then gets
+one default (SIMD) ``argsort`` by descending score and the packed-key
+stable order of its dense tie-block ranks, so ties fall by endpoint pair,
+then input position.  The p-th positive at rank r adds precision ``p /
+r``; the expected AP under random tie order is a closed form per tie
+block.  :func:`sweep` keeps only AP; the other protocols return an
+:class:`APResult`, which keeps the ranking as arrays.  Sums run left to
+right with ``np.cumsum``, so AP has the bits of a plain loop.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .events import TemporalEdgeList
+from .events import TemporalEdgeList, _packed_order
 from .graph import _as_pairs, snapshot_at
 from .scoring import (Measure, ScoreModel, ScoreSpec, DegreeCombination,
                       all_specs, score_matrix)
@@ -203,38 +203,47 @@ def _pair_order(pairs: np.ndarray) -> np.ndarray:
     return np.lexsort((pairs[:, 1], pairs[:, 0]))
 
 
-def _rank_rows(pairs: np.ndarray, rows: Iterable[np.ndarray],
-               positive: np.ndarray, tie_break: str) -> Iterator[APResult]:
-    """Rank ``(k, 2)`` pairs by each score row in turn, descending, ties
-    by endpoint pair, and yield each row's AP under ``tie_break``.
+def _descending(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.argsort(-scores, kind="stable")`` from one default (SIMD)
+    ``argsort`` and the :func:`_packed_order` of its dense ranks, and
+    whether each item starts a tie block (``0.0`` ties ``-0.0``, NaN ties
+    NaN).  The keys fit int64 for fewer than ``2 ** 31`` scores."""
+    negated = -scores
+    by_value = np.argsort(negated)
+    ordered = negated[by_value]
+    head = np.r_[True, ordered[1:] != ordered[:-1]]
+    head[ordered.searchsorted(np.nan) + 1:] = False   # NaNs sort last
+    return _packed_order(np.cumsum(head), by_value, (len(scores) - 1).bit_length()), head
 
-    The pair order is computed once; a stable ``argsort`` of each row's
-    negated scores in that order breaks ties as ``np.lexsort((dst, src,
-    -score))`` would, with ``0.0`` and ``-0.0`` tied and NaN last.  Every
-    sum runs left to right in rank order (``np.cumsum``), so the AP bits
-    equal those of a plain ``+=`` loop over the ranking.
+
+def _rankings(by_pair: np.ndarray, rows: Iterable[np.ndarray], positive: np.ndarray,
+              tie_break: str) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, float]]:
+    """Rank the pairs in their order ``by_pair`` by each score row
+    (:func:`_descending`); yield the row, its order as positions in
+    ``by_pair``, the positive mask in that order and the AP under
+    ``tie_break``.  Sums run left to right (``np.cumsum``), so the AP bits
+    equal those of a ``+=`` loop; the p-th positive at rank r adds ``p / r``.
     """
     _check_tie_break(tie_break)
     positives = int(np.count_nonzero(positive))
     if positives == 0:
         raise ValueError("average precision needs at least one 'test' item")
-    by_pair = _pair_order(pairs)
+    positive = positive[by_pair]   # in pair order, as each row is ranked
     rank = np.arange(1, len(by_pair) + 1)
     for row in rows:
-        order = by_pair[np.argsort(-row[by_pair], kind="stable")]
-        scores, ranked = row[order], positive[order]
-        hits = np.cumsum(ranked)
+        at, head = _descending(row[by_pair])
+        ranked = positive[at]
         if tie_break == "lexicographic":
-            total = np.cumsum((hits / rank)[ranked])[-1]
+            total = np.cumsum(rank[:positives] / (np.flatnonzero(ranked) + 1))[-1]
         else:
             # Expected AP when tied items are ordered uniformly at random.
             # A positive lands at in-block rank r of a block holding t
             # positives among `size` items with probability t/size;
             # conditioned on that, (r-1)(t-1)/(size-1) other positives
             # precede it in the block.
-            first = np.flatnonzero(np.r_[True, scores[1:] != scores[:-1]])
-            size = np.diff(np.r_[first, len(scores)])
-            seen = np.r_[0, hits]   # seen[k]: positives among the first k items
+            first = np.flatnonzero(head)
+            size = np.diff(np.r_[first, len(head)])
+            seen = np.r_[0, np.cumsum(ranked)]   # seen[k]: positives among the first k items
             above = np.repeat(first, size)
             above_pos = np.repeat(seen[first], size)
             t = np.repeat(seen[first + size] - seen[first], size)
@@ -243,9 +252,17 @@ def _rank_rows(pairs: np.ndarray, rows: Iterable[np.ndarray],
             # In a block of one, r - 1 is 0, so the guarded divisor gives 0.
             within = (r - 1) * (t - 1) / np.maximum(size - 1, 1)
             total = np.cumsum((t / size) * (above_pos + 1 + within) / (above + r))[-1]
-        yield APResult(ap=float(total / positives), pairs=pairs[order],
-                       scores=scores, positive=ranked, positives=positives,
-                       tie_break=tie_break)
+        yield row, at, ranked, float(total / positives)
+
+
+def _rank_rows(pairs: np.ndarray, rows: Iterable[np.ndarray],
+               positive: np.ndarray, tie_break: str) -> Iterator[APResult]:
+    """Each row's :func:`_rankings` of ``(k, 2)`` pairs as an :class:`APResult`."""
+    by_pair = _pair_order(pairs)
+    for row, at, ranked, ap in _rankings(by_pair, rows, positive, tie_break):
+        order = by_pair[at]
+        yield APResult(ap=ap, pairs=pairs[order], scores=row[order], positive=ranked,
+                       positives=int(np.count_nonzero(ranked)), tie_break=tie_break)
 
 
 def average_precision(scored: Iterable[tuple], tie_break: str = "lexicographic") -> APResult:
@@ -257,7 +274,8 @@ def average_precision(scored: Iterable[tuple], tie_break: str = "lexicographic")
     ascending, so the ranking is deterministic.  AP is the mean precision
     at the positive positions.  ``tie_break="expected"`` instead returns
     the expected AP when tied items are ordered uniformly at random
-    (useful when a sparse measure assigns many identical scores).  Edges
+    (useful when a sparse measure assigns many identical scores).  NaN
+    scores rank last and tie with each other, as ``0.0`` ties ``-0.0``.  Edges
     that are not ``(src, dst)`` pairs of exact int64 values raise ``ValueError``.
     """
     items = list(scored)
@@ -281,12 +299,11 @@ def _labeled(test: np.ndarray, zero: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return pairs, np.arange(len(pairs)) < len(test)
 
 
-def _rank_split(tel: TemporalEdgeList, split: EvaluationSplit,
-                specs: list[ScoreSpec], tie_break: str) -> Iterator[APResult]:
-    """The split's pairs ranked under each spec on the snapshot at ``t1``."""
+def _scored_split(tel: TemporalEdgeList, split: EvaluationSplit, specs: list[ScoreSpec]
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The split's pairs, their score rows on the ``t1`` snapshot, and the positive mask."""
     pairs, positive = _labeled(split.test_set, split.zero_test_set)
-    scores = score_matrix(snapshot_at(tel, split.t1), pairs, specs)
-    return _rank_rows(pairs, scores, positive, tie_break)
+    return pairs, score_matrix(snapshot_at(tel, split.t1), pairs, specs), positive
 
 
 def evaluate(tel: TemporalEdgeList, spec: ScoreSpec, split: EvaluationSplit,
@@ -300,14 +317,15 @@ def evaluate(tel: TemporalEdgeList, spec: ScoreSpec, split: EvaluationSplit,
     specs.
     """
     _check_tie_break(tie_break)
-    return next(_rank_split(tel, split, [spec], tie_break))
+    return next(_rank_rows(*_scored_split(tel, split, [spec]), tie_break))
 
 
 def sweep(tel: TemporalEdgeList, split: EvaluationSplit,
           tie_break: str = "lexicographic") -> list[float]:
     """AP of each spec of :func:`all_specs` on one split, in that order."""
     _check_tie_break(tie_break)
-    return [result.ap for result in _rank_split(tel, split, all_specs(), tie_break)]
+    pairs, scores, positive = _scored_split(tel, split, all_specs())
+    return [ap for *_, ap in _rankings(_pair_order(pairs), scores, positive, tie_break)]
 
 
 def random_baseline(split: EvaluationSplit, *, seed: int,

@@ -351,6 +351,18 @@ def _canonical_columns(handle: BinaryIO) -> list[np.ndarray] | None:
     return [np.concatenate(column) for column in zip(*blocks)]
 
 
+def _packed_order(high: np.ndarray, position: np.ndarray, bits: int) -> np.ndarray:
+    """``position`` sorted by ``(high, position)``: one default (SIMD) sort
+    of the distinct keys ``high << bits | position``, each within int64,
+    built in place of ``high`` and read off their low bits.
+    :func:`_stable_order` and ``evaluation._descending`` order here."""
+    high <<= np.int64(bits)
+    high |= position
+    high.sort()
+    high &= np.int64((1 << bits) - 1)
+    return high
+
+
 def _stable_order(values: np.ndarray) -> np.ndarray:
     """``np.argsort(values, kind="stable")`` of int64 ``values``, from one
     default sort of packed keys.
@@ -358,7 +370,7 @@ def _stable_order(values: np.ndarray) -> np.ndarray:
     Each value is packed with its position as ``(value - min) << bits |
     position``, with ``bits`` enough for every position.  The keys are
     distinct, so numpy's default (SIMD) sort of them gives the stable
-    order, read off their low bits.  Only values spanning ``2 ** (63 -
+    order (:func:`_packed_order`).  Only values spanning ``2 ** (63 -
     bits)`` or more, whose keys would overflow int64, take the stable
     argsort itself.
     """
@@ -368,11 +380,7 @@ def _stable_order(values: np.ndarray) -> np.ndarray:
     low = int(values.min())
     if int(values.max()) - low >= 1 << (63 - bits):
         return np.argsort(values, kind="stable")
-    keys = (values - np.int64(low)) << np.int64(bits)
-    keys |= np.arange(len(values), dtype=np.int64)
-    keys.sort()
-    keys &= np.int64((1 << bits) - 1)
-    return keys
+    return _packed_order(values - np.int64(low), np.arange(len(values), dtype=np.int64), bits)
 
 
 def _first_seen_ids(values: np.ndarray) -> tuple[np.ndarray, list[str]]:

@@ -5,8 +5,17 @@ Inputs are drawn tie-heavy: scores from a three-value set holding both
 with different labels), single items, all-positive lists, and lists of
 distinct scores (tie blocks of size 1).  AP must equal the reference bit
 for bit under both tie policies, and so must every score in the ranking.
-Several score rows over one pair list go through the path ``sweep`` takes,
-which ranks all of them against one shared pair order.
+Several score rows over one pair list go through ``_rank_rows`` and
+through ``_rankings``, the AP-only route ``sweep`` takes; both rank all
+of them against one shared pair order.
+
+Each row is ranked by one default ``argsort``, dense ranks of its tie
+blocks and the packed-key stable order of those ranks.  That order must
+equal ``np.argsort(-row, kind="stable")`` element for element, on rows of
+up to 70,000 items, all distinct, all tied, and drawn from ``0.0``,
+``-0.0``, NaN and the infinities.  NaN scores form one tie block, as
+``0.0`` and ``-0.0`` do, so the expected AP does not depend on how labels
+fall among them.
 """
 
 import math
@@ -15,7 +24,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import reference_evaluation as reference
@@ -142,6 +151,91 @@ def test_rank_order_equals_the_three_key_lexsort(items):
     assert np.array_equal(got.positive, positive[order])
 
 
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(shared_pairs())
+@example(([((0, 1), "test"), ((0, 1), "zero"), ((0, 1), "test")],
+          [[0.0, -0.0, 0.0], [1.0, 1.0, 1.0], [2.0, 1.0, 0.0]]))
+def test_sweep_route_matches_reference(case):
+    labeled, rows = case
+    pairs = np.array([pair for pair, _ in labeled], dtype=np.int64)
+    labels = [label for _, label in labeled]
+    positive = np.array(labels) == "test"
+    assume(positive.any())
+    scores = np.array(rows, dtype=np.float64)
+    for tie_break in TIE_BREAKS:
+        got = [ap for *_, ap in evaluation._rankings(
+            evaluation._pair_order(pairs), scores, positive, tie_break)]
+        want = [reference.average_precision(
+            list(zip(map(tuple, pairs.tolist()), row, labels)), tie_break).ap
+            for row in rows]
+        assert [_bits(ap) for ap in got] == [_bits(ap) for ap in want]
+
+
+def _scale_rows():
+    rng = np.random.default_rng(26)
+    special = np.array([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 1.5, -2.0])
+    return {
+        "70k-more-than-2**16-distinct": rng.integers(0, 10**6, 70_000) / 8.0,
+        "all-distinct": rng.permutation(70_000) * 0.25 - 100.0,
+        "all-tied": np.full(70_000, 0.5),
+        "zeros-nan-inf": rng.choice(special, size=70_000),
+        "k1": np.array([math.nan]),
+        "k2-tied": np.array([0.0, -0.0]),
+        "k2-nan": np.array([math.nan, math.nan]),
+        "k2-distinct": np.array([1.0, 2.0]),
+        "k2-nan-first": np.array([math.nan, -math.inf]),
+    }
+
+
+@pytest.mark.parametrize("name", list(_scale_rows()))
+def test_descending_is_the_stable_argsort_at_scale(name):
+    row = _scale_rows()[name]
+    if name.startswith("70k"):
+        assert 65_535 < len(np.unique(row)) < len(row)
+    at, head = evaluation._descending(row)
+    want = np.argsort(-row, kind="stable")
+    assert np.array_equal(at, want)
+    # A block starts wherever the score differs from the one before it:
+    # 0.0 ties -0.0, and NaN ties NaN.
+    ordered = row[want]
+    tied = (ordered[1:] == ordered[:-1]) | (np.isnan(ordered[1:]) & np.isnan(ordered[:-1]))
+    assert np.array_equal(head, np.r_[True, ~tied])
+
+
+#: Scores below every finite score drawn by ``nan_items``.
+BELOW = -1e10
+
+
+@st.composite
+def nan_items(draw):
+    """Tie-heavy items with some NaN scores, and a shuffle of the labels
+    among the NaN-scored ones."""
+    score = st.one_of(st.just(math.nan), st.sampled_from((0.0, -0.0, 1.0)),
+                      st.floats(-1e9, 1e9))
+    items = draw(st.lists(st.tuples(PAIR, score, LABEL), min_size=1, max_size=40))
+    nan_at = [k for k, (_, s, _) in enumerate(items) if math.isnan(s)]
+    labels = draw(st.permutations([items[k][2] for k in nan_at]))
+    swapped = list(items)
+    for k, label in zip(nan_at, labels):
+        swapped[k] = (items[k][0], items[k][1], label)
+    return items, swapped
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(nan_items())
+@example(([((0, 1), 1.0, "zero"), ((0, 2), math.nan, "test"), ((0, 3), math.nan, "zero")],
+          [((0, 1), 1.0, "zero"), ((0, 2), math.nan, "zero"), ((0, 3), math.nan, "test")]))
+def test_nan_scores_form_one_expected_tie_block(case):
+    items, swapped = case
+    assume(any(label == "test" for *_, label in items))
+    got = average_precision(items, "expected").ap
+    assert _bits(average_precision(swapped, "expected").ap) == _bits(got)
+    below = [(pair, BELOW if math.isnan(s) else s, label) for pair, s, label in items]
+    for tie_break in TIE_BREAKS:
+        assert _bits(average_precision(items, tie_break).ap) == \
+            _bits(reference.average_precision(below, tie_break).ap)
+
+
 @pytest.fixture(scope="module")
 def small_split():
     tel = generate(GenConfig(seed=3, n_nodes=200, n_add_events=3000,
@@ -161,6 +255,17 @@ def test_sweep_computes_the_pair_order_once(small_split, monkeypatch):
         calls.clear()
         assert len(sweep(tel, split, tie_break)) == 40
         assert calls == [len(split.test_set) + len(split.zero_test_set)]
+
+
+def test_sweep_builds_no_ap_result(small_split, monkeypatch):
+    tel, split = small_split
+
+    def no_result(*args, **kwargs):
+        raise AssertionError("sweep built an APResult")
+
+    monkeypatch.setattr(evaluation, "APResult", no_result)
+    for tie_break in TIE_BREAKS:
+        assert len(sweep(tel, split, tie_break)) == 40
 
 
 def test_bad_tie_break_is_rejected_before_scoring(small_split, monkeypatch):
