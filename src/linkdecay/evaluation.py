@@ -37,7 +37,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .events import TemporalEdgeList, _packed_order
+from .events import TemporalEdgeList, _packed_order, _stable_order
 from .graph import _as_pairs, snapshot_at
 from .scoring import (Measure, ScoreModel, ScoreSpec, DegreeCombination,
                       all_specs, score_matrix)
@@ -199,8 +199,15 @@ def _check_tie_break(tie_break: str) -> None:
 
 def _pair_order(pairs: np.ndarray) -> np.ndarray:
     """Stable lexicographic order of ``(k, 2)`` pairs: by source, then
-    target, then input position."""
-    return np.lexsort((pairs[:, 1], pairs[:, 0]))
+    target, then input position: one ``_stable_order`` of the keys ``(src -
+    min) * width + dst - min``, or ``np.lexsort`` where they pass int64."""
+    src, dst = pairs[:, 0], pairs[:, 1]
+    if len(pairs):
+        low = int(src.min()), int(dst.min())
+        width = int(src.max()) - low[0] + 1, int(dst.max()) - low[1] + 1
+        if width[0] * width[1] < 2 ** 63:
+            return _stable_order((src - low[0]) * width[1] + (dst - low[1]))
+    return np.lexsort((dst, src))
 
 
 def _descending(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -240,15 +247,18 @@ def _rankings(by_pair: np.ndarray, rows: Iterable[np.ndarray], positive: np.ndar
             # A positive lands at in-block rank r of a block holding t
             # positives among `size` items with probability t/size;
             # conditioned on that, (r-1)(t-1)/(size-1) other positives
-            # precede it in the block.
+            # precede it in the block.  The items of a block without a
+            # positive add exactly 0.0, so only blocks with one are summed.
             first = np.flatnonzero(head)
             size = np.diff(np.r_[first, len(head)])
             seen = np.r_[0, np.cumsum(ranked)]   # seen[k]: positives among the first k items
+            t = seen[first + size] - seen[first]
+            first, size, t = first[t > 0], size[t > 0], t[t > 0]
             above = np.repeat(first, size)
             above_pos = np.repeat(seen[first], size)
-            t = np.repeat(seen[first + size] - seen[first], size)
+            t = np.repeat(t, size)
+            r = rank[:len(above)] - np.repeat(np.cumsum(size) - size, size)
             size = np.repeat(size, size)
-            r = rank - above
             # In a block of one, r - 1 is 0, so the guarded divisor gives 0.
             within = (r - 1) * (t - 1) / np.maximum(size - 1, 1)
             total = np.cumsum((t / size) * (above_pos + 1 + within) / (above + r))[-1]

@@ -22,8 +22,8 @@ import reference_generate as reference
 from linkdecay.cli import main
 from linkdecay.evaluation import (edge_lifetimes, fit_exponential_half_life,
                                   temporal_split)
-from linkdecay.generate import (GenConfig, _Fenwick, deletion_share, generate,
-                                solve_window_span)
+from linkdecay.generate import (_BATCH_FLUSH, GenConfig, _Fenwick, deletion_share,
+                                generate, solve_window_span)
 from linkdecay.graph import snapshot_at
 
 
@@ -61,6 +61,35 @@ def test_stream_matches_pinned_digest(bias, exponent):
     assert digest == PINNED_STREAMS[bias, exponent]
 
 
+#: SHA-256 of the canonical event files of two planted-size streams on float
+#: weights.  Their death flushes take the batched tree update.
+PINNED_BATCHED_STREAMS = {
+    ("low_degree", 1.5): "bc6ad899c7fc31ba195736dab0920ae490739ddcbfee7b56559913d355644002",
+    ("few_common_neighbors", 0.7):
+        "a0dcd7ccfd882b45610c92118579fb4e437042892118fb343709026b73d1bd86",
+}
+
+
+@pytest.mark.parametrize("bias, exponent", sorted(PINNED_BATCHED_STREAMS))
+def test_batched_stream_matches_pinned_digest(bias, exponent):
+    tel = generate(GenConfig(seed=0, n_nodes=5000, n_add_events=40000,
+                             attach_exponent=exponent, decay_bias=bias))
+    assert _flush_sizes(tel).max() * _BATCH_FLUSH >= 5000
+    buffer = io.StringIO()
+    tel.write(buffer)
+    digest = hashlib.sha256(buffer.getvalue().encode("utf-8")).hexdigest()
+    assert digest == PINNED_BATCHED_STREAMS[bias, exponent]
+
+
+def _flush_sizes(tel) -> np.ndarray:
+    """The deaths each flush of ``generate`` dropped: those due after the
+    previous add tick and by the next one, then those after the last."""
+    add_ticks = np.unique(tel.time[tel.sign > 0])
+    death_ticks = tel.time[tel.sign < 0]
+    return np.bincount(np.searchsorted(add_ticks, death_ticks),
+                       minlength=len(add_ticks) + 1)
+
+
 def _stream_or_error(generator, config: GenConfig) -> str:
     """The canonical event file, or the saturation error's message."""
     try:
@@ -71,6 +100,15 @@ def _stream_or_error(generator, config: GenConfig) -> str:
     tel.write(buffer)
     return buffer.getvalue()
 
+
+#: Many nodes and a long window: every flush drops fewer than n / 16
+#: deaths and walks the tree per edge.
+_PER_EDGE_FLUSHES = GenConfig(seed=10, n_nodes=3000, n_add_events=3000,
+                              attach_exponent=1.5, span=1000.0)
+#: Few nodes and the default window: most deaths are dropped by flushes of
+#: at least n / 16, which update the float-weight tree in one pass.
+_BATCHED_FLUSHES = GenConfig(seed=11, n_nodes=400, n_add_events=6000,
+                             attach_exponent=1.5, decay_bias="low_degree")
 
 #: Hubs this steep leave no free pair among the likely draws.
 _SATURATED = GenConfig(seed=0, n_nodes=20, n_add_events=100, attach_exponent=4.0)
@@ -94,6 +132,8 @@ _SATURATED = GenConfig(seed=0, n_nodes=20, n_add_events=100, attach_exponent=4.0
                            decay_half_life=1e25, span=10.0),
                  id="lifetimes-beyond-int64"),
     pytest.param(GenConfig(seed=9, n_nodes=2, n_add_events=2), id="two-nodes"),
+    pytest.param(_PER_EDGE_FLUSHES, id="per-edge-flushes"),
+    pytest.param(_BATCHED_FLUSHES, id="batched-flushes"),
 ], ids=lambda c: f"{c.decay_bias}-{c.attach_exponent}-{c.seed}")
 def test_stream_matches_cumsum_reference(config):
     """The Fenwick-tree sampler draws the endpoints the full cumulative sum
@@ -102,6 +142,16 @@ def test_stream_matches_cumsum_reference(config):
     assert _stream_or_error(generate, config) == expected
     if config == _SATURATED:
         assert expected.startswith("RuntimeError: could not place a new edge")
+
+
+def test_flush_configs_take_their_path():
+    """The two flush configs above reach the reference through the path
+    their names say."""
+    sizes = _flush_sizes(generate(_PER_EDGE_FLUSHES))
+    assert sizes.sum() > 100 and (sizes * _BATCH_FLUSH < 3000).all()
+    sizes = _flush_sizes(generate(_BATCHED_FLUSHES))
+    batched = sizes[sizes * _BATCH_FLUSH >= 400].sum()
+    assert batched > 0.9 * sizes.sum() and (sizes[sizes > 0] * _BATCH_FLUSH < 400).any()
 
 
 @settings(derandomize=True, deadline=None, max_examples=200, database=None)
@@ -182,6 +232,54 @@ def test_fenwick_search_stays_below_n(data):
     for x, y in itertools.product(probes, repeat=2):
         assert tree.search_pair(x, y) == (tree.search_pair(x, x)[0],
                                           tree.search_pair(y, y)[1])
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(st.data())
+def test_fenwick_add_all_matches_adds(data):
+    """``add_all`` of integer deltas leaves the tree list and the total that
+    one ``add`` per weight leaves.  With float weights the sums round in
+    another order, and the search still answers the same on random probes."""
+    n = data.draw(_SIZES, label="n")
+    old = data.draw(st.lists(st.integers(0, 6), min_size=n, max_size=n), label="old")
+    new = data.draw(st.lists(st.integers(0, 6), min_size=n, max_size=n), label="new")
+    one_by_one, batched = _fenwick_of(old), _fenwick_of(old)
+    for i, (before, after) in enumerate(zip(old, new)):
+        one_by_one.add(i, after - before)
+    batched.add_all(np.subtract(new, old, dtype=np.float64))
+    assert batched.tree == one_by_one.tree
+    assert batched.total == one_by_one.total == sum(new)
+
+    old = data.draw(st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n), label="old")
+    new = data.draw(st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n), label="new")
+    one_by_one, batched = _fenwick_of(old), _fenwick_of(old)
+    for i, (before, after) in enumerate(zip(old, new)):
+        one_by_one.add(i, after - before)
+    batched.add_all(np.subtract(new, old))
+    assert batched.total == pytest.approx(one_by_one.total, rel=1e-12)
+    probes = np.random.default_rng(n).random((50, 2)) * min(batched.total,
+                                                           one_by_one.total)
+    for x, y in probes.tolist():
+        assert batched.search_pair(x, y) == one_by_one.search_pair(x, y)
+
+
+def test_ctypes_uniforms_are_generator_random():
+    """``generate`` draws its uniforms with the bit generator's C
+    ``next_double`` through ``ctypes``, between ``rng.exponential`` calls.
+    numpy does not promise that this is ``Generator.random()``; this checks
+    the values and the state after 10k rounds of two uniforms and one
+    exponential."""
+    a, b = np.random.default_rng(27), np.random.default_rng(27)
+    bits = b.bit_generator.ctypes
+    next_double, state = bits.next_double, bits.state
+    scales = (33.4, 8.35, math.inf)
+    by_method, by_ctypes = [], []
+    for k in range(10_000):
+        scale = scales[k % 3]
+        by_method += (a.random(), a.random(), a.exponential(scale))
+        by_ctypes += (next_double(state), next_double(state), b.exponential(scale))
+    assert by_method == by_ctypes
+    assert a.bit_generator.state == b.bit_generator.state
 
 
 def test_different_seeds_differ():

@@ -202,6 +202,38 @@ def test_descending_is_the_stable_argsort_at_scale(name):
     assert np.array_equal(head, np.r_[True, ~tied])
 
 
+def _pair_cases():
+    rng = np.random.default_rng(27)
+    top, wide = 2 ** 62, (2 ** 63 - 1) // 7
+    return {
+        "duplicates": rng.integers(0, 5, (300, 2)),
+        "negative": rng.integers(-7, 7, (300, 2)),
+        "int64-min": -2 ** 63 + rng.integers(0, 3, (300, 2)),
+        "near-2**62": top + rng.integers(-3, 3, (300, 2)),
+        # 7 sources times (2**63 - 1) / 7 targets: the largest key is
+        # 2**63 - 2, which _stable_order sorts by its own fallback.
+        "keys-fill-int64": np.array([[0, 0], [6, wide - 1], [5, 7], [6, 0], [5, 7],
+                                     [0, wide - 1]]),
+        # 2**63 keys or more: the lexsort fallback.
+        "2**63-keys": np.array([[0, 0], [2 ** 31 - 1, 2 ** 32 - 1], [0, 2 ** 32 - 1],
+                                [2 ** 31 - 1, 0], [0, 0]]),
+        "one-source-2**63-targets": np.array([[3, 2 ** 63 - 1], [3, 0], [3, 2 ** 63 - 1]]),
+        "wide": rng.choice([-top, -1, 0, 1, top], (300, 2)),
+        "one": np.array([[top, -top]]),
+        "empty": np.empty((0, 2), dtype=np.int64),
+    }
+
+
+@pytest.mark.parametrize("name", list(_pair_cases()))
+def test_pair_order_is_the_stable_lexsort(name):
+    """The packed-key pair order is ``np.lexsort`` by source, then target,
+    with equal pairs in input order, for any int64 ids."""
+    pairs = _pair_cases()[name].astype(np.int64)
+    got = evaluation._pair_order(pairs)
+    assert np.array_equal(got, np.lexsort((pairs[:, 1], pairs[:, 0])))
+    assert len(got) == len(pairs)
+
+
 #: Scores below every finite score drawn by ``nan_items``.
 BELOW = -1e10
 
