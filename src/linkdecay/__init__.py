@@ -18,7 +18,7 @@ from .evaluation import (APResult, EdgeLifetimes, EvaluationSplit,
                          SurvivalFit, average_precision, edge_ages,
                          edge_lifetimes, evaluate, evaluate_link_prediction,
                          fit_exponential_half_life, random_baseline,
-                         survival_curve, temporal_split)
+                         survival_curve, sweep, temporal_split)
 from .generate import GenConfig, deletion_share, generate, solve_window_span
 from .graph import (DegreeCombination, Graph, common_neighbor_count,
                     snapshot_at, union_neighborhood_size)
@@ -78,6 +78,7 @@ __all__ = [
     "survival_curve",
     "swim_surf",
     "swim_surf_events",
+    "sweep",
     "symmetrize",
     "temporal_split",
     "union_neighborhood_size",

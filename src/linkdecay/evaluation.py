@@ -82,7 +82,7 @@ class EvaluationSplit:
 
 
 def _keys_to_pairs(keys: np.ndarray, n: int) -> np.ndarray:
-    return np.column_stack((keys // n, keys % n)).astype(np.int64)
+    return np.column_stack(np.divmod(keys, n))
 
 
 def _cut_time(tel: TemporalEdgeList, fraction: float) -> float:

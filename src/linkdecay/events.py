@@ -24,7 +24,9 @@ send the whole file to the line loop, which gives the same stream and
 every error with its line number.  File objects always take the line
 loop, and so does a path that cannot seek.  The block parser reads each
 number 8 digits at a time from one unaligned 8-byte word
-(:func:`_digit_values`).
+(:func:`_digit_values`).  Both readers (:func:`_read_blocks`,
+:func:`_read_lines`) return the same indexed columns, node tokens and
+self-loop count; :func:`read_events` alone builds the stream from them.
 
 ``write`` formats each chunk of rows as one fixed-width matrix of 8-byte
 words for every target: each node token with its tab sits left-aligned in
@@ -58,7 +60,7 @@ from __future__ import annotations
 import io
 import numbers
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import (BinaryIO, Iterable, Iterator, NamedTuple, Sequence, TextIO,
                     Union)
@@ -102,11 +104,7 @@ class IngestStats:
     duplicate_adds: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "self_loops_skipped": self.self_loops_skipped,
-            "noop_deletes": self.noop_deletes,
-            "duplicate_adds": self.duplicate_adds,
-        }
+        return asdict(self)
 
 
 _SIGNS = {"+1": 1, "1": 1, "-1": -1}
@@ -417,11 +415,8 @@ def _token_words(tokens: list[str], joined: str) -> tuple[np.ndarray, np.ndarray
     """
     data = np.frombuffer(f"{joined}\t".encode("utf-8", "surrogatepass"), dtype=np.uint8)
     points = np.fromiter(map(len, tokens), dtype=np.int64, count=len(tokens)) + 1
-    if len(data) == points.sum():  # ASCII: one byte per code point
-        length = points
-    else:
-        first = np.append(np.flatnonzero((data & 0xC0) != 0x80), len(data))
-        length = np.diff(first[np.cumsum(points)], prepend=0)
+    first = np.append(np.flatnonzero((data & 0xC0) != 0x80), len(data))
+    length = np.diff(first[np.cumsum(points)], prepend=0)
     width = -(-int(length.max()) // 8)
     table = np.zeros((len(tokens), 8 * width), dtype=np.uint8)
     table[np.arange(8 * width) < length[:, None]] = data
@@ -638,84 +633,6 @@ class TemporalEdgeList:
             raise EventFormatError("pass node_ids or n, not both")
         return cls(*table.T, node_ids, strict_deletes=strict_deletes)
 
-    @classmethod
-    def _read_canonical(cls, raw: BinaryIO, self_loops: str,
-                        strict_deletes: bool) -> "TemporalEdgeList | None":
-        """The stream of a canonical event file, parsed in blocks; None if
-        the file is not canonical or holds a self-loop under ``'error'``,
-        so that the line loop reads it and reports what it finds."""
-        columns = _canonical_columns(raw)
-        if columns is None:
-            return None
-        pairs, sign, time = columns
-        del columns
-        loops = pairs[:, 0] == pairs[:, 1]
-        skipped = int(np.count_nonzero(loops))
-        if skipped:
-            if self_loops == "error":
-                return None
-            pairs, sign, time = pairs[~loops], sign[~loops], time[~loops]
-        # Rebinding ``pairs`` frees the node values before the replay.
-        pairs, node_ids = _first_seen_ids(pairs)
-        tel = cls(pairs[:, 0], pairs[:, 1], sign, time, node_ids,
-                  strict_deletes=strict_deletes)
-        tel.stats.self_loops_skipped = skipped
-        return tel
-
-    @classmethod
-    def _parse(cls, handle: TextIO, self_loops: str,
-               strict_deletes: bool) -> "TemporalEdgeList":
-        # Token -> index in first-seen order, which is the dict's order.
-        index: dict[str, int] = {}
-        srcs: list[int] = []
-        dsts: list[int] = []
-        signs: list[int] = []
-        times: list[int] = []
-        skipped = 0
-        for lineno, text in _data_lines(handle):
-            fields = text.split()
-            if len(fields) != 4:
-                raise EventFormatError(
-                    f"line {lineno}: expected 4 fields "
-                    f"(src, dst, sign, time), got {len(fields)}"
-                )
-            u, v, sign_text, time_text = fields
-            sign = _SIGNS.get(sign_text)
-            if sign is None:
-                raise EventFormatError(
-                    f"line {lineno}: sign must be +1 or -1, got {sign_text!r}"
-                )
-            try:
-                t = int(time_text)
-            except ValueError:
-                raise EventFormatError(
-                    f"line {lineno}: time must be an integer, got {time_text!r}"
-                ) from None
-            if t < 0:
-                raise EventFormatError(f"line {lineno}: time must be >= 0, got {t}")
-            if t > _MAX_TIME:
-                raise EventFormatError(
-                    f"line {lineno}: time must be at most {_MAX_TIME}, got {t}"
-                )
-            if u == v:
-                if self_loops == "error":
-                    raise EventFormatError(f"line {lineno}: self-loop {u!r} -> {v!r}")
-                skipped += 1
-                continue
-            srcs.append(index.setdefault(u, len(index)))
-            dsts.append(index.setdefault(v, len(index)))
-            signs.append(sign)
-            times.append(t)
-        src = np.array(srcs, dtype=np.int64)
-        dst = np.array(dsts, dtype=np.int64)
-        sign = np.array(signs, dtype=np.int64)
-        time = np.array(times, dtype=np.int64)
-        del srcs, dsts, signs, times
-        tel = cls(src, dst, sign, time, list(index),
-                  strict_deletes=strict_deletes)
-        tel.stats.self_loops_skipped = skipped
-        return tel
-
     # ---- queries ----
 
     @property
@@ -796,6 +713,67 @@ class TemporalEdgeList:
             handle.writelines(f"{token}\t{i}\n" for i, token in enumerate(tokens))
 
 
+def _read_blocks(raw: BinaryIO, self_loops: str) -> tuple | None:
+    """What :func:`_read_lines` returns for a canonical event file, parsed
+    in blocks; None if the file is not canonical or holds a self-loop under
+    ``'error'``, so that the line loop reads it and reports what it finds."""
+    columns = _canonical_columns(raw)
+    if columns is None:
+        return None
+    pairs, sign, time = columns
+    del columns
+    loops = pairs[:, 0] == pairs[:, 1]
+    skipped = int(np.count_nonzero(loops))
+    if skipped:
+        if self_loops == "error":
+            return None
+        pairs, sign, time = pairs[~loops], sign[~loops], time[~loops]
+    ids, node_ids = _first_seen_ids(pairs)
+    return ids[:, 0], ids[:, 1], sign, time, node_ids, skipped
+
+
+def _read_lines(handle: TextIO, self_loops: str) -> tuple:
+    """``(src, dst, sign, time, node_ids, self_loops_skipped)`` of any event
+    file, read line by line: the indexed int64 columns in file order, the
+    tokens by index and the self-loops dropped.  The first bad line raises
+    :class:`EventFormatError` with its number."""
+    # Token -> index in first-seen order, which is the dict's order.
+    index: dict[str, int] = {}
+    srcs, dsts, signs, times = [], [], [], []
+    skipped = 0
+    for lineno, text in _data_lines(handle):
+        fields = text.split()
+        if len(fields) != 4:
+            raise EventFormatError(f"line {lineno}: expected 4 fields "
+                                   f"(src, dst, sign, time), got {len(fields)}")
+        u, v, sign_text, time_text = fields
+        sign = _SIGNS.get(sign_text)
+        if sign is None:
+            raise EventFormatError(f"line {lineno}: sign must be +1 or -1, "
+                                   f"got {sign_text!r}")
+        try:
+            t = int(time_text)
+        except ValueError:
+            raise EventFormatError(f"line {lineno}: time must be an integer, "
+                                   f"got {time_text!r}") from None
+        if t < 0:
+            raise EventFormatError(f"line {lineno}: time must be >= 0, got {t}")
+        if t > _MAX_TIME:
+            raise EventFormatError(f"line {lineno}: time must be at most {_MAX_TIME}, "
+                                   f"got {t}")
+        if u == v:
+            if self_loops == "error":
+                raise EventFormatError(f"line {lineno}: self-loop {u!r} -> {v!r}")
+            skipped += 1
+            continue
+        srcs.append(index.setdefault(u, len(index)))
+        dsts.append(index.setdefault(v, len(index)))
+        signs.append(sign)
+        times.append(t)
+    return (*(np.array(column, dtype=np.int64) for column in (srcs, dsts, signs, times)),
+            list(index), skipped)
+
+
 def read_events(source: PathOrFile, *, self_loops: str = "skip",
                 strict_deletes: bool = False) -> TemporalEdgeList:
     """Read a temporal edge-event file.
@@ -808,8 +786,9 @@ def read_events(source: PathOrFile, *, self_loops: str = "skip",
         path to a canonical file (single tabs, decimal node ids without
         leading zeros, ``+1``/``1``/``-1`` signs, digit times, at most 18
         digits per number) is parsed in blocks with numpy; any other file,
-        and any file object, is read line by line.  Both give the same
-        stream and the same errors.
+        and any file object, is read line by line.  Both readers give the
+        same columns, from which this function alone builds the stream,
+        and the same errors.
     self_loops : {'skip', 'error'}
         Policy for events with ``src == dst``.  ``'skip'`` drops the record
         and counts it in ``stats.self_loops_skipped``; ``'error'`` raises.
@@ -837,16 +816,21 @@ def read_events(source: PathOrFile, *, self_loops: str = "skip",
     if self_loops not in ("skip", "error"):
         raise ValueError(f"self_loops must be 'skip' or 'error', got {self_loops!r}")
     if not isinstance(source, (str, Path)):
-        return TemporalEdgeList._parse(source, self_loops, strict_deletes)
-    with open(source, "rb") as raw:
-        # A fallback to the loop must read again from the start.
-        if raw.seekable():
-            tel = TemporalEdgeList._read_canonical(raw, self_loops, strict_deletes)
-            if tel is not None:
-                return tel
-            raw.seek(0)
-        with io.TextIOWrapper(raw, encoding="utf-8") as handle:
-            return TemporalEdgeList._parse(handle, self_loops, strict_deletes)
+        columns = _read_lines(source, self_loops)
+    else:
+        with open(source, "rb") as raw:
+            columns = None
+            if raw.seekable():
+                columns = _read_blocks(raw, self_loops)
+                # The line loop, if it runs, reads from the start again.
+                raw.seek(0)
+            if columns is None:
+                with io.TextIOWrapper(raw, encoding="utf-8") as handle:
+                    columns = _read_lines(handle, self_loops)
+    *columns, skipped = columns
+    tel = TemporalEdgeList(*columns, strict_deletes=strict_deletes)
+    tel.stats.self_loops_skipped = skipped
+    return tel
 
 
 def read_id_map(source: PathOrFile) -> dict[str, int]:

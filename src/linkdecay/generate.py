@@ -47,7 +47,9 @@ that evaluation pipelines have a planted, recoverable signal:
   nodes) keeps the class large enough to recover at realistic sizes.
   The median is read off the counts of those degrees.
 * ``few_common_neighbors`` — edges whose endpoints share no neighbor (in
-  either direction) at add time.
+  either direction) at add time.  Each node keeps one set of its
+  neighbors; a death removes the pair from both sets unless the reverse
+  edge is still live.
 
 Everything is driven by a single integer seed; the same config produces a
 byte-identical event stream.
@@ -335,10 +337,10 @@ def generate(config: GenConfig) -> TemporalEdgeList:
     degree = [0] * n
     # i * n + j for every live edge i -> j.
     live: set[int] = set()
-    # neighbor -> number of live directed edges touching it (1 or 2), kept
-    # only for the common-neighbor bias class.
+    # neighbors[i] holds j while i -> j or j -> i is live, kept only for the
+    # common-neighbor bias class.
     track_cn = config.decay_bias == "few_common_neighbors"
-    neighbor_counts: list[dict[int, int]] = [dict() for _ in range(n)] if track_cn else []
+    neighbors: list[set[int]] = [set() for _ in range(n)] if track_cn else []
     track_median = config.decay_bias == "low_degree"
     median_degree = 0.0
     # Row r % _MEDIAN_ROWS holds the endpoint degrees of refresh period r;
@@ -382,12 +384,9 @@ def generate(config: GenConfig) -> TemporalEdgeList:
         if track_cn:
             for key in dead:
                 i, j = divmod(key, n)
-                for a, b in ((i, j), (j, i)):
-                    left = neighbor_counts[a][b] - 1
-                    if left:
-                        neighbor_counts[a][b] = left
-                    else:
-                        del neighbor_counts[a][b]
+                if j * n + i not in live:  # the reverse edge is gone too
+                    neighbors[i].discard(j)
+                    neighbors[j].discard(i)
 
     added = 0
     # A lifetime is at least one tick, so no edge dies in its add tick.
@@ -422,7 +421,7 @@ def generate(config: GenConfig) -> TemporalEdgeList:
                 period.append(dj)
                 biased = di < median_degree or dj < median_degree
             elif track_cn:
-                biased = not (neighbor_counts[i].keys() & neighbor_counts[j].keys())
+                biased = neighbors[i].isdisjoint(neighbors[j])
             lifetime = exponential(biased_scale if biased else plain_scale)
             added += 1
             keys.append(key)
@@ -432,8 +431,8 @@ def generate(config: GenConfig) -> TemporalEdgeList:
             degree[j] = dj + 1
             tree_add(j, up[dj])
             if track_cn:
-                for a, b in ((i, j), (j, i)):
-                    neighbor_counts[a][b] = neighbor_counts[a].get(b, 0) + 1
+                neighbors[i].add(j)
+                neighbors[j].add(i)
             # An infinite lifetime outlasts every window (and round() rejects it).
             t_del = (tick + (round(lifetime) or 1) if lifetime < math.inf
                      else window + 1)

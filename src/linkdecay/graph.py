@@ -320,7 +320,24 @@ def _pair_keys(rows: np.ndarray, lengths: np.ndarray, n: int) -> np.ndarray:
     return keys
 
 
-def pair_features(g: Graph, pairs: np.ndarray,
+def _checked_pairs(g: Graph, pairs: Iterable[Sequence[int]]) -> np.ndarray:
+    """``pairs`` by :func:`_as_pairs`, each two distinct nodes of ``g``: the
+    first that is not raises the error :func:`_check_pair` gives, with its
+    position prepended (``pair k = (a, b): ...``)."""
+    arr = _as_pairs(pairs)
+    i, j = arr[:, 0], arr[:, 1]
+    n = g.node_count
+    bad = np.flatnonzero((i < 0) | (i >= n) | (j < 0) | (j >= n) | (i == j))
+    for k in bad[:1].tolist():
+        a, b = arr[k].tolist()
+        try:
+            _check_pair(g, a, b)
+        except (ValueError, IndexError) as exc:
+            raise type(exc)(f"pair {k} = ({a}, {b}): {exc}") from exc
+    return arr
+
+
+def pair_features(g: Graph, pairs: Iterable[Sequence[int]],
                   combo: DegreeCombination) -> PairFeatures:
     """Degrees and common neighbours of a block of pairs, in one pass.
 
@@ -329,8 +346,9 @@ def pair_features(g: Graph, pairs: np.ndarray,
     g : Graph
         Snapshot to read.
     pairs : array of shape (k, 2)
-        Valid pairs of distinct nodes (:func:`_as_pairs`).  Temporaries grow
-        with the summed row lengths of the block, so callers split batches.
+        Pairs of distinct nodes, checked as :func:`~linkdecay.scoring.score_matrix`
+        checks them (:func:`_checked_pairs`).  Temporaries grow with the
+        summed row lengths of the block, so callers split batches.
     combo : DegreeCombination
         Which rows fill the two slots.
 
@@ -341,7 +359,11 @@ def pair_features(g: Graph, pairs: np.ndarray,
         the keys their merge repeats are the common neighbours (a repeated
         pair has keys of its own), grouped by pair and ascending within each.
     """
-    pairs = _as_pairs(pairs)
+    return _pair_features(g, _checked_pairs(g, pairs), combo)
+
+
+def _pair_features(g: Graph, pairs: np.ndarray, combo: DegreeCombination) -> PairFeatures:
+    """:func:`pair_features` of checked int64 ``(k, 2)`` pairs."""
     n = g.node_count
     (ptr1, idx1), (ptr2, idx2) = DegreeCombination(combo).slot_csr(g)
     rows1, d1 = _gather_rows(ptr1, idx1, pairs[:, 0])
@@ -363,12 +385,12 @@ def common_neighbor_count(g: Graph, i: int, j: int,
     For ASYM this is the number of directed 2-paths ``i -> k -> j``.
     """
     _check_pair(g, i, j)
-    return int(pair_features(g, [(i, j)], combo).cn[0])
+    return int(_pair_features(g, _as_pairs([(i, j)]), combo).cn[0])
 
 
 def union_neighborhood_size(g: Graph, i: int, j: int,
                             combo: DegreeCombination = DegreeCombination.SYM) -> int:
     """Size of the union of the combo-selected neighbor sets."""
     _check_pair(g, i, j)
-    d1, d2, cn, _ = pair_features(g, [(i, j)], combo)
+    d1, d2, cn, _ = _pair_features(g, _as_pairs([(i, j)]), combo)
     return int(d1[0] + d2[0] - cn[0])

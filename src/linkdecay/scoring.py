@@ -42,8 +42,8 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .graph import (DegreeCombination, Graph, _as_pairs, _check_pair, _gather_rows,
-                    _parse_choice, pair_features)
+from .graph import (DegreeCombination, Graph, _as_pairs, _check_pair, _checked_pairs,
+                    _gather_rows, _pair_features, _parse_choice, pair_features)
 
 __all__ = [
     "Measure",
@@ -55,7 +55,6 @@ __all__ = [
     "complement_score",
     "decay_score",
     "link_prediction_score",
-    "pair_features",
     "score_batch",
     "score_matrix",
 ]
@@ -246,7 +245,7 @@ def _decay_scores(g: Graph, pairs: np.ndarray, specs: Sequence[ScoreSpec],
     n = g.node_count
     weights = [_node_weights(g, pairs, spec) for spec in specs]
     for block in _blocks(g, pairs, combo):
-        d1, d2, cn, common = pair_features(g, pairs[block], combo)
+        d1, d2, cn, common = _pair_features(g, pairs[block], combo)
         union = d1 + d2 - cn
         columns = {ScoreModel.COMPLEMENT_SCORE: (d1, d2, cn, union),
                    ScoreModel.COMPLEMENT_NETWORK:
@@ -271,16 +270,7 @@ def score_matrix(g: Graph, pairs: Iterable[Sequence[int]],
     of shape ``(len(specs), k)`` in input order.  A bad pair raises the
     error :func:`decay_score` would, with its position prepended; input not
     read as ``(k, 2)`` int64 pairs by ``_as_pairs`` raises ``ValueError``."""
-    arr = _as_pairs(pairs)
-    i, j = arr[:, 0], arr[:, 1]
-    n = g.node_count
-    bad = np.flatnonzero((i < 0) | (i >= n) | (j < 0) | (j >= n) | (i == j))
-    for k in bad[:1].tolist():
-        a, b = arr[k].tolist()
-        try:
-            _check_pair(g, a, b)
-        except (ValueError, IndexError) as exc:
-            raise type(exc)(f"pair {k} = ({a}, {b}): {exc}") from exc
+    arr = _checked_pairs(g, pairs)
     scores = np.empty((len(specs), len(arr)), dtype=np.float64)
     if len(arr):
         for combo in dict.fromkeys(spec.combo for spec in specs):
@@ -293,7 +283,9 @@ def score_matrix(g: Graph, pairs: Iterable[Sequence[int]],
 def decay_score(g: Graph, i: int, j: int, spec: ScoreSpec) -> float:
     """Score one pair under a fully resolved :class:`ScoreSpec`."""
     _check_pair(g, i, j)
-    return float(score_matrix(g, [(i, j)], [spec])[0, 0])
+    row = np.empty(1)
+    _decay_scores(g, _as_pairs([(i, j)]), [spec], [row])
+    return float(row[0])
 
 
 def complement_score(g: Graph, i: int, j: int, measure: Measure,

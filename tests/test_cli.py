@@ -374,10 +374,10 @@ def test_sweep_snapshots_once_and_reads_features_once_per_combo(
         monkeypatch.setattr(module, name, wrapper)
 
     counted(evaluation, "snapshot_at")
-    counted(scoring, "pair_features")
+    counted(scoring, "_pair_features")
     assert main(["sweep", "--input", gen_file, "--seed", "13",
                  "--output", str(tmp_path / "sweep.tsv")]) == 0
-    assert calls == {"snapshot_at": 1, "pair_features": 4}
+    assert calls == {"snapshot_at": 1, "_pair_features": 4}
 
 
 def test_explicit_flags_override_config(capsys, gen_file, tmp_path):

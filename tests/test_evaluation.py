@@ -12,7 +12,7 @@ import reference_evaluation
 import reference_scoring as reference
 from linkdecay.datasets import swim_surf_events
 from linkdecay.evaluation import (APResult, EdgeLifetimes, EvaluationSplit,
-                                  _absent_keys, _cut, average_precision,
+                                  _absent_keys, _cut, _keys_to_pairs, average_precision,
                                   edge_ages, edge_lifetimes, evaluate,
                                   evaluate_link_prediction,
                                   fit_exponential_half_life, random_baseline,
@@ -47,6 +47,13 @@ def test_split_membership():
     split = temporal_split(tel, 0.75, seed=0)
     assert [tuple(e) for e in split.test_set] == [(0, 1)]
     assert [tuple(e) for e in split.zero_test_set] == [(2, 3)]
+
+
+def test_keys_to_pairs_splits_int64_keys():
+    for keys in (np.array([0, 5, 7, 11, 35], dtype=np.int64), np.empty(0, dtype=np.int64)):
+        got = _keys_to_pairs(keys, 6)
+        assert got.dtype == np.int64 and got.shape == (len(keys), 2)
+        assert np.array_equal(got, np.column_stack((keys // 6, keys % 6)))
 
 
 def test_split_deleted_then_readded_edge_is_a_survivor():

@@ -16,6 +16,8 @@ Times beyond int64 are rejected with their line number.
 import gc
 import io
 import itertools
+import os
+import threading
 import tracemalloc
 import warnings
 from unittest import mock
@@ -206,7 +208,7 @@ def test_fields_of_every_digit_width_match_the_loop(tmp_path, block):
     path = tmp_path / "events.tsv"
     path.write_text(text)
     with mock.patch.object(events, "_BLOCK", block), \
-            mock.patch.object(TemporalEdgeList, "_parse",
+            mock.patch.object(events, "_read_lines",
                               side_effect=AssertionError("the line loop ran")):
         got = _outcome(lambda: read_events(str(path)))
     assert got == _outcome(lambda: read_events(io.StringIO(text)))
@@ -228,20 +230,20 @@ def test_canonical_path_takes_the_block_parser(generated, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the line loop ran on a canonical file")
 
-    monkeypatch.setattr(TemporalEdgeList, "_parse", refuse)
+    monkeypatch.setattr(events, "_read_lines", refuse)
     assert _outcome(lambda: read_events(str(generated))) == expected
     assert _outcome(lambda: read_events(generated)) == expected
 
 
 def test_file_objects_and_string_tokens_take_the_loop(generated, tmp_path):
     calls = []
-    loop = TemporalEdgeList._parse.__func__
+    loop = events._read_lines
 
-    def spy(cls, *args):
+    def spy(*args):
         calls.append(args[0])
-        return loop(cls, *args)
+        return loop(*args)
 
-    with mock.patch.object(TemporalEdgeList, "_parse", classmethod(spy)):
+    with mock.patch.object(events, "_read_lines", spy):
         with open(generated, encoding="utf-8") as handle:
             read_events(handle)
         path = tmp_path / "words.tsv"
@@ -249,6 +251,30 @@ def test_file_objects_and_string_tokens_take_the_loop(generated, tmp_path):
         tel = read_events(str(path))
     assert len(calls) == 2
     assert tel.node_ids == ["swim", "surf"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_a_path_that_cannot_seek_takes_the_loop(tmp_path):
+    # A named pipe cannot be read twice, so the block parser, whose refusal
+    # sends the file back to the start, does not read it even when it is
+    # canonical; the loop gives the stream the text gives.
+    text = "1\t2\t+1\t3\n2\t1\t+1\t4\n1\t2\t-1\t5\n3\t3\t+1\t6\n"
+    fifo = tmp_path / "events.fifo"
+    os.mkfifo(fifo)
+
+    def feed():
+        with open(fifo, "w", encoding="utf-8") as handle:
+            handle.write(text)
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    with mock.patch.object(events, "_canonical_columns",
+                           side_effect=AssertionError("the block parser ran")):
+        got = _outcome(lambda: read_events(str(fifo)))
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert got == _outcome(lambda: read_events(io.StringIO(text)))
+    assert got[0] == ["1", "2"] and got[2]["self_loops_skipped"] == 1
 
 
 # ---- writer ----
@@ -510,7 +536,7 @@ def test_widest_canonical_times_match_the_loop_and_the_reference(tmp_path):
                ("2", "30", "-1", top), ("2", "1", "+1", top)]
     path = tmp_path / "events.tsv"
     path.write_text("".join("\t".join(map(str, r)) + "\n" for r in records))
-    with mock.patch.object(TemporalEdgeList, "_parse",
+    with mock.patch.object(events, "_read_lines",
                            side_effect=AssertionError("the line loop ran")), \
             mock.patch.object(np, "argsort", wraps=np.argsort) as argsort:
         tel = read_events(str(path))

@@ -175,7 +175,9 @@ def test_raw_evaluator_does_not_use_the_kernel(monkeypatch):
         raise AssertionError("oracle called the scoring kernel")
 
     monkeypatch.setattr(graph, "pair_features", refuse)
+    monkeypatch.setattr(graph, "_pair_features", refuse)
     monkeypatch.setattr(scoring, "pair_features", refuse)
+    monkeypatch.setattr(scoring, "_pair_features", refuse)
     monkeypatch.setattr(scoring, "_decay_scores", refuse)
     rng = np.random.default_rng(71)
     g = random_directed_graph(12, 0.3, rng)

@@ -321,6 +321,25 @@ def test_batch_reports_unknown_node_as_index_error():
         score_batch(g, np.array([[-1, 2]]), spec)
 
 
+def test_pair_features_rejects_pairs_as_score_matrix_does():
+    # Unchecked, the first read node 5's row, the second counted node 1's
+    # neighbours as common to it and itself, and the last two failed inside
+    # numpy.
+    g = swim_surf()
+    spec = ScoreSpec(ScoreModel.COMPLEMENT_SCORE, Measure.CN, SYM)
+    for pair, error, message in [
+            ((-2, 1), IndexError, "unknown node -2 (graph has 6 nodes)"),
+            ((1, 1), ValueError, "candidate pair must have distinct endpoints, got (1, 1)"),
+            ((0, -1), IndexError, "unknown node -1 (graph has 6 nodes)"),
+            ((6, 0), IndexError, "unknown node 6 (graph has 6 nodes)")]:
+        pairs = [(0, 1), pair]
+        for call in (lambda: pair_features(g, pairs, SYM),
+                     lambda: score_matrix(g, pairs, [spec])):
+            with pytest.raises(error) as info:
+                call()
+            assert str(info.value) == f"pair 1 = {pair}: {message}"
+
+
 # ---- the batched kernel against the per-pair reference, bit for bit ----
 
 SPECS_AND_ACW = all_specs() + [
