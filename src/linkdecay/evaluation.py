@@ -37,7 +37,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .events import TemporalEdgeList, _packed_order, _stable_order
+from .events import TemporalEdgeList, _in_sorted, _packed_order, _stable_order
 from .graph import _as_pairs, snapshot_at
 from .scoring import (Measure, ScoreModel, ScoreSpec, DegreeCombination,
                       all_specs, score_matrix)
@@ -118,6 +118,9 @@ def temporal_split(tel: TemporalEdgeList, fraction: float = 0.75, *,
         of size ``min(#decayed, #survivors)``.  A warning is issued when
         the survivor count is the binding minimum.
 
+    One search of the sorted live keys at ``t1`` in those at the end
+    (``_in_sorted``) splits them, in order, into decayed and survivors.
+
     Raises
     ------
     ValueError
@@ -126,8 +129,8 @@ def temporal_split(tel: TemporalEdgeList, fraction: float = 0.75, *,
     """
     t1, t_end, k1, k_end = _cut(tel, fraction)
     n = tel.node_count
-    test_keys = np.setdiff1d(k1, k_end, assume_unique=True)
-    survivor_keys = np.intersect1d(k1, k_end, assume_unique=True)
+    survives = _in_sorted(k_end, k1)
+    test_keys, survivor_keys = k1[~survives], k1[survives]
     if len(test_keys) == 0:
         raise ValueError(
             f"no decayed edges between t1={t1:g} and t_end={t_end}: "
@@ -356,14 +359,6 @@ def random_baseline(split: EvaluationSplit, *, seed: int,
     return next(_rank_rows(pairs, (scores,), positive, tie_break))
 
 
-def _in_sorted(keys: np.ndarray, wanted: np.ndarray) -> np.ndarray:
-    """Whether each of ``wanted`` is among the sorted ``keys``."""
-    at = np.searchsorted(keys, wanted)
-    found = at < len(keys)
-    found[found] = keys[at[found]] == wanted[found]
-    return found
-
-
 def _absent_keys(ever: np.ndarray, n: int, need: int, seed: int) -> np.ndarray:
     """The sorted keys ``i * n + j`` of ``need`` distinct pairs ``i != j``
     outside the sorted keys ``ever``, drawn from ``default_rng(seed)``.
@@ -399,7 +394,7 @@ def evaluate_link_prediction(tel: TemporalEdgeList, measure: Measure,
     _check_tie_break(tie_break)
     t1, t_end, k1, k_end = _cut(tel, fraction)
     n = tel.node_count
-    new_keys = np.setdiff1d(k_end, k1, assume_unique=True)
+    new_keys = k_end[~_in_sorted(k1, k_end)]
     if len(new_keys) == 0:
         raise ValueError(f"no new edges between t1={t1:g} and t_end={t_end}")
     # Distinct keys by a sort and a mask: np.unique hashes in recent numpy,

@@ -6,7 +6,8 @@ An event file is UTF-8 text with one event per line::
 
 where ``sign`` is ``+1`` (edge appears) or ``-1`` (edge disappears) and
 ``time`` is a non-negative integer tick.  Lines starting with ``#`` and
-blank lines are ignored.  This is the usual temporal edge-list layout of
+blank lines are ignored, and so is one byte order mark (BOM, U+FEFF)
+opening the file.  This is the usual temporal edge-list layout of
 public network datasets, so dumps in that format load directly.
 
 Node identifiers are arbitrary tokens; they are compacted to integer
@@ -52,7 +53,8 @@ values for first-seen ids) comes from one default numpy sort of distinct
 packed int64 keys ``(value - min) << bits | position``
 (:func:`_stable_order`).  Only values spanning too wide a range for such a
 key, as times up to ``10**18`` over more than eight events can, fall back to
-numpy's stable argsort.
+numpy's stable argsort.  Membership in sorted distinct int64 keys, such
+as the live edge keys at a time, is one search (:func:`_in_sorted`).
 """
 
 from __future__ import annotations
@@ -161,20 +163,22 @@ def _node_count(n, error: type[Exception]) -> int:
 
 def _check_tokens(tokens: list[str], joined: str) -> None:
     """Raise ``ValueError`` at the first node token a reader would not give
-    back: a repeated or empty one, one holding whitespace or one that
-    starts with ``#`` (its line would be a comment).  ``joined`` is
-    ``"\\t".join(tokens)``, which the writer encodes too."""
+    back: a repeated or empty one, one holding whitespace, or one that
+    starts with ``#`` (its line would be a comment) or U+FEFF (a BOM).
+    ``joined`` is ``"\\t".join(tokens)``, which the writer encodes too."""
     # The usual all-readable case in a few C passes: the joined tokens split
     # back into themselves only if none is empty or holds whitespace, and
-    # then a tab followed by '#' starts a token.
-    if (joined.split() == tokens and not joined.startswith("#")
-            and "\t#" not in joined and len(set(tokens)) == len(tokens)):
+    # then a tab followed by '#' or U+FEFF starts a token.
+    if (joined.split() == tokens and not joined.startswith(("#", "\ufeff"))
+            and "\t#" not in joined and "\t\ufeff" not in joined
+            and len(set(tokens)) == len(tokens)):
         return
     seen: set[str] = set()
     for token in tokens:
         problem = ("is repeated" if token in seen else "is empty" if not token
                    else "holds whitespace" if token.split() != [token]
-                   else "starts with '#'" if token.startswith("#") else None)
+                   else f"starts with {token[0]!r}" if token.startswith(("#", "\ufeff"))
+                   else None)
         if problem:
             raise ValueError(f"node token {token!r} {problem}: it cannot be read back")
         seen.add(token)
@@ -201,9 +205,10 @@ def _opened(target: PathOrFile, mode: str) -> Iterator[TextIO]:
 
 def _data_lines(handle: Iterable[str]) -> Iterator[tuple[int, str]]:
     """``(line number, stripped text)`` of each data line of ``handle``,
-    numbered from 1; blank lines and ``#`` comments are not data."""
+    numbered from 1; blank lines and ``#`` comments are not data.  One byte
+    order mark (U+FEFF) opening line 1 is not part of the text."""
     for lineno, line in enumerate(handle, start=1):
-        text = line.strip()
+        text = (line.removeprefix("\ufeff") if lineno == 1 else line).strip()
         if text and not text.startswith("#"):
             yield lineno, text
 
@@ -379,6 +384,15 @@ def _stable_order(values: np.ndarray) -> np.ndarray:
     if int(values.max()) - low >= 1 << (63 - bits):
         return np.argsort(values, kind="stable")
     return _packed_order(values - np.int64(low), np.arange(len(values), dtype=np.int64), bits)
+
+
+def _in_sorted(keys: np.ndarray, wanted: np.ndarray) -> np.ndarray:
+    """Whether each of ``wanted`` is among the sorted distinct int64
+    ``keys`` (edge keys ``src * n + dst``), by one ``np.searchsorted``."""
+    at = np.searchsorted(keys, wanted)
+    found = at < len(keys)
+    found[found] = keys[at[found]] == wanted[found]
+    return found
 
 
 def _first_seen_ids(values: np.ndarray) -> tuple[np.ndarray, list[str]]:

@@ -126,6 +126,11 @@ class GenConfig:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
+        with np.errstate(over="ignore"):  # n weights up to (2n - 1) ** exponent
+            top = n_nodes * np.float64(2 * n_nodes - 1) ** self.attach_exponent
+        if not np.isfinite(top):
+            raise ValueError(f"attach_exponent {self.attach_exponent!r} makes the "
+                             f"attachment weights of {n_nodes} nodes overflow float64")
         if self.decay_half_life <= 0:
             raise ValueError("decay_half_life must be positive")
         if self.decay_bias not in _BIASES:

@@ -3,6 +3,8 @@
 A :class:`Graph` is an immutable snapshot of a directed simple graph over a
 fixed node universe ``0..n-1``.  Neighbors are held as per-node sorted
 integer arrays, giving O(degree) scans and O(log degree) membership tests.
+A node has two queries: :meth:`Graph.neighbors` by direction (out, in or
+both) and :meth:`Graph.degree` by mode (out, in or their total).
 Snapshots are produced from event streams by :func:`snapshot_at`: an edge is
 present at time ``t`` iff its last event at or before ``t`` is an add, that
 is, iff one of its rows in the stream's presence-interval table opened at
@@ -23,7 +25,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .events import TemporalEdgeList, _int64, _node_count
+from .events import TemporalEdgeList, _in_sorted, _int64, _node_count
 
 __all__ = [
     "DegreeCombination",
@@ -112,39 +114,18 @@ class Graph:
                 f"direction must be 'out', 'in' or 'both', got {direction!r}") from None
 
     def neighbors(self, v: int, direction: str = "both") -> np.ndarray:
-        """Neighbor set of ``v`` in the given ``direction`` (out/in/both)."""
+        """Sorted successors (``'out'``), predecessors (``'in'``) or both of
+        ``v``; the length of ``'both'`` is its count of distinct neighbors."""
         indptr, indices = self._csr(direction)
         v = self._check_node(v)
         return indices[indptr[v]:indptr[v + 1]]
-
-    def out_neighbors(self, v: int) -> np.ndarray:
-        """Sorted successors of ``v`` (targets of edges v -> *)."""
-        return self.neighbors(v, "out")
-
-    def in_neighbors(self, v: int) -> np.ndarray:
-        """Sorted predecessors of ``v`` (sources of edges * -> v)."""
-        return self.neighbors(v, "in")
-
-    def all_neighbors(self, v: int) -> np.ndarray:
-        """Sorted union of successors and predecessors of ``v``."""
-        return self.neighbors(v, "both")
-
-    def out_degree(self, v: int) -> int:
-        return len(self.out_neighbors(v))
-
-    def in_degree(self, v: int) -> int:
-        return len(self.in_neighbors(v))
-
-    def neighbor_count(self, v: int) -> int:
-        """Number of distinct neighbors, irrespective of direction."""
-        return len(self.all_neighbors(v))
 
     def degree(self, v: int, mode: str = "total") -> int:
         """Degree of ``v``: ``'out'``, ``'in'`` or ``'total'`` (= out + in).
 
         In the total, an edge present in both directions counts twice."""
         if mode == "total":
-            return self.out_degree(v) + self.in_degree(v)
+            return self.degree(v, "out") + self.degree(v, "in")
         if mode in ("out", "in"):
             return len(self.neighbors(v, mode))
         raise ValueError(f"mode must be 'out', 'in' or 'total', got {mode!r}")
@@ -164,11 +145,8 @@ class Graph:
         return np.diff(self._rows["both"][0])
 
     def has_edge(self, i: int, j: int) -> bool:
-        i = self._check_node(i)
-        j = self._check_node(j)
-        row = self.out_neighbors(i)
-        k = np.searchsorted(row, j)
-        return bool(k < len(row) and row[k] == j)
+        row = self.neighbors(i, "out")
+        return bool(_in_sorted(row, np.array([self._check_node(j)]))[0])
 
     def edges(self) -> np.ndarray:
         """All edges as an ``(m, 2)`` array in lexicographic order."""
@@ -229,24 +207,24 @@ class DegreeCombination(str, Enum):
     """How the two endpoint degrees and neighbor sets of a candidate edge
     ``(i, j)`` are read off a directed graph.
 
-    ======  =======================  ==========================================
-    member  endpoint degrees         endpoint neighbor sets
-    ======  =======================  ==========================================
-    SYM     distinct-neighbor        all_neighbors(i), all_neighbors(j)
-            counts of i and j
-    ASYM    out_degree(i),           out_neighbors(i), in_neighbors(j)
-            in_degree(j)             (common count = directed 2-paths i->k->j)
-    IN      in_degree(i),            in_neighbors(i), in_neighbors(j)
-            in_degree(j)
-    OUT     out_degree(i),           out_neighbors(i), out_neighbors(j)
-            out_degree(j)
-    ======  =======================  ==========================================
+    ======  ====================  ==========================================
+    member  endpoint degrees      endpoint neighbor sets
+    ======  ====================  ==========================================
+    SYM     len(neighbors(i)),    neighbors(i), neighbors(j)
+            len(neighbors(j))
+    ASYM    degree(i, 'out'),     neighbors(i, 'out'), neighbors(j, 'in')
+            degree(j, 'in')       (common count = directed 2-paths i->k->j)
+    IN      degree(i, 'in'),      neighbors(i, 'in'), neighbors(j, 'in')
+            degree(j, 'in')
+    OUT     degree(i, 'out'),     neighbors(i, 'out'), neighbors(j, 'out')
+            degree(j, 'out')
+    ======  ====================  ==========================================
 
     ``weight_degree`` — the per-node degree used to weight a common neighbor
     ``k`` (log-degree weighting) — follows the neighbor direction for OUT and
-    IN, and the in+out total for SYM and ASYM.  Note the deliberate
-    asymmetry for SYM: endpoint degrees count distinct neighbors, while
-    weight degrees use the in+out total.
+    IN, and is ``degree(k)``, the in+out total, for SYM and ASYM.  Note the
+    deliberate asymmetry for SYM: endpoint degrees count distinct neighbors,
+    while weight degrees use the in+out total.
     """
 
     SYM = "sym"

@@ -30,7 +30,7 @@ graph instead: each slot's row is its endpoint's CSR rows in the slot's
 directions, over only the nodes they hold on a large graph, so the node
 limit does not apply.  Both row sources give one row per pair and slot to
 one scoring body.  Edge membership of the candidates is one
-``np.searchsorted`` of their ``i * n + j`` keys in the graph's sorted
+``_in_sorted`` search of their ``i * n + j`` keys in the graph's sorted
 ones, and ``score_matrix`` already rejects a bad pair.  A sampled
 candidate set is drawn in chunks that keep numpy's one-call-per-pair
 stream, each chunk deduplicated in one array pass.  Nothing lives across
@@ -50,6 +50,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .events import _in_sorted
 from .graph import DegreeCombination, Graph, _check_pair
 from .scoring import Measure, ScoreModel, ScoreSpec, score_matrix
 # Kept as a module attribute: perfbench's traced oracle run patches
@@ -387,15 +388,14 @@ def _candidate_pairs(g: Graph, pairs: str, max_pairs: int,
 def _edge_mask(g: Graph, candidates: np.ndarray) -> np.ndarray:
     """Whether each pair of a ``(k, 2)`` array is an edge of ``g``.
 
-    ``g.edges()`` is lexicographic, so its ``i * n + j`` keys are sorted;
-    one ``np.searchsorted`` finds each candidate's key among them, with a
-    sentinel ``n * n`` above every key.  The keys fit int64 for any graph
-    whose complement the oracle builds (``COMPLEMENT_NODE_LIMIT``).
+    ``g.edges()`` is lexicographic, so its ``i * n + j`` keys are sorted
+    and distinct; :func:`~linkdecay.events._in_sorted` finds each
+    candidate's key among them.  The keys fit int64 for any graph whose
+    complement the oracle builds (``COMPLEMENT_NODE_LIMIT``).
     """
     n, edges = g.node_count, g.edges()
-    keys = np.append(edges[:, 0] * n + edges[:, 1], n * n)
-    wanted = candidates[:, 0] * n + candidates[:, 1]
-    return keys[np.searchsorted(keys, wanted)] == wanted
+    return _in_sorted(edges[:, 0] * n + edges[:, 1],
+                      candidates[:, 0] * n + candidates[:, 1])
 
 
 def check_closed_form(g: Graph, spec: ScoreSpec, pairs: str = "edges",

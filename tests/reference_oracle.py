@@ -40,14 +40,14 @@ class _RawEvaluator:
     def _out_set(self, v: int) -> set:
         s = self._out.get(v)
         if s is None:
-            s = set(self.g.out_neighbors(v).tolist())
+            s = set(self.g.neighbors(v, "out").tolist())
             self._out[v] = s
         return s
 
     def _in_set(self, v: int) -> set:
         s = self._in.get(v)
         if s is None:
-            s = set(self.g.in_neighbors(v).tolist())
+            s = set(self.g.neighbors(v, "in").tolist())
             self._in[v] = s
         return s
 

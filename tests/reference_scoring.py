@@ -17,12 +17,12 @@ from linkdecay.scoring import Measure, ScoreModel, ScoreSpec
 
 def _endpoint_sets(g: Graph, combo: DegreeCombination, i: int, j: int):
     if combo is DegreeCombination.SYM:
-        return g.all_neighbors(i), g.all_neighbors(j)
+        return g.neighbors(i), g.neighbors(j)
     if combo is DegreeCombination.ASYM:
-        return g.out_neighbors(i), g.in_neighbors(j)
+        return g.neighbors(i, "out"), g.neighbors(j, "in")
     if combo is DegreeCombination.IN:
-        return g.in_neighbors(i), g.in_neighbors(j)
-    return g.out_neighbors(i), g.out_neighbors(j)
+        return g.neighbors(i, "in"), g.neighbors(j, "in")
+    return g.neighbors(i, "out"), g.neighbors(j, "out")
 
 
 def _weight_degrees(g: Graph, combo: DegreeCombination) -> np.ndarray:

@@ -76,6 +76,15 @@ def test_malformed_input_is_data_error(capsys, tmp_path):
     assert main(["ingest", "--input", str(bad), "--output", "-"]) == 2
 
 
+def test_gen_with_overflowing_attach_exponent_is_data_error(capsys, recwarn):
+    code = main(["gen", "--seed", "0", "--n-nodes", "100", "--n-add-events", "50",
+                 "--attach-exponent", "200", "--output", "-"])
+    assert code == 2
+    assert ("attach_exponent 200.0 makes the attachment weights of 100 nodes "
+            "overflow float64") in capsys.readouterr().err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 def test_self_loop_error_policy_is_data_error(capsys, tmp_path):
     loops = tmp_path / "loops.tsv"
     loops.write_text("a\ta\t+1\t5\n")

@@ -176,8 +176,9 @@ def test_readable_tokens_round_trip_exactly(tokens):
     (["a", "\xa0", "c"], "\xa0", "holds whitespace"),
     (["#x", "y", "z"], "#x", "starts with '#'"),
     (["a", "b", "#", "#"], "#", "starts with '#'"),
+    (["a", "\ufeffb", "c"], "\ufeffb", "starts with '\\ufeff'"),
 ], ids=["repeated", "empty", "space", "tab", "newline", "nbsp", "hash",
-        "first-of-two-faults"])
+        "first-of-two-faults", "bom"])
 def test_unreadable_token_refused_before_writing(tmp_path, tokens, bad, problem):
     tel = _chain(tokens)
     message = re.escape(f"node token {bad!r} {problem}: it cannot be read back")
@@ -206,6 +207,37 @@ def test_write_refuses_exactly_the_tokens_that_do_not_read_back(tokens):
                 _assert_round_trip(tokens)
     else:
         _assert_round_trip(tokens)
+
+
+def test_a_leading_bom_is_not_part_of_the_first_token(tmp_path):
+    """A byte order mark opens the file, not its first token: two nodes, and
+    the last line deletes the live edge 0 -> 1, leaving 1 -> 0 (key 2)."""
+    path = tmp_path / "bom.tsv"
+    path.write_bytes("\ufeff0\t1\t+1\t0\n1\t0\t+1\t1\n0\t1\t-1\t2\n".encode())
+    with open(path, encoding="utf-8") as handle:
+        for tel in (read_events(str(path)), read_events(handle)):
+            assert tel.node_ids == ["0", "1"]
+            assert tel.stats.noop_deletes == 0
+            assert tel.live_keys(5).tolist() == [2]
+    path.write_bytes("\ufeffa\t0\nb\t1\n".encode())
+    assert read_id_map(str(path)) == {"a": 0, "b": 1}
+
+
+_I64 = np.iinfo(np.int64)
+
+
+@pytest.mark.parametrize("keys, wanted", [
+    ([], [3, 5]),
+    ([1, 4, 9], []),
+    ([1, 4, 9], [0, 10, 1, 9, 5]),
+    ([1, 4, 9], [4, 4, 5, 5, 9, 9]),
+    ([_I64.min, 0, _I64.max], [_I64.max, _I64.min, _I64.min + 1, _I64.max - 1, 0]),
+], ids=["empty-keys", "empty-wanted", "outside-and-ends", "repeated", "int64-limits"])
+def test_in_sorted_is_membership_in_sorted_keys(keys, wanted):
+    keys, wanted = np.array(keys, dtype=np.int64), np.array(wanted, dtype=np.int64)
+    found = events._in_sorted(keys, wanted)
+    assert found.dtype == bool and found.shape == wanted.shape
+    assert found.tolist() == [w in set(keys.tolist()) for w in wanted.tolist()]
 
 
 def test_from_records_node_ids_and_n_are_exclusive():

@@ -1,8 +1,13 @@
 """Every public name resolves: each name in the package's ``__all__`` and
-in every module's ``__all__`` is an attribute of that module."""
+in every module's ``__all__`` is an attribute of that module.  So does
+every name the sources refer to in a ``:func:``, ``:class:``, ``:meth:``
+or ``:data:`` role and every double-backticked private ``_name``, so a
+docstring cannot outlive the helper it names."""
 
 import importlib
+import inspect
 import pkgutil
+import re
 
 import pytest
 
@@ -25,3 +30,42 @@ def test_each_name_has_one_public_home():
     assert "pair_features" in graph.__all__
     assert "pair_features" not in scoring.__all__
     assert scoring.pair_features is graph.pair_features
+
+
+#: A role target (``~`` only shortens how it is shown) or a private name.
+_ROLE = re.compile(r":(func|class|meth|data):`~?([\w.]+)`")
+_PRIVATE = re.compile(r"``(_\w+)``")
+_MISSING = object()
+
+
+def _resolves(module, role: str, target: str) -> bool:
+    """``target`` names an object: after the longest prefix that imports as
+    a module (so ``linkdecay.generate`` is the module, not the function the
+    package exports), else from ``module``; a method or private name may
+    also be an attribute of one of ``module``'s classes."""
+    parts = target.split(".")
+    for k in range(len(parts), 0, -1):
+        try:
+            owner, rest = importlib.import_module(".".join(parts[:k])), parts[k:]
+            break
+        except ImportError:
+            continue
+    else:
+        owner, rest = module, parts
+    owners = [owner]
+    if owner is module and len(rest) == 1 and role in ("meth", "private"):
+        owners += [cls for _, cls in inspect.getmembers(module, inspect.isclass)]
+    for obj in owners:
+        for name in rest:
+            obj = getattr(obj, name, _MISSING)
+        if obj is not _MISSING:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda module: module.__name__)
+def test_every_name_the_sources_refer_to_resolves(module):
+    text = inspect.getsource(module)
+    refs = [m.groups() for m in _ROLE.finditer(text)]
+    refs += [("private", name) for name in _PRIVATE.findall(text)]
+    assert [ref for ref in refs if not _resolves(module, *ref)] == []

@@ -431,6 +431,18 @@ def test_integral_float_seed_and_counts_give_the_int_stream():
         assert np.array_equal(getattr(a, column), getattr(b, column))
 
 
+@pytest.mark.parametrize("exponent, fits", [(133, True), (134, False), (200, False)])
+def test_attach_exponent_whose_weights_overflow_rejected(exponent, fits):
+    """100 weights of up to 199 ** exponent must sum within float64."""
+    config = GenConfig(seed=0, n_nodes=100, n_add_events=50, attach_exponent=exponent)
+    if fits:
+        assert config.validated().attach_exponent == exponent
+    else:
+        with pytest.raises(ValueError, match=rf"^attach_exponent {exponent} makes the "
+                           "attachment weights of 100 nodes overflow float64$"):
+            config.validated()
+
+
 @pytest.mark.parametrize("field, value", [("span", 1e19),
                                           ("decay_half_life", 1e300)])
 def test_window_beyond_int64_rejected(field, value):
@@ -469,7 +481,7 @@ def test_low_degree_bias_shows_in_rank_correlation():
     products, survived = [], []
     for label, pairs in ((0, split.test_set), (1, split.zero_test_set)):
         for i, j in pairs:
-            products.append(g.out_degree(int(i)) * g.out_degree(int(j)))
+            products.append(g.degree(int(i), "out") * g.degree(int(j), "out"))
             survived.append(label)
     rho = spearmanr(products, survived).statistic
     assert rho > 0.1
@@ -484,7 +496,7 @@ def test_unbiased_streams_show_no_degree_correlation():
     products, survived = [], []
     for label, pairs in ((0, split.test_set), (1, split.zero_test_set)):
         for i, j in pairs:
-            products.append(g.out_degree(int(i)) * g.out_degree(int(j)))
+            products.append(g.degree(int(i), "out") * g.degree(int(j), "out"))
             survived.append(label)
     rho = spearmanr(products, survived).statistic
     assert abs(rho) < 0.1

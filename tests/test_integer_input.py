@@ -187,7 +187,7 @@ def test_an_empty_row_is_a_row_of_another_shape():
 def test_float_node_count_and_float_node_are_rejected():
     _raises_cleanly(lambda: Graph(3.7, [0], [1]), ValueError, f"node count: {VALUE}, got 3.7")
     _raises_cleanly(lambda: _graph().neighbors(1.7), ValueError, f"node: {VALUE}, got 1.7")
-    _raises_cleanly(lambda: _graph().out_degree("3"), ValueError, f"node: {VALUE}, got '3'")
+    _raises_cleanly(lambda: _graph().degree("3", "out"), ValueError, f"node: {VALUE}, got '3'")
 
 
 # ---- valid input ----

@@ -63,8 +63,8 @@ def test_complement_degree_identity():
         g = random_directed_graph(n, 0.25, rng)
         comp = materialize_complement(g)
         for v in range(n):
-            assert comp.out_degree(v) == n - 1 - g.out_degree(v)
-            assert comp.in_degree(v) == n - 1 - g.in_degree(v)
+            assert comp.degree(v, "out") == n - 1 - g.degree(v, "out")
+            assert comp.degree(v, "in") == n - 1 - g.degree(v, "in")
 
 
 def test_node_limit_refused():
@@ -106,7 +106,7 @@ def test_symmetrize_matches_dense_construction():
         src, dst = np.nonzero(a | a.T)
         assert _same_csrs(sym, Graph(n, src, dst))
         for v in range(n):
-            assert np.array_equal(sym.out_neighbors(v), g.all_neighbors(v))
+            assert np.array_equal(sym.neighbors(v, "out"), g.neighbors(v))
 
 
 def test_node_limit_checked_before_any_dense_matrix(monkeypatch):
@@ -216,9 +216,9 @@ def test_shared_evaluator_matches_fresh_calls_bitwise():
     for _ in range(3):
         g = _low_degree_graph(rng, int(rng.integers(9, 14)))
         n = g.node_count
-        assert {g.out_degree(n - 1), g.out_degree(n - 2)} == {0, 1}
-        assert {g.in_degree(n - 3), g.in_degree(n - 4)} == {0, 1}
-        assert g.neighbor_count(n - 5) == 0
+        assert {g.degree(n - 1, "out"), g.degree(n - 2, "out")} == {0, 1}
+        assert {g.degree(n - 3, "in"), g.degree(n - 4, "in")} == {0, 1}
+        assert len(g.neighbors(n - 5)) == 0
         edges = g.edges()
         big = Graph(5000, edges[:, 0] + 4000, edges[:, 1] + 4000)
         pairs = np.array([(i, j) for i in range(n) for j in range(n) if i != j])

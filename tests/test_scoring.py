@@ -168,14 +168,14 @@ def test_adad_complement_weights_hand_check():
     """Flag substitutes n-1-degree into the inverse-log weight (guarded)."""
     g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 0), (3, 0)])
     n = 5
-    degrees = [g.out_degree(k) + g.in_degree(k) for k in range(n)]
+    degrees = [g.degree(k, "out") + g.degree(k, "in") for k in range(n)]
 
     def w(k):
         d = n - 1 - degrees[k]
         return 0.0 if d <= 1 else 1.0 / math.log(d)
 
-    s1 = set(int(v) for v in g.all_neighbors(0))
-    s2 = set(int(v) for v in g.all_neighbors(3))
+    s1 = set(int(v) for v in g.neighbors(0))
+    s2 = set(int(v) for v in g.neighbors(3))
     expected = (sum(w(k) for k in range(n))
                 - sum(w(k) for k in s1)
                 - sum(w(k) for k in s2)
