@@ -12,7 +12,7 @@ generator with plantable decay signals.
 
 from .datasets import (SWIM_SURF_NODES, random_directed_graph,
                        random_reciprocal_graph, swim_surf, swim_surf_events)
-from .events import (EdgeEvent, EventFormatError, IngestStats,
+from .events import (EdgeEvent, EventFormatError, IngestStats, PresenceIntervals,
                      TemporalEdgeList, read_events, read_id_map)
 from .evaluation import (APResult, EdgeLifetimes, EvaluationSplit,
                          SurvivalFit, average_precision, edge_ages,
@@ -20,8 +20,7 @@ from .evaluation import (APResult, EdgeLifetimes, EvaluationSplit,
                          fit_exponential_half_life, random_baseline,
                          survival_curve, sweep, temporal_split)
 from .generate import GenConfig, deletion_share, generate, solve_window_span
-from .graph import (DegreeCombination, Graph, common_neighbor_count,
-                    snapshot_at, union_neighborhood_size)
+from .graph import DegreeCombination, Graph, PairFeatures, pair_features, snapshot_at
 from .oracle import (OracleReport, brute_force_g2, check_closed_form,
                      materialize_complement, raw_measure, symmetrize)
 from .scoring import (Measure, ScoredEdge, ScoreModel, ScoreSpec, all_specs,
@@ -42,6 +41,8 @@ __all__ = [
     "IngestStats",
     "Measure",
     "OracleReport",
+    "PairFeatures",
+    "PresenceIntervals",
     "SWIM_SURF_NODES",
     "ScoreModel",
     "ScoreSpec",
@@ -52,7 +53,6 @@ __all__ = [
     "average_precision",
     "brute_force_g2",
     "check_closed_form",
-    "common_neighbor_count",
     "complement_network_score",
     "complement_score",
     "decay_score",
@@ -65,6 +65,7 @@ __all__ = [
     "generate",
     "link_prediction_score",
     "materialize_complement",
+    "pair_features",
     "random_baseline",
     "random_directed_graph",
     "random_reciprocal_graph",
@@ -81,5 +82,4 @@ __all__ = [
     "sweep",
     "symmetrize",
     "temporal_split",
-    "union_neighborhood_size",
 ]

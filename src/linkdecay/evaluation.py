@@ -250,13 +250,11 @@ def _rankings(by_pair: np.ndarray, rows: Iterable[np.ndarray], positive: np.ndar
             # A positive lands at in-block rank r of a block holding t
             # positives among `size` items with probability t/size;
             # conditioned on that, (r-1)(t-1)/(size-1) other positives
-            # precede it in the block.  The items of a block without a
-            # positive add exactly 0.0, so only blocks with one are summed.
+            # precede it in the block.
             first = np.flatnonzero(head)
             size = np.diff(np.r_[first, len(head)])
             seen = np.r_[0, np.cumsum(ranked)]   # seen[k]: positives among the first k items
             t = seen[first + size] - seen[first]
-            first, size, t = first[t > 0], size[t > 0], t[t > 0]
             above = np.repeat(first, size)
             above_pos = np.repeat(seen[first], size)
             t = np.repeat(t, size)
@@ -550,11 +548,11 @@ def edge_ages(tel: TemporalEdgeList, t: float) -> dict[tuple[int, int], float]:
     start.sort()
     added = tel.time[start]
     # Each age is float(t - added): a float t converts added to float first;
-    # an integer t (below 2**64, as the alive mask takes it, and at least
-    # every live added) subtracts exactly and rounds once.
+    # an integer t below 2**64 (and at least every live added) subtracts
+    # exactly in uint64 and rounds once; a larger one, per item in Python.
     if isinstance(t, float):
         ages = (t - added).tolist()
-    elif isinstance(t, numbers.Integral) and len(added):
+    elif isinstance(t, numbers.Integral) and len(added) and t < 2 ** 64:
         ages = (np.uint64(t) - added.astype(np.uint64)).astype(np.float64).tolist()
     else:
         ages = [float(t - a) for a in added.tolist()]

@@ -683,7 +683,7 @@ class TemporalEdgeList:
         stays present however late ``t`` is, even past the last time or at
         a float ``t`` that an int64 time rounds up to.
         """
-        if np.isnan(t):
+        if t != t:
             raise ValueError("time must be a number, got NaN")
         iv = self.intervals
         return (iv.start_time <= t) & (iv.censored | (iv.end_time > t))

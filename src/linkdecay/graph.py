@@ -10,12 +10,12 @@ present at time ``t`` iff its last event at or before ``t`` is an add, that
 is, iff one of its rows in the stream's presence-interval table opened at
 or before ``t`` and is censored or closed after ``t``.
 
-Pairwise queries are parameterized by a :class:`DegreeCombination`, which
-fixes how a directed graph's two degrees and two neighbor sets are
-assigned to the endpoints of a candidate edge ``(i, j)``.  One kernel,
-:func:`pair_features`, intersects both endpoints' rows for a block of pairs
-by the sorted-run merge that also builds each node's both-row (out ∪ in);
-the decay scorers and the pairwise queries read its columns.
+The one pair query, :func:`pair_features`, takes a :class:`DegreeCombination`,
+which fixes how a directed graph's two degrees and two neighbor sets are
+assigned to the endpoints of a candidate edge ``(i, j)``.  It intersects
+both endpoints' rows for a block of pairs by the sorted-run merge that also
+builds each node's both-row (out ∪ in); the decay scorers read its ``cn``
+column, and a pair's neighbor union has ``d1 + d2 - cn`` nodes.
 """
 
 from __future__ import annotations
@@ -31,10 +31,8 @@ __all__ = [
     "DegreeCombination",
     "Graph",
     "PairFeatures",
-    "common_neighbor_count",
     "pair_features",
     "snapshot_at",
-    "union_neighborhood_size",
 ]
 
 
@@ -236,10 +234,6 @@ class DegreeCombination(str, Enum):
     def parse(cls, text: str) -> "DegreeCombination":
         return _parse_choice(cls, "combo", text)
 
-    def endpoint_sets(self, g: Graph, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
-        first, second = _SLOTS[self][0]
-        return g.neighbors(i, first), g.neighbors(j, second)
-
     def slot_csr(self, g: Graph) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """``(indptr, indices)`` of the first and the second slot's rows."""
         return tuple(g._csr(direction) for direction in _SLOTS[self][0])
@@ -354,21 +348,3 @@ def _pair_features(g: Graph, pairs: np.ndarray, combo: DegreeCombination) -> Pai
 def _check_pair(g: Graph, i: int, j: int) -> None:
     if g._check_node(i) == g._check_node(j):
         raise ValueError(f"candidate pair must have distinct endpoints, got ({i}, {j})")
-
-
-def common_neighbor_count(g: Graph, i: int, j: int,
-                          combo: DegreeCombination = DegreeCombination.SYM) -> int:
-    """Size of the intersection of the combo-selected neighbor sets.
-
-    For ASYM this is the number of directed 2-paths ``i -> k -> j``.
-    """
-    _check_pair(g, i, j)
-    return int(_pair_features(g, _as_pairs([(i, j)]), combo).cn[0])
-
-
-def union_neighborhood_size(g: Graph, i: int, j: int,
-                            combo: DegreeCombination = DegreeCombination.SYM) -> int:
-    """Size of the union of the combo-selected neighbor sets."""
-    _check_pair(g, i, j)
-    d1, d2, cn, _ = _pair_features(g, _as_pairs([(i, j)]), combo)
-    return int(d1[0] + d2[0] - cn[0])

@@ -37,8 +37,8 @@ stream, each chunk deduplicated in one array pass.  Nothing lives across
 calls.  Every score adds the same terms in the same ``sorted(common)``
 order as a per-pair set loop, so a report is bit-identical to one that
 evaluates each pair afresh on a materialized complement.
-:func:`brute_force_g2` scores a batch of one from the matrix, and none of
-this calls the scoring kernel.
+:func:`brute_force_g2` is :func:`raw_measure` on that materialized view,
+and none of this calls the scoring kernel.
 """
 
 from __future__ import annotations
@@ -294,19 +294,18 @@ def raw_measure(g: Graph, i: int, j: int, measure: Measure,
 
 def brute_force_g2(g: Graph, i: int, j: int, measure: Measure,
                    combo: DegreeCombination) -> float:
-    """Complement-graph measure of ``(i, j)`` by explicit set arithmetic on
-    the boolean complement matrix.
+    """Complement-graph measure of ``(i, j)``: :func:`raw_measure` on the
+    materialized complement view, of ``symmetrize(g)`` for SYM.
 
-    The arguments are checked before the matrix is built: the combination,
+    The arguments are checked before the view is built: the combination,
     the node limit, the measure, then the pair.
     """
     combo = DegreeCombination.parse(combo)
     _check_node_limit(g.node_count)
     measure = Measure.parse(measure)
     _check_pair(g, i, j)
-    comp = _complement_matrix(g, combo is DegreeCombination.SYM)
-    pair = np.array([[i, j]], dtype=np.int64)
-    return float(_complement_scores(comp, pair, measure, combo)[0])
+    view = symmetrize(g) if combo is DegreeCombination.SYM else g
+    return raw_measure(materialize_complement(view), i, j, measure, combo)
 
 
 @dataclass

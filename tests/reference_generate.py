@@ -69,8 +69,10 @@ def generate(config: GenConfig) -> TemporalEdgeList:
                 break
         else:
             raise RuntimeError(
-                "could not place a new edge after 1000 attempts; "
-                "the graph is too saturated for this config"
+                "could not place a new edge after 1000 attempts: every draw was a "
+                "self-pair or a live edge; the graph is too saturated for this config, "
+                f"or attach_exponent {config.attach_exponent!r} puts the attachment "
+                "weight on too few nodes"
             )
         biased = False
         if track_median:

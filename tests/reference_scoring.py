@@ -15,7 +15,7 @@ from linkdecay.graph import DegreeCombination, Graph, _check_pair
 from linkdecay.scoring import Measure, ScoreModel, ScoreSpec
 
 
-def _endpoint_sets(g: Graph, combo: DegreeCombination, i: int, j: int):
+def _slot_sets(g: Graph, combo: DegreeCombination, i: int, j: int):
     if combo is DegreeCombination.SYM:
         return g.neighbors(i), g.neighbors(j)
     if combo is DegreeCombination.ASYM:
@@ -45,7 +45,7 @@ def link_prediction_score(g, i, j, measure, combo) -> float:
     _check_pair(g, i, j)
     measure = Measure(measure)
     combo = DegreeCombination(combo)
-    s1, s2 = _endpoint_sets(g, combo, i, j)
+    s1, s2 = _slot_sets(g, combo, i, j)
     d1, d2 = len(s1), len(s2)
     if measure is Measure.PA:
         return float(d1 * d2)
@@ -86,7 +86,7 @@ def complement_network_score(g, i, j, measure, combo,
     measure = Measure(measure)
     combo = DegreeCombination(combo)
     n = g.node_count
-    s1, s2 = _endpoint_sets(g, combo, i, j)
+    s1, s2 = _slot_sets(g, combo, i, j)
     d1, d2 = len(s1), len(s2)
     if measure is Measure.PA:
         return float((n - 1 - d1) * (n - 1 - d2))

@@ -85,6 +85,18 @@ def test_gen_with_overflowing_attach_exponent_is_data_error(capsys, recwarn):
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+def test_gen_whose_weight_sits_on_few_nodes_is_data_error(capsys):
+    # 30 adds among 90 pairs: far from saturated, but at exponent -30 one
+    # node of degree 1 holds nearly all of the attachment weight.
+    code = main(["gen", "--seed", "0", "--n-nodes", "10", "--n-add-events", "30",
+                 "--attach-exponent", "-30", "--output", "-"])
+    assert code == 2
+    assert ("could not place a new edge after 1000 attempts: every draw was a "
+            "self-pair or a live edge; the graph is too saturated for this config, "
+            "or attach_exponent -30.0 puts the attachment weight on too few nodes"
+            ) in capsys.readouterr().err
+
+
 def test_self_loop_error_policy_is_data_error(capsys, tmp_path):
     loops = tmp_path / "loops.tsv"
     loops.write_text("a\ta\t+1\t5\n")

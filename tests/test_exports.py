@@ -1,5 +1,6 @@
 """Every public name resolves: each name in the package's ``__all__`` and
-in every module's ``__all__`` is an attribute of that module.  So does
+in every module's ``__all__`` is an attribute of that module, and each
+library module's names are package names with that one home.  So does
 every name the sources refer to in a ``:func:``, ``:class:``, ``:meth:``
 or ``:data:`` role and every double-backticked private ``_name``, so a
 docstring cannot outlive the helper it names."""
@@ -12,7 +13,7 @@ import re
 import pytest
 
 import linkdecay
-from linkdecay import evaluation, graph, scoring
+from linkdecay import graph, scoring
 
 MODULES = [linkdecay] + [importlib.import_module(f"linkdecay.{info.name}")
                          for info in pkgutil.iter_modules(linkdecay.__path__)]
@@ -26,9 +27,18 @@ def test_every_exported_name_resolves(module):
 
 
 def test_each_name_has_one_public_home():
-    assert linkdecay.sweep is evaluation.sweep
-    assert "pair_features" in graph.__all__
-    assert "pair_features" not in scoring.__all__
+    """Each library module's public names (the CLI's aside) are package
+    names bound to the same object, and each package name has one home."""
+    homes = {}
+    for module in MODULES[1:]:
+        if module.__name__ == "linkdecay.cli":
+            continue
+        for name in module.__all__:
+            homes.setdefault(name, []).append(module.__name__)
+            assert getattr(linkdecay, name, None) is getattr(module, name), name
+    assert sorted(homes) == sorted(linkdecay.__all__)
+    assert {name: where for name, where in homes.items() if len(where) > 1} == {}
+    assert homes["pair_features"] == ["linkdecay.graph"]
     assert scoring.pair_features is graph.pair_features
 
 

@@ -8,9 +8,9 @@ import pytest
 from linkdecay.datasets import random_directed_graph, swim_surf, swim_surf_events
 from linkdecay.events import read_events
 from linkdecay.generate import GenConfig, generate
-from linkdecay.graph import (DegreeCombination, Graph, common_neighbor_count,
-                             snapshot_at, union_neighborhood_size)
+from linkdecay.graph import DegreeCombination, Graph, pair_features, snapshot_at
 from linkdecay.oracle import materialize_complement, symmetrize
+from reference_scoring import _slot_sets
 
 COMBOS = list(DegreeCombination)
 
@@ -188,36 +188,39 @@ def test_directed_neighbors_single_edge():
     assert list(g.neighbors(1, "both")) == [0]
 
 
+def _cn_union(g, i, j, combo=DegreeCombination.SYM):
+    """A pair's common-neighbour count and union size off :func:`pair_features`."""
+    d1, d2, cn, _ = pair_features(g, [(i, j)], combo)
+    return int(cn[0]), int(d1[0] + d2[0] - cn[0])
+
+
 def test_fixture_common_neighbors():
     g = swim_surf()
     ids = swim_surf_events().node_ids
     swim, surf = ids.index("swim"), ids.index("surf")
     water, beach = ids.index("water"), ids.index("beach")
-    assert common_neighbor_count(g, swim, surf, DegreeCombination.SYM) == 0
-    assert common_neighbor_count(g, water, beach, DegreeCombination.SYM) == 1
-    assert union_neighborhood_size(g, swim, surf, DegreeCombination.SYM) == 6
-    assert union_neighborhood_size(g, water, beach, DegreeCombination.SYM) == 3
+    assert _cn_union(g, swim, surf) == (0, 6)
+    assert _cn_union(g, water, beach) == (1, 3)
 
 
 def test_common_neighbors_empty_for_isolated():
     g = Graph.from_edges(4, [(0, 1)])
     for combo in COMBOS:
-        assert common_neighbor_count(g, 2, 3, combo) == 0
+        assert _cn_union(g, 2, 3, combo) == (0, 0)
 
 
 def test_pair_queries_reject_equal_endpoints():
     g = Graph.from_edges(3, [(0, 1)])
-    with pytest.raises(ValueError, match="distinct"):
-        common_neighbor_count(g, 1, 1)
-    with pytest.raises(ValueError, match="distinct"):
-        union_neighborhood_size(g, 2, 2)
+    for pair in ((1, 1), (2, 2)):
+        with pytest.raises(ValueError, match="distinct"):
+            pair_features(g, [pair], DegreeCombination.SYM)
 
 
 def test_asym_counts_directed_two_paths():
     # exactly the paths 0 -> k -> 3, k in {1, 2}
     g = Graph.from_edges(4, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 0)])
-    assert common_neighbor_count(g, 0, 3, DegreeCombination.ASYM) == 2
-    assert common_neighbor_count(g, 3, 0, DegreeCombination.ASYM) == 0
+    assert _cn_union(g, 0, 3, DegreeCombination.ASYM)[0] == 2
+    assert _cn_union(g, 3, 0, DegreeCombination.ASYM)[0] == 0
 
 
 def test_inclusion_exclusion_on_random_graphs():
@@ -230,9 +233,10 @@ def test_inclusion_exclusion_on_random_graphs():
         g = Graph(n, src, dst)
         i, j = rng.choice(n, size=2, replace=False)
         for combo in COMBOS:
-            s1, s2 = combo.endpoint_sets(g, int(i), int(j))
-            inter = common_neighbor_count(g, int(i), int(j), combo)
-            union = union_neighborhood_size(g, int(i), int(j), combo)
+            s1, s2 = _slot_sets(g, combo, int(i), int(j))
+            inter, union = _cn_union(g, int(i), int(j), combo)
+            assert inter == len(np.intersect1d(s1, s2))
+            assert union == len(np.union1d(s1, s2))
             assert inter + union == len(s1) + len(s2)
 
 

@@ -17,8 +17,7 @@ import pytest
 
 from linkdecay.evaluation import average_precision
 from linkdecay.events import EventFormatError, TemporalEdgeList, _int64
-from linkdecay.graph import (DegreeCombination, Graph, _as_pairs, common_neighbor_count,
-                             pair_features)
+from linkdecay.graph import DegreeCombination, Graph, _as_pairs, pair_features
 from linkdecay.scoring import (Measure, ScoreModel, ScoreSpec, decay_score, score_batch,
                                score_matrix)
 
@@ -86,10 +85,6 @@ def _decay_score(value):
     return decay_score(_graph(), 0, value, SPEC)
 
 
-def _common_neighbors(value):
-    return common_neighbor_count(_graph(), value, 2)
-
-
 BAD_VALUES = {
     "fraction": 2.7,
     "nan": float("nan"),
@@ -114,7 +109,6 @@ VALUE_ENTRY_POINTS = {
     "neighbors": (_neighbors, ValueError),
     "has_edge": (_has_edge, ValueError),
     "decay_score": (_decay_score, ValueError),
-    "common_neighbor_count": (_common_neighbors, ValueError),
 }
 
 

@@ -22,6 +22,7 @@ from linkdecay.oracle import (brute_force_g2, check_closed_form,
 from linkdecay.scoring import (Measure, ScoreModel, ScoreSpec, all_specs,
                                complement_network_score, complement_score,
                                link_prediction_score, score_matrix)
+from reference_scoring import _slot_sets
 
 SYM = DegreeCombination.SYM
 COMBOS = list(DegreeCombination)
@@ -516,7 +517,7 @@ def test_cn_identity_with_endpoint_discrepancy():
                         continue
                     closed = complement_network_score(g, i, j, Measure.CN, combo)
                     brute = brute_force_g2(g, i, j, Measure.CN, combo)
-                    s1, s2 = combo.endpoint_sets(source, i, j)
+                    s1, s2 = _slot_sets(source, combo, i, j)
                     outside = {i, j} - set(int(v) for v in s1) - set(int(v) for v in s2)
                     assert brute == closed - len(outside), (combo, i, j)
 

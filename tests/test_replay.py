@@ -10,6 +10,7 @@ between ticks.
 """
 
 import io
+import math
 import struct
 
 import numpy as np
@@ -107,9 +108,9 @@ def test_nan_time_is_rejected():
 
 
 def test_ages_and_snapshots_near_the_top_of_int64():
-    # Times above 2**53 up to 2**63 - 1, queried at ints (exact, up to the
-    # largest a NaN check takes), floats (which the times round to) and
-    # numpy scalars: the ages keep their keys, order and float bits, and a
+    # Times above 2**53 up to 2**63 - 1, queried at ints (exact, also beyond
+    # uint64 and below int64), floats (which the times round to) and numpy
+    # scalars: the ages keep their keys, order and float bits, and a
     # censored interval stays present at 2.0**63, which its time rounds to.
     top = 2**63 - 1
     tel = TemporalEdgeList.from_records(
@@ -117,8 +118,8 @@ def test_ages_and_snapshots_near_the_top_of_int64():
          (2, 0, 1, top - 1), (1, 2, -1, top), (0, 2, 1, top)], n=3)
     queries = [2**53, 2**53 + 1, 2**53 + 2, 2.0**53 + 2, 2.0**53 + 4,
                top - 1000, float(top - 1000), top - 1, top, float(top), 2**63,
-               2**64 - 1, np.int64(top - 1), np.uint64(2**64 - 1),
-               np.float64(2.0**62), np.float32(2.0**62)]
+               2**64 - 1, 2**64, 2**70, -2**70, np.int64(top - 1),
+               np.uint64(2**64 - 1), np.float64(2.0**62), np.float32(2.0**62)]
     for t in queries:
         got, want = edge_ages(tel, t), reference.edge_ages(tel, t)
         assert list(got) == list(want), t
@@ -128,3 +129,5 @@ def test_ages_and_snapshots_near_the_top_of_int64():
         if t < 2**63:
             assert snapshot_at(tel, t) == reference.snapshot_at(tel, t), t
     assert list(edge_ages(tel, 2.0**63)) == [(2, 0), (0, 2)]
+    assert snapshot_at(tel, 2**70) == snapshot_at(tel, math.inf)
+    assert snapshot_at(tel, -2**70).edge_count == 0

@@ -464,7 +464,8 @@ def test_kernel_merge_edge_cases(case, monkeypatch):
         assert len(scoring._blocks(g, np.array(pairs), SYM)) >= 3
     for combo in COMBOS:
         f = pair_features(g, np.array(pairs), combo)
-        want = [len(np.intersect1d(*combo.endpoint_sets(g, a, b))) for a, b in pairs]
+        want = [len(np.intersect1d(*reference._slot_sets(g, combo, a, b)))
+                for a, b in pairs]
         assert f.cn.tolist() == want, combo
         if case == "every second-slot row empty":
             assert not f.d2.any() and f.d1.any() and len(f.common) == 0, combo
