@@ -125,8 +125,9 @@ def temporal_split(tel: TemporalEdgeList, fraction: float = 0.75, *,
     ------
     ValueError
         On an empty stream, a degenerate fraction, or when no edge decays
-        in the test window (nothing to rank).
+        in the test window (nothing to rank), or without a seed.
     """
+    _check_seed(seed)
     t1, t_end, k1, k_end = _cut(tel, fraction)
     n = tel.node_count
     survives = _in_sorted(k_end, k1)
@@ -198,6 +199,11 @@ _TIE_BREAKS = ("lexicographic", "expected")
 def _check_tie_break(tie_break: str) -> None:
     if tie_break not in _TIE_BREAKS:
         raise ValueError(f"tie_break must be 'lexicographic' or 'expected', got {tie_break!r}")
+
+
+def _check_seed(seed: int) -> None:
+    if seed is None:
+        raise ValueError("a seed is required")
 
 
 def _pair_order(pairs: np.ndarray) -> np.ndarray:
@@ -352,6 +358,7 @@ def random_baseline(split: EvaluationSplit, *, seed: int,
     ``few_common_neighbors`` bias it is 0.65-0.66.
     """
     _check_tie_break(tie_break)
+    _check_seed(seed)
     pairs, positive = _labeled(split.test_set, split.zero_test_set)
     scores = np.random.default_rng(seed).random(len(pairs))
     return next(_rank_rows(pairs, (scores,), positive, tie_break))
@@ -390,6 +397,7 @@ def evaluate_link_prediction(tel: TemporalEdgeList, measure: Measure,
     link-prediction measure on the ``t1`` snapshot (no negation).
     """
     _check_tie_break(tie_break)
+    _check_seed(seed)
     t1, t_end, k1, k_end = _cut(tel, fraction)
     n = tel.node_count
     new_keys = k_end[~_in_sorted(k1, k_end)]

@@ -29,11 +29,12 @@ number 8 digits at a time from one unaligned 8-byte word
 :func:`_read_lines`) return the same indexed columns, node tokens and
 self-loop count; :func:`read_events` alone builds the stream from them.
 
-``write`` formats each chunk of rows as one fixed-width matrix of 8-byte
-words for every target: each node token with its tab sits left-aligned in
-whole words gathered per row from a token table, the sign, the
-right-aligned time digits and the newline fill the last words, and one
-boolean-mask compress drops the padding (:func:`_format_rows`).
+``write`` copies each row by span from one byte buffer of pieces
+(:func:`_pieces`): every node token with its tab, the two signs with
+theirs, and each distinct time's digits with a newline.  A row is four
+piece ids, and each chunk of rows, cut by the rows' byte counts, is one
+ragged gather (:func:`_gather_rows`), so a long token costs only the rows
+that hold it.
 
 Every stream, read from a file, built from records or generated, comes from
 the one :class:`TemporalEdgeList` constructor.  It validates the indexed
@@ -220,26 +221,15 @@ _BLOCK = 1 << 18
 #: and four separators.  A longer run of bytes without a newline is not
 #: canonical.
 _MAX_LINE = 60
-#: Rows ``write`` formats per chunk, at most.
-_WRITE_ROWS = 1 << 13
-#: Bytes of one chunk's word matrix in ``write``: a chunk holds fewer rows
-#: when the widest token makes each row wider.
+#: ``write`` cuts its rows into chunks of about ``_WRITE_BYTES // 4`` bytes
+#: of text (a longer row gets a chunk of its own); the int64 index that
+#: gathers a chunk, with its temporary, then takes about 4 * _WRITE_BYTES.
 _WRITE_BYTES = 1 << 18
-#: ``10**1 .. 10**19``: a time has one digit more than the powers at or
-#: below it.
-_POW10 = 10 ** np.arange(1, 20, dtype=np.uint64)
-#: The kernels read and write bytes as little-endian 8-byte words, so a
-#: word's byte ``s`` is its bits ``8s`` to ``8s + 7``.
-_WORD = np.dtype("<u8")
-#: ``_BYTES_FROM[s]`` has every bit of a word's bytes ``s`` to 7 set
-#: (``s`` in 0..8).  The tables below keep the low nibble of those bytes (a
-#: digit's value), or the lowest bit (a ``True`` byte) of those bytes or of
-#: the bytes before them.
-_BYTES_FROM = np.array([((1 << 64) - 1) << 8 * s & ((1 << 64) - 1) for s in range(9)],
-                       dtype=np.uint64)
-_DIGITS_FROM = _BYTES_FROM & np.uint64(0x0F0F0F0F0F0F0F0F)
-_TRUE_FROM = _BYTES_FROM & np.uint64(0x0101010101010101)
-_TRUE_BEFORE = ~_BYTES_FROM & np.uint64(0x0101010101010101)
+#: The block parser reads bytes as little-endian 8-byte words, whose byte
+#: ``s`` is bits ``8s`` to ``8s + 7``: ``_DIGITS_FROM[s]`` keeps the low
+#: nibble (a digit's value) of bytes ``s`` to 7 (``s`` in 0..8).
+_DIGITS_FROM = np.array([0x0F0F0F0F0F0F0F0F << 8 * s & ((1 << 64) - 1) for s in range(9)],
+                        dtype=np.uint64)
 #: ``word = (word * m + (word >> s)) & c``, three times, turns 8 digit values
 #: (the first in the low byte) into their number: two digits per 16 bits,
 #: then four per 32, then eight.
@@ -270,7 +260,7 @@ def _digit_values(data: bytes, ends: np.ndarray, widths: np.ndarray) -> np.ndarr
     digits; fields of more than 8 and more than 16 digits take one and two
     more words, 8 bytes further back each.
     """
-    before = np.ndarray((len(data) + 1,), dtype=_WORD, buffer=bytes(8) + data,
+    before = np.ndarray((len(data) + 1,), dtype="<u8", buffer=bytes(8) + data,
                         strides=(1,))
     values = _digit_word(before[ends], widths)
     for skip in (8, 16):
@@ -418,84 +408,59 @@ def _first_seen_ids(values: np.ndarray) -> tuple[np.ndarray, list[str]]:
             [str(value) for value in ordered[head][by_first].tolist()])
 
 
-def _token_words(tokens: list[str], joined: str) -> tuple[np.ndarray, np.ndarray]:
-    """The ``(n, width)`` word table of the tokens, each token's UTF-8 bytes
-    (lone surrogates pass) and a tab left-aligned in its row, and the
-    number of those bytes per token.
+def _gather_rows(indptr: np.ndarray, indices: np.ndarray,
+                 nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows ``indices[indptr[v]:indptr[v + 1]]`` of ``nodes``,
+    concatenated in order, and their lengths: a graph's CSR rows, or the
+    byte pieces of ``write``'s rows (:func:`_pieces`)."""
+    starts = indptr[nodes]
+    lengths = indptr[nodes + 1] - starts
+    entry = np.arange(int(lengths.sum()), dtype=np.int64)
+    entry += np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+    return indices[entry], lengths
 
-    ``joined`` is ``"\\t".join(tokens)``, encoded once.  A token's bytes run
-    from the byte of its first code point to that of the next token's: in
-    UTF-8 a code point starts at every byte but ``0b10xxxxxx``.
+
+def _spans(ends: np.ndarray, budget: int) -> list[slice]:
+    """Consecutive runs of the items whose running sizes are ``ends``
+    (non-empty), each about ``budget`` in size (a single larger item gets a
+    run of its own)."""
+    if ends[-1] <= budget:
+        return [slice(0, len(ends))]
+    cuts = np.searchsorted(ends, np.arange(budget, ends[-1], budget), side="right")
+    bounds = [0, *cuts.tolist(), len(ends)]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
+
+
+def _pieces(tokens: list[str], joined: str, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The byte pieces ``write`` copies its rows from, as ``(indptr, bytes)``
+    rows: each node token's UTF-8 bytes (lone surrogates pass) and a tab;
+    ``+1\\t`` and ``-1\\t`` (pieces ``n`` and ``n + 1``); then ``str(t)``
+    and a newline for each of the ascending distinct ``times`` (>= 0).
+
+    ``joined`` is ``"\\t".join(tokens)``, encoded once with the signs.  A
+    token's bytes run from the byte of its first code point to that of the
+    next token's: in UTF-8 a code point starts at every byte but
+    ``0b10xxxxxx``.  The times' digits are written last first, one digit of
+    every time long enough per pass; those times are a suffix, since the
+    times ascend.
     """
-    data = np.frombuffer(f"{joined}\t".encode("utf-8", "surrogatepass"), dtype=np.uint8)
-    points = np.fromiter(map(len, tokens), dtype=np.int64, count=len(tokens)) + 1
-    first = np.append(np.flatnonzero((data & 0xC0) != 0x80), len(data))
-    length = np.diff(first[np.cumsum(points)], prepend=0)
-    width = -(-int(length.max()) // 8)
-    table = np.zeros((len(tokens), 8 * width), dtype=np.uint8)
-    table[np.arange(8 * width) < length[:, None]] = data
-    return table.view(_WORD), length
-
-
-def _byte_mask(table: np.ndarray, at: np.ndarray, words: int) -> np.ndarray:
-    """``(k, words)`` masks that split each row of ``words`` words at its
-    byte ``at``: word ``j`` is ``table[clip(at - 8 * j, 0, 8)]``, so
-    ``_TRUE_BEFORE`` keeps the bytes before the split, ``_TRUE_FROM`` the
-    bytes from it on."""
-    return table[np.clip(at[:, None] - 8 * np.arange(words), 0, 8)]
-
-
-def _digits8(v: np.ndarray) -> np.ndarray:
-    """The 8 ASCII digits of each uint64 ``v < 10**8``, zero-padded, as one
-    word with the first digit in the low byte.  Multiply-shift division
-    moves the high and low halves of the decimal string into 32-bit lanes,
-    then quarters into 16-bit and digits into 8-bit lanes."""
-    high = v // np.uint64(10_000)
-    v = high | (v - high * np.uint64(10_000)) << np.uint64(32)
-    high = (v * np.uint64(10_486)) >> np.uint64(20) & np.uint64(0x0000007F0000007F)
-    v = high | (v - high * np.uint64(100)) << np.uint64(16)
-    high = (v * np.uint64(103)) >> np.uint64(10) & np.uint64(0x000F000F000F000F)
-    return high | (v - high * np.uint64(10)) << np.uint64(8) | np.uint64(0x3030303030303030)
-
-
-def _time_words(sign: np.ndarray, time: np.ndarray, tail: int) -> tuple[np.ndarray, np.ndarray]:
-    """The last ``tail`` words of each row and their mask: the sign and its
-    tab in bytes 0-2, the time's digits right-aligned after them and the
-    newline in the last byte.  ``tail`` words hold ``8 * tail - 4`` digits."""
-    t = time.astype(np.uint64)
-    # Keep the bytes from the first significant digit on (the last digit of
-    # 0), and the sign's three.
-    mask = _byte_mask(_TRUE_FROM, 8 * tail - 2 - np.searchsorted(_POW10, t, side="right"),
-                      tail)
-    mask[:, 0] |= np.uint64(0x010101)
-    # The last word holds 7 digits and the newline, each other word 8 digits.
-    words = np.empty((len(t), tail), dtype=np.uint64)
-    words[:, -1] = _digits8(t % np.uint64(10 ** 7)) >> np.uint64(8) | np.uint64(0x0A << 56)
-    t //= np.uint64(10 ** 7)
-    for j in range(tail - 2, -1, -1):
-        words[:, j] = _digits8(t % np.uint64(10 ** 8))
-        t //= np.uint64(10 ** 8)
-    words[:, 0] &= ~np.uint64(0xFFFFFF)
-    words[:, 0] |= np.where(sign > 0, np.uint64(0x09312B), np.uint64(0x09312D))
-    return words, mask
-
-
-def _format_rows(table: np.ndarray, length: np.ndarray, src: np.ndarray,
-                 dst: np.ndarray, sign: np.ndarray, time: np.ndarray,
-                 tail: int) -> bytes:
-    """Canonical lines of a non-empty run of events, as UTF-8 bytes: the
-    ``src`` and ``dst`` rows of the token table (:func:`_token_words`) and
-    the ``tail`` time words (:func:`_time_words`) side by side in one word
-    matrix, compressed by a mask of the bytes each part fills."""
-    width = table.shape[1]
-    rows = np.empty((len(src), 2 * width + tail), dtype=_WORD)
-    mask = np.empty_like(rows)
-    rows[:, :width] = table[src]
-    mask[:, :width] = _byte_mask(_TRUE_BEFORE, length[src], width)
-    rows[:, width:-tail] = table[dst]
-    mask[:, width:-tail] = _byte_mask(_TRUE_BEFORE, length[dst], width)
-    rows[:, -tail:], mask[:, -tail:] = _time_words(sign, time, tail)
-    return rows.view(np.uint8)[mask.view(np.bool_)].tobytes()
+    text = np.frombuffer(f"{joined}\t+1\t-1\t".encode("utf-8", "surrogatepass"),
+                         dtype=np.uint8)
+    # The code points, then the bytes, through each token's or sign's tab.
+    ends = np.fromiter(map(len, tokens), dtype=np.int64, count=len(tokens))
+    ends = np.cumsum(np.append(ends, (2, 2)) + 1)
+    if ends[-1] < len(text):
+        ends = np.append(np.flatnonzero((text & 0xC0) != 0x80), len(text))[ends]
+    digits = np.searchsorted(10 ** np.arange(1, 19), times, side="right") + 1
+    time_ends = np.cumsum(digits + 1)
+    out = np.full(time_ends[-1:].sum(), ord("\n"), dtype=np.uint8)
+    times = times.copy()
+    for k in range(digits.max(initial=0)):
+        more = np.searchsorted(digits, k, side="right")
+        out[time_ends[more:] - 2 - k] = times[more:] % 10 + ord("0")
+        times[more:] //= 10
+    return (np.concatenate(([0], ends, len(text) + time_ends)),
+            np.concatenate((text, out)))
 
 
 #: ``PresenceIntervals.end`` of an interval still open after the last event.
@@ -699,25 +664,35 @@ class TemporalEdgeList:
         A token that cannot be read back raises ``ValueError`` before
         ``target`` is opened (:func:`_check_tokens`).
 
-        Rows go out in chunks of at most ``_WRITE_ROWS``, each formatted as
-        one word matrix of at most ``_WRITE_BYTES`` (one row if a row is
-        wider) by :func:`_format_rows`, decoded with lone surrogates passed
-        through and written as text, so ``target``'s encoding and error
-        policy decide as for any text."""
-        tokens, joined = _joined_tokens(self.node_ids)
+        Each row is four byte pieces (:func:`_pieces`): its two tokens, its
+        sign and its time, counted by the heads of the runs of equal times.
+        Each chunk of rows, about ``_WRITE_BYTES // 4`` bytes of text by the
+        rows' byte counts (:func:`_spans`), is one :func:`_gather_rows`,
+        decoded with lone surrogates passed through and written as text, so
+        ``target``'s encoding and error policy decide as for any text."""
+        head = np.ones(len(self), dtype=bool)
+        np.not_equal(self.time[1:], self.time[:-1], out=head[1:])
+        indptr, data = _pieces(*_joined_tokens(self.node_ids), self.time[head])
         with _opened(target, "w") as handle:
             if not len(self):
                 return
-            table, length = _token_words(tokens, joined)
-            # Sign, tab, digits and newline: 8 * tail - 4 digits fit.
-            tail = (len(str(self.time_last)) + 11) // 8
-            row_bytes = 8 * (2 * table.shape[1] + tail)
-            rows = max(1, min(_WRITE_ROWS, _WRITE_BYTES // row_bytes))
-            for lo in range(0, len(self), rows):
-                chunk = slice(lo, lo + rows)
-                data = _format_rows(table, length, self.src[chunk], self.dst[chunk],
-                                    self.sign[chunk], self.time[chunk], tail)
-                handle.write(data.decode("utf-8", "surrogatepass"))
+            n = self.node_count
+            size = np.diff(indptr)
+            ends = size[self.src]
+            ends += size[self.dst]
+            ends += np.repeat(size[n + 2:], np.diff(np.flatnonzero(head), append=len(self)))
+            ends += 3  # the sign's piece
+            time_id = n + 1
+            for rows in _spans(np.cumsum(ends, out=ends), _WRITE_BYTES // 4):
+                ids = np.empty((rows.stop - rows.start, 4), dtype=np.int64)
+                ids[:, 0], ids[:, 1] = self.src[rows], self.dst[rows]
+                np.less(self.sign[rows], 0, out=ids[:, 2])
+                ids[:, 2] += n
+                np.cumsum(head[rows], out=ids[:, 3])
+                ids[:, 3] += time_id
+                time_id = ids[-1, 3]
+                text, _ = _gather_rows(indptr, data, ids.reshape(-1))
+                handle.write(str(text, "utf-8", "surrogatepass"))
 
     def write_id_map(self, target: PathOrFile) -> None:
         """Persist the token -> index map as ``node<TAB>index`` lines; a

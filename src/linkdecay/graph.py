@@ -25,7 +25,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .events import TemporalEdgeList, _in_sorted, _int64, _node_count
+from .events import TemporalEdgeList, _gather_rows, _in_sorted, _int64, _node_count
 
 __all__ = [
     "DegreeCombination",
@@ -273,16 +273,6 @@ class PairFeatures(NamedTuple):
     d2: np.ndarray      # second-slot endpoint degree
     cn: np.ndarray      # common-neighbour count
     common: np.ndarray  # common neighbours: pair by pair, ascending within a pair
-
-
-def _gather_rows(indptr: np.ndarray, indices: np.ndarray,
-                 nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of ``nodes``, concatenated in order, and their lengths."""
-    starts = indptr[nodes]
-    lengths = indptr[nodes + 1] - starts
-    entry = np.arange(int(lengths.sum()), dtype=np.int64)
-    entry += np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
-    return indices[entry], lengths
 
 
 def _pair_keys(rows: np.ndarray, lengths: np.ndarray, n: int) -> np.ndarray:

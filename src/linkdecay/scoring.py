@@ -42,8 +42,9 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
+from .events import _gather_rows, _spans
 from .graph import (DegreeCombination, Graph, _as_pairs, _check_pair, _checked_pairs,
-                    _gather_rows, _pair_features, _parse_choice, pair_features)
+                    _pair_features, _parse_choice, pair_features)
 
 __all__ = [
     "Measure",
@@ -226,13 +227,7 @@ def _blocks(g: Graph, pairs: np.ndarray, combo: DegreeCombination) -> list[slice
     row entries (a single pair with longer rows gets a block of its own)."""
     (ptr1, _), (ptr2, _) = combo.slot_csr(g)
     i, j = pairs[:, 0], pairs[:, 1]
-    ends = np.cumsum(ptr1[i + 1] - ptr1[i] + ptr2[j + 1] - ptr2[j])
-    if ends[-1] <= _BLOCK_ENTRIES:
-        return [slice(0, len(pairs))]
-    cuts = np.searchsorted(ends, np.arange(_BLOCK_ENTRIES, ends[-1], _BLOCK_ENTRIES),
-                           side="right")
-    bounds = np.unique(np.concatenate(([0], cuts, [len(pairs)]))).tolist()
-    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+    return _spans(np.cumsum(ptr1[i + 1] - ptr1[i] + ptr2[j + 1] - ptr2[j]), _BLOCK_ENTRIES)
 
 
 def _decay_scores(g: Graph, pairs: np.ndarray, specs: Sequence[ScoreSpec],

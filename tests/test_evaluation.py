@@ -280,6 +280,21 @@ def test_random_baseline_bounds_and_determinism():
     assert 0.35 < float(np.mean(values)) < 0.65
 
 
+@pytest.mark.parametrize("call", [
+    lambda tel, split: temporal_split(tel, 0.75, seed=None),
+    lambda tel, split: random_baseline(split, seed=None),
+    lambda tel, split: evaluate_link_prediction(tel, Measure.CN, DegreeCombination.SYM,
+                                                seed=None),
+], ids=["temporal_split", "random_baseline", "evaluate_link_prediction"])
+def test_a_missing_seed_is_refused_up_front(call, monkeypatch):
+    # Each call would succeed with a seed; without one it draws nothing.
+    tel = generate(GenConfig(seed=4, n_nodes=150, n_add_events=2000))
+    split = temporal_split(tel, 0.75, seed=0)
+    monkeypatch.setattr(np.random, "default_rng", None)
+    with pytest.raises(ValueError, match="^a seed is required$"):
+        call(tel, split)
+
+
 def test_single_positive_single_negative_two_outcomes():
     pair = np.array([[0, 1]], dtype=np.int64)
     other = np.array([[2, 3]], dtype=np.int64)

@@ -4,9 +4,9 @@
 and falls back to the line loop for anything else; file objects always
 take the loop.  Every path read here is compared with the loop's reading
 of the same text, results and errors alike, numbers of every digit width
-included.  ``write`` formats rows in chunks of 8-byte words; its output
-is compared with ``tests/reference_events.py``, for tokens of one and of
-many words.
+included.  ``write`` gathers each chunk of rows from byte pieces; its
+output is compared with ``tests/reference_events.py``, for short, long,
+non-ASCII and title-like tokens, and for times of every width.
 The stable orders under every read come from ``_stable_order``; it is
 compared with numpy's stable argsort at and just past the widest value
 range its packed keys hold, and so is a file whose times reach past it.
@@ -313,12 +313,16 @@ def _written(write, tel, target):
 @given(streams(), st.integers(1, 9))
 def test_writer_matches_reference(tmp_path_factory, tel, rows):
     # The byte kernel is compared on every token; the refusal of tokens a
-    # reader would not give back is tested in test_events.py.
-    with mock.patch.object(events, "_WRITE_ROWS", rows), \
+    # reader would not give back is tested in test_events.py.  The text
+    # budget of a chunk is ``rows`` rows of the stream's mean size, so
+    # chunks hold about 1-9 rows.
+    want = io.StringIO()
+    write_events(tel, want)
+    row_bytes = len(want.getvalue().encode("utf-8", "surrogatepass")) // max(len(tel), 1)
+    with mock.patch.object(events, "_WRITE_BYTES", 4 * rows * max(row_bytes, 1)), \
             mock.patch.object(events, "_check_tokens", lambda *args: None):
-        got, want = io.StringIO(), io.StringIO()
+        got = io.StringIO()
         tel.write(got)
-        write_events(tel, want)
         assert got.getvalue() == want.getvalue()
 
         folder = tmp_path_factory.mktemp("write")
@@ -358,48 +362,53 @@ def test_writer_matches_reference_on_a_generated_stream(generated, tmp_path):
             == (tmp_path / "want.tsv").read_bytes() == generated.read_bytes())
 
 
-def test_time_words_are_str_of_every_time():
+def test_times_of_every_width_are_written_as_str():
     # A time field is the sign, a tab, str(time) and a newline, for every
-    # time an int64 column holds and every width of 1-3 words.  Negative
-    # int64 values never reach it: a stream refuses them.
+    # digit width from 1 to 19, 10**k - 1, 10**k and 10**k + 1, and
+    # int64's maximum; each time is written twice, in one chunk or across
+    # two.  Negative int64 values never reach the writer: a stream refuses
+    # them.
     info = np.iinfo(np.int64)
-    values = [0, 9, 10, 99, 100, 10**18 - 1, 10**18, info.max,
-              -1, -10, info.min, info.min + 1]
-    for value in values:
-        if value < 0:
-            with pytest.raises(events.EventFormatError, match="^negative timestamp$"):
-                TemporalEdgeList.from_records([(0, 1, 1, value)], n=2)
-    times = [v for v in values if v >= 0] + [10**k + d for k in range(1, 19)
-                                             for d in (-1, 0)]
-    for tail in (1, 2, 3):
-        fit = np.array([t for t in times if len(str(t)) <= 8 * tail - 4], dtype=np.int64)
-        sign = np.resize(np.array([1, -1], dtype=np.int64), len(fit))
-        words, mask = events._time_words(sign, fit, tail)
-        got = words.astype(events._WORD).view(np.uint8)[
-            mask.astype(events._WORD).view(np.bool_)].tobytes()
-        assert got.decode() == "".join(f"{'+1' if s > 0 else '-1'}\t{t}\n" for s, t in
-                                       zip(sign.tolist(), fit.tolist()))
-        assert len(fit) >= 4 * tail
+    for value in (-1, -10, info.min, info.min + 1):
+        with pytest.raises(events.EventFormatError, match="^negative timestamp$"):
+            TemporalEdgeList.from_records([(0, 1, 1, value)], n=2)
+    times = sorted({0, 1, 9, info.max} | {10**k + d for k in range(1, 19)
+                                          for d in (-1, 0, 1)})
+    assert {len(str(t)) for t in times} == set(range(1, 20))
+    records = [(k % 2, 1 - k % 2, sign, t) for k, t in enumerate(times)
+               for sign in (1, -1)]
+    tel = TemporalEdgeList.from_records(records, n=2)
+    want = io.StringIO()
+    write_events(tel, want)
+    # A chunk per row, or one chunk.
+    for budget in (4, events._WRITE_BYTES):
+        got = _Chunks()
+        with mock.patch.object(events, "_WRITE_BYTES", budget):
+            tel.write(got)
+        assert got.getvalue() == want.getvalue()
+        assert len(got.lines) == (len(tel) if budget == 4 else 1)
 
 
 class _Chunks(io.StringIO):
-    """A text target that records the lines of each write."""
+    """A text target that records the lines and UTF-8 bytes of each write."""
 
     def __init__(self):
         super().__init__()
         self.lines = []
+        self.sizes = []
 
     def write(self, text):
         self.lines.append(text.count("\n"))
+        self.sizes.append(len(text.encode("utf-8", "surrogatepass")))
         return super().write(text)
 
 
 def test_long_token_matches_reference_within_the_chunk_budget(tmp_path):
-    # A 300-character token widens every row of a chunk's word matrix, so a
-    # chunk holds fewer rows: the matrix stays within _WRITE_BYTES, and the
-    # whole write allocates a few times that at most.
+    # Rows with a 300-character token are cut into more chunks, by their
+    # real bytes: each chunk holds about _WRITE_BYTES // 4 bytes of text,
+    # at most one row more, and the whole write allocates a few times
+    # _WRITE_BYTES at most.
     long = "ab中\U0001f600\udc80" * 60
-    width = 2 * len(long.encode("utf-8", "surrogatepass"))
     rng = np.random.default_rng(3)
     src = rng.integers(0, 3, 4000)
     records = np.column_stack((src, (src + rng.integers(1, 3, 4000)) % 3,
@@ -411,7 +420,9 @@ def test_long_token_matches_reference_within_the_chunk_budget(tmp_path):
     write_events(tel, want)
     assert chunks.getvalue() == want.getvalue()
     assert sum(chunks.lines) == 4000 and len(chunks.lines) > 1
-    assert max(chunks.lines) * width <= events._WRITE_BYTES
+    row = max(len(line.encode("utf-8", "surrogatepass"))
+              for line in want.getvalue().splitlines(keepends=True))
+    assert max(chunks.sizes) <= events._WRITE_BYTES // 4 + row
 
     got = tmp_path / "got.tsv"
     with open(got, "w", encoding="utf-8", errors="surrogateescape") as handle:
@@ -423,6 +434,72 @@ def test_long_token_matches_reference_within_the_chunk_budget(tmp_path):
             tracemalloc.stop()
     assert got.read_bytes() == want.getvalue().encode("utf-8", "surrogateescape")
     assert peak <= 8 * events._WRITE_BYTES
+
+
+def _traced_write_peak(tel, path):
+    tracemalloc.start()
+    try:
+        tel.write(str(path))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_one_long_token_does_not_widen_every_row(tmp_path):
+    # One 300-character token among 20k nodes costs the rows that hold it,
+    # not a row as wide as itself for every node: the write's traced peak
+    # stays within 1.5 times that of the same stream with short tokens.
+    tel = generate(GenConfig(seed=0, n_nodes=20_000, n_add_events=40_000))
+    tokens = list(tel.node_ids)
+    tokens[0] = "L" * 300
+    long = TemporalEdgeList(tel.src, tel.dst, tel.sign, tel.time, tokens)
+    short_peak = _traced_write_peak(tel, tmp_path / "short.tsv")
+    long_peak = _traced_write_peak(long, tmp_path / "long.tsv")
+    assert long_peak <= 1.5 * short_peak
+    want = tmp_path / "want.tsv"
+    write_events(long, str(want))
+    assert (tmp_path / "long.tsv").read_bytes() == want.read_bytes()
+
+
+#: Letters of title-like tokens, non-ASCII ones of 2, 3 and 4 UTF-8 bytes
+#: included.
+TITLE_LETTERS = (list("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_(),.'-")
+                 + ["é", "ß", "ж", "ā", "中", "\U0001f600"])
+
+
+def _title_tokens(rng, n):
+    """``n`` distinct title-like tokens of log-normal length (median about
+    14 characters), at most 255 characters long."""
+    lengths = np.clip(np.rint(rng.lognormal(np.log(14), 0.9, n)), 1, 255).astype(int)
+    letters = rng.choice(TITLE_LETTERS, size=int(lengths.sum())).tolist()
+    starts = (np.cumsum(lengths) - lengths).tolist()
+    return [f"{i}:{''.join(letters[a:a + k])}"[:255]
+            for i, (a, k) in enumerate(zip(starts, lengths.tolist()))]
+
+
+@pytest.mark.parametrize("relabel", ["title tokens", "distinct 18-digit times"])
+def test_writer_matches_reference_on_a_relabelled_stream(tmp_path, relabel):
+    # A generated stream whose nodes become seeded page-title-like tokens,
+    # or whose times become distinct 18-digit numbers.
+    tel = generate(GenConfig(seed=2, n_nodes=3000, n_add_events=12_000))
+    rng = np.random.default_rng(12)
+    tokens, time = tel.node_ids, tel.time
+    if relabel == "title tokens":
+        tokens = _title_tokens(rng, tel.node_count)
+        assert max(map(len, tokens)) == 255
+        assert any(not token.isascii() for token in tokens)
+    else:
+        time = 10**17 + np.cumsum(rng.integers(1, 10**12, len(tel)))
+        assert len(str(int(time[-1]))) == 18
+    tel = TemporalEdgeList(tel.src, tel.dst, tel.sign, time, tokens)
+    got, want = _Chunks(), io.StringIO()
+    tel.write(got)
+    write_events(tel, want)
+    assert got.getvalue() == want.getvalue()
+    assert len(got.lines) > 1
+    tel.write(str(tmp_path / "got.tsv"))
+    write_events(tel, str(tmp_path / "want.tsv"))
+    assert (tmp_path / "got.tsv").read_bytes() == (tmp_path / "want.tsv").read_bytes()
 
 
 @st.composite
