@@ -3,6 +3,10 @@
 A :class:`Graph` is an immutable snapshot of a directed simple graph over a
 fixed node universe ``0..n-1``.  Neighbors are held as per-node sorted
 integer arrays, giving O(degree) scans and O(log degree) membership tests.
+Each of its three row tables (out, in and both) is built by counting: one
+sort of ``row << bits | col`` keys orders the entries, a ``bincount`` of
+their rows gives the row starts, and masking the low ``bits`` gives the
+column indices.
 A node has two queries: :meth:`Graph.neighbors` by direction (out, in or
 both) and :meth:`Graph.degree` by mode (out, in or their total).
 Snapshots are produced from event streams by :func:`snapshot_at`: an edge is
@@ -36,6 +40,11 @@ __all__ = [
 ]
 
 
+#: Most nodes a :class:`Graph` holds: its ``row << bits | col`` keys, ``bits``
+#: the bit length of ``n - 1``, then stay below ``2**62`` and fit int64.
+_NODE_LIMIT = 2**31
+
+
 def _as_pairs(pairs: Iterable[Sequence[int]]) -> np.ndarray:
     """``pairs`` as ``(k, 2)`` int64 rows by :func:`_int64`, else ``ValueError``."""
     return _int64(pairs, ValueError, "pairs", "pairs must have shape (k, 2), got {}", 2)
@@ -48,13 +57,17 @@ class Graph:
     no self-loops and no duplicate edges, raising ``ValueError`` otherwise,
     as it does for a node count, endpoint or query node int64 does not hold
     exactly (:func:`_int64`); an integer query node not in ``0..n-1`` is an
-    ``IndexError``.
+    ``IndexError``.  A node count above ``2**31`` (2147483648) is a
+    ``ValueError`` before anything of size ``n`` is allocated: the packed
+    row keys would not fit int64.
     """
 
     __slots__ = ("_n", "_rows")
 
     def __init__(self, n: int, src: np.ndarray, dst: np.ndarray):
         n = _node_count(n, ValueError)
+        if n > _NODE_LIMIT:
+            raise ValueError(f"node count must be at most {_NODE_LIMIT}, got {n}")
         message = "src and dst must be 1-d arrays of equal length"
         src = _int64(src, ValueError, "edge endpoints", message)
         dst = _int64(dst, ValueError, "edge endpoints", message)
@@ -66,16 +79,23 @@ class Graph:
             if np.any(src == dst):
                 raise ValueError("self-loops are not allowed")
         self._n = n
-        out_keys = _sorted_keys(n, src, dst)
+        bits = max(n - 1, 1).bit_length()
+        out_keys = _sorted_keys(bits, src, dst)
         if np.any(out_keys[1:] == out_keys[:-1]):
             raise ValueError("duplicate edges are not allowed")
-        in_keys = _sorted_keys(n, dst, src)
+        in_keys = _sorted_keys(bits, dst, src)
         # The merge reads the keys before _csr turns them into indices in place.
         merged, repeated = _merge_runs(out_keys, in_keys)
         both_keys = merged[~repeated]
+        out_counts = np.bincount(src, minlength=n)
+        in_counts = np.bincount(dst, minlength=n)
+        # A reciprocated pair is one both-row entry for two out + in entries.
+        both_counts = out_counts + in_counts
+        both_counts -= np.bincount(merged[repeated] >> bits, minlength=n)
         # direction -> read-only ``(indptr, indices)`` of its rows.
-        self._rows = {"out": _csr(n, out_keys), "in": _csr(n, in_keys),
-                      "both": _csr(n, both_keys)}
+        self._rows = {"out": _csr(bits, out_counts, out_keys),
+                      "in": _csr(bits, in_counts, in_keys),
+                      "both": _csr(bits, both_counts, both_keys)}
         for row in self._rows.values():
             for arr in row:
                 arr.flags.writeable = False
@@ -165,10 +185,11 @@ class Graph:
         return f"Graph(n={self._n}, m={self.edge_count})"
 
 
-def _sorted_keys(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """``row * n + col`` of every entry, ascending: row-major CSR order."""
-    keys = rows * np.int64(n)
-    keys += cols
+def _sorted_keys(bits: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``row << bits | col`` of every entry, ascending: row-major CSR order,
+    as ``row * n + col`` gives it for any ``n <= 2**bits``."""
+    keys = np.left_shift(rows, bits)
+    keys |= cols
     keys.sort()
     return keys
 
@@ -185,10 +206,13 @@ def _merge_runs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return keys, repeated
 
 
-def _csr(n: int, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(indptr, indices)`` of sorted keys; the keys become the indices."""
-    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
-    return indptr.astype(np.int64, copy=False), np.remainder(keys, n, out=keys)
+def _csr(bits: int, counts: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(indptr, indices)`` of per-row entry counts and the rows' sorted
+    :func:`_sorted_keys`: the row starts are the running sum of the counts,
+    and the keys become the indices, their low ``bits`` masked in place."""
+    indptr = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    return indptr, np.bitwise_and(keys, (1 << bits) - 1, out=keys)
 
 
 def _parse_choice(choices: type[Enum], noun: str, text: str):

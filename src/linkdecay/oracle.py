@@ -335,32 +335,43 @@ class OracleReport:
 #: which would overflow int64 for large ``n``.
 _PAIR = np.dtype([("i", np.int64), ("j", np.int64)])
 
+#: Largest :func:`_sample_pairs` chunk, in multiples of ``max_pairs``.
+_CHUNK_CAP = 4
+
 
 def _sample_pairs(n: int, max_pairs: int, seed: int) -> np.ndarray:
     """The sorted ``max_pairs`` distinct pairs of distinct nodes of
     ``0..n-1`` that a loop of ``rng.integers(0, n, size=2)`` calls keeps,
     skipping self-pairs and repeats, from ``default_rng(seed)``.
 
-    The pairs are drawn in chunks, ``rng.integers(0, n, size=(k, 2))``,
-    ``k`` the pairs still missing.  numpy's bounded draw (Lemire's method)
-    takes its values from one stream of 32-bit halves (``n <= 2**32``) or
-    64-bit words, whose buffered half lives in the bit generator, so a
-    chunk gives the calls' pairs in order, rejections included.  numpy
-    does not document this; the draw test in ``tests/test_oracle.py``
-    compares the two.  Each chunk is one array pass: drop its self-pairs,
-    sort it by ``(i, j)`` and keep the head of each run of equal pairs,
-    drop the heads already kept (one ``np.searchsorted`` of ``_PAIR``
-    records in the kept pairs, which stay in lexicographic order), and
-    insert the rest.  A chunk of ``k`` draws holds at most ``k`` new pairs,
-    so the loop keeps all of them too, and which draw of a repeated pair
-    came first does not matter.
+    The pairs are drawn in chunks, ``rng.integers(0, n, size=(k, 2))``.
+    numpy's bounded draw (Lemire's method) takes its values from one stream
+    of 32-bit halves (``n <= 2**32``) or 64-bit words, whose buffered half
+    lives in the bit generator, so a chunk gives the calls' pairs in order,
+    rejections included.  numpy does not document this; the draw test in
+    ``tests/test_oracle.py`` compares the two.  Each chunk is one array
+    pass: drop its self-pairs, sort it by ``(i, j)`` and keep the head of
+    each run of equal pairs, drop the heads already kept (one
+    ``np.searchsorted`` of ``_PAIR`` records in the kept pairs, which stay
+    in lexicographic order), and insert the first ``m`` of the rest in draw
+    order, ``m`` the pairs still missing.  ``np.lexsort`` is stable, so a
+    run head is its pair's first draw.  The loop would stop at the ``m``-th
+    new pair; the generator is the call's own, so the draws after it are
+    never seen.
+
+    The first chunk is ``max_pairs`` draws.  Each later one is the missing
+    count times the draws per new pair of the chunk before (at most
+    ``_CHUNK_CAP * max_pairs``), so a sample near saturation, where most
+    draws repeat a kept pair, takes tens of chunks, not thousands.
     """
     rng = np.random.default_rng(seed)
     kept = np.empty((0, 2), dtype=np.int64)
+    size = max_pairs
     while len(kept) < max_pairs:
-        chunk = rng.integers(0, n, size=(max_pairs - len(kept), 2))
+        chunk = rng.integers(0, n, size=(size, 2))
         chunk = chunk[chunk[:, 0] != chunk[:, 1]]
-        pairs = chunk[np.lexsort((chunk[:, 1], chunk[:, 0]))]
+        order = np.lexsort((chunk[:, 1], chunk[:, 0]))
+        pairs = chunk[order]
         new = np.ones(len(pairs), dtype=bool)
         new[1:] = np.any(pairs[1:] != pairs[:-1], axis=1)
         at = np.searchsorted(kept.view(_PAIR).ravel(),
@@ -368,8 +379,13 @@ def _sample_pairs(n: int, max_pairs: int, seed: int) -> np.ndarray:
         seen = at < len(kept)
         seen[seen] = np.all(kept[at[seen]] == pairs[seen], axis=1)
         new &= ~seen
-        if new.any():
-            kept = np.insert(kept, at[new], pairs[new], axis=0)
+        heads = np.flatnonzero(new)
+        found, missing = len(heads), max_pairs - len(kept)
+        if found > missing:
+            heads = np.sort(heads[np.argsort(order[heads])[:missing]])
+        kept = np.insert(kept, at[heads], pairs[heads], axis=0)
+        missing -= len(heads)
+        size = min(-(-missing * size // max(found, 1)), _CHUNK_CAP * max_pairs)
     return kept
 
 

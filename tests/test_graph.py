@@ -1,6 +1,7 @@
 """Graph snapshots, degree/neighborhood queries, and combo semantics."""
 
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from linkdecay.events import read_events
 from linkdecay.generate import GenConfig, generate
 from linkdecay.graph import DegreeCombination, Graph, pair_features, snapshot_at
 from linkdecay.oracle import materialize_complement, symmetrize
+from reference_graph import csr_rows
 from reference_scoring import _slot_sets
 
 COMBOS = list(DegreeCombination)
@@ -92,6 +94,58 @@ def test_library_builds_equal_a_rebuild_from_their_edges():
         for direction in ("out", "in", "both"):
             for a, b in zip(h._csr(direction), rebuilt._csr(direction)):
                 assert np.array_equal(a, b), direction
+
+
+@pytest.mark.parametrize("n", [2**31 + 1, 2**40])
+def test_rejects_node_count_above_limit_before_allocating(n):
+    """The packed row keys fit int64 up to ``2**31`` nodes; a larger count
+    is refused before any array of size ``n`` (16 GB and up) is made."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"^node count must be at most "
+                                             f"2147483648, got {n}$"):
+            Graph(n, [], [])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
+
+
+def _csr_edge_sets(n, rng):
+    """Edge sets on ``n`` nodes, sorted: none; a random set with some of its
+    pairs reciprocated and edges to and from node ``n - 1``; and one over
+    the even nodes and ``n - 1``, so every odd node below it is isolated."""
+    sets = [np.empty((0, 2), dtype=np.int64)]
+    if n < 2:
+        return sets
+    pairs = rng.integers(0, n, size=(min(4 * n, 600), 2))
+    pairs = np.concatenate((pairs, pairs[::3, ::-1],
+                            [(0, n - 1), (n - 1, 0), (n // 2, n - 1)]))
+    sets.append(pairs)
+    evens = np.append(np.arange(0, n, 2), n - 1)
+    sets.append(rng.choice(evens, size=(min(2 * n, 300), 2)))
+    return [np.unique(p[p[:, 0] != p[:, 1]], axis=0) for p in sets]
+
+
+def test_csr_rows_equal_the_multiply_and_search_build():
+    """The counting build gives every ``indptr`` and ``indices`` array of the
+    three row tables the bits of the ``row * n + col`` build with its row
+    start search and remainder, around each power of two up to ``2**17 + 1``
+    nodes, where the packed keys gain a bit, with the edges in shuffled
+    order."""
+    rng = np.random.default_rng(32)
+    sizes = sorted({0, 1, 2, 3} | {2**k + d for k in range(1, 18) for d in (-1, 0, 1)})
+    for n in sizes:
+        for pairs in _csr_edge_sets(n, rng):
+            pairs = pairs[rng.permutation(len(pairs))]
+            src, dst = pairs[:, 0].copy(), pairs[:, 1].copy()
+            g = Graph(n, src, dst)
+            expect = csr_rows(n, src, dst)
+            for direction, (ptr, idx) in expect.items():
+                got_ptr, got_idx = g._csr(direction)
+                assert got_ptr.dtype == got_idx.dtype == np.int64
+                assert np.array_equal(got_ptr, ptr), (n, direction)
+                assert np.array_equal(got_idx, idx), (n, direction)
 
 
 def test_both_rows_are_per_row_union_of_out_and_in():
