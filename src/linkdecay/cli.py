@@ -251,7 +251,7 @@ def _cmd_verify(args) -> list:
     if args.random_nodes is not None:
         # The draw is an n x n matrix: refuse what the check would refuse
         # before drawing.
-        _check_request(args.random_nodes, spec, args.pairs, args.max_pairs)
+        _check_request(args.random_nodes, spec, args.pairs, args.max_pairs, args.seed)
         rng = np.random.default_rng(args.seed)
         make = random_reciprocal_graph if args.reciprocal else random_directed_graph
         g = make(args.random_nodes, args.density, rng)

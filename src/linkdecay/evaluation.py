@@ -37,7 +37,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .events import TemporalEdgeList, _in_sorted, _packed_order, _stable_order
+from .events import (TemporalEdgeList, _check_seed, _draw_distinct, _in_sorted,
+                     _packed_order, _stable_order)
 from .graph import _as_pairs, snapshot_at
 from .scoring import (Measure, ScoreModel, ScoreSpec, DegreeCombination,
                       all_specs, score_matrix)
@@ -201,11 +202,6 @@ def _check_tie_break(tie_break: str) -> None:
         raise ValueError(f"tie_break must be 'lexicographic' or 'expected', got {tie_break!r}")
 
 
-def _check_seed(seed: int) -> None:
-    if seed is None:
-        raise ValueError("a seed is required")
-
-
 def _pair_order(pairs: np.ndarray) -> np.ndarray:
     """Stable lexicographic order of ``(k, 2)`` pairs: by source, then
     target, then input position: one ``_stable_order`` of the keys ``(src -
@@ -366,24 +362,16 @@ def random_baseline(split: EvaluationSplit, *, seed: int,
 
 def _absent_keys(ever: np.ndarray, n: int, need: int, seed: int) -> np.ndarray:
     """The sorted keys ``i * n + j`` of ``need`` distinct pairs ``i != j``
-    outside the sorted keys ``ever``, drawn from ``default_rng(seed)``.
-
-    Keys are drawn in chunks of ``max(64, 2 * missing)``.  A loop over a
-    chunk in draw order would keep each key that is no self-pair, not in
-    ``ever`` and not kept yet, until ``need`` are kept.  Each chunk is one
-    array pass that keeps the same keys: drop self-pairs and the keys
-    found in ``ever``, keep the first of each repeated key, drop the keys
-    kept from earlier chunks, and take the first ``missing`` survivors.
-    """
+    outside the sorted keys ``ever``: a per-key loop's keys, from chunks of
+    ``default_rng(seed).integers(0, n * n)`` less their self-pairs through
+    :func:`~linkdecay.events._draw_distinct`."""
     rng = np.random.default_rng(seed)
-    chosen = np.empty(0, dtype=np.int64)
-    while len(chosen) < need:
-        draw = rng.integers(0, n * n, size=max(64, 2 * (need - len(chosen))))
-        draw = draw[(draw // n != draw % n) & ~_in_sorted(ever, draw)]
-        draw = draw[np.sort(np.unique(draw, return_index=True)[1])]
-        draw = draw[~_in_sorted(chosen, draw)]
-        chosen = np.sort(np.concatenate((chosen, draw[:need - len(chosen)])))
-    return chosen
+
+    def draw(size: int) -> np.ndarray:
+        keys = rng.integers(0, n * n, size=size)
+        return keys[keys // n != keys % n]
+
+    return _draw_distinct(draw, need, ever)
 
 
 def evaluate_link_prediction(tel: TemporalEdgeList, measure: Measure,

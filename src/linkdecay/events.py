@@ -54,8 +54,9 @@ values for first-seen ids) comes from one default numpy sort of distinct
 packed int64 keys ``(value - min) << bits | position``
 (:func:`_stable_order`).  Only values spanning too wide a range for such a
 key, as times up to ``10**18`` over more than eight events can, fall back to
-numpy's stable argsort.  Membership in sorted distinct int64 keys, such
-as the live edge keys at a time, is one search (:func:`_in_sorted`).
+numpy's stable argsort.  Membership in sorted distinct keys, such as the
+live edge keys at a time, is one search (:func:`_in_sorted`), and so is
+each chunk's filter in the one sampling loop (:func:`_draw_distinct`).
 """
 
 from __future__ import annotations
@@ -65,8 +66,8 @@ import numbers
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import (BinaryIO, Iterable, Iterator, NamedTuple, Sequence, TextIO,
-                    Union)
+from typing import (BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence,
+                    TextIO, Union)
 
 import numpy as np
 
@@ -377,12 +378,44 @@ def _stable_order(values: np.ndarray) -> np.ndarray:
 
 
 def _in_sorted(keys: np.ndarray, wanted: np.ndarray) -> np.ndarray:
-    """Whether each of ``wanted`` is among the sorted distinct int64
-    ``keys`` (edge keys ``src * n + dst``), by one ``np.searchsorted``."""
+    """Whether each of ``wanted`` is among the sorted distinct ``keys`` (int64
+    edge keys or :data:`~linkdecay.oracle._PAIR` records), by one search."""
     at = np.searchsorted(keys, wanted)
     found = at < len(keys)
     found[found] = keys[at[found]] == wanted[found]
     return found
+
+
+def _check_seed(seed: int) -> None:
+    if seed is None:
+        raise ValueError("a seed is required")
+
+
+def _draw_distinct(draw: Callable[[int], np.ndarray], need: int,
+                   excluded: np.ndarray) -> np.ndarray:
+    """Sorted, the first ``need`` distinct values outside the sorted
+    ``excluded`` in the stream of ``draw(size)`` calls (each the kept values
+    of ``size`` draws, in draw order): what a loop over the stream keeps.
+
+    Per chunk: each value's first draw (``np.unique``), in draw order, less
+    the values excluded or kept (two :func:`_in_sorted` searches); the first
+    ``missing`` join the kept values, sorted again.  Chunks are ``need``
+    draws, then the missing count times the previous chunk's draws per new
+    value, or twice its draws if it found none (at most ``4 * need``, at
+    least 64), so a sample near saturation takes tens of chunks, not
+    thousands.
+    """
+    kept, size = excluded[:0], max(need, 64)
+    while len(kept) < need:
+        values = draw(size)
+        values = values[np.sort(np.unique(values, return_index=True)[1])]
+        values = values[~(_in_sorted(excluded, values) | _in_sorted(kept, values))]
+        found, missing = len(values), need - len(kept)
+        kept = np.sort(np.concatenate((kept, values[:missing])))
+        missing -= found
+        size = -(-missing * size // found) if found else 2 * missing * size
+        size = max(64, min(size, 4 * need))
+    return kept
 
 
 def _first_seen_ids(values: np.ndarray) -> tuple[np.ndarray, list[str]]:
@@ -823,17 +856,24 @@ def read_events(source: PathOrFile, *, self_loops: str = "skip",
 
 
 def read_id_map(source: PathOrFile) -> dict[str, int]:
-    """Read a ``node<TAB>index`` map written by :meth:`write_id_map`."""
+    """Read a ``node<TAB>index`` map, each node and index once (:meth:`write_id_map`)."""
     mapping: dict[str, int] = {}
+    indices: set[int] = set()
     with _opened(source, "r") as handle:
         for lineno, text in _data_lines(handle):
             fields = text.split()
             if len(fields) != 2:
                 raise EventFormatError(f"line {lineno}: expected 'node<TAB>index'")
+            node, index = fields
             try:
-                mapping[fields[0]] = int(fields[1])
+                index = int(index)
             except ValueError:
                 raise EventFormatError(
-                    f"line {lineno}: index must be an integer, got {fields[1]!r}"
+                    f"line {lineno}: index must be an integer, got {index!r}"
                 ) from None
+            if node in mapping or index in indices:
+                what = f"node {node!r}" if node in mapping else f"index {index}"
+                raise EventFormatError(f"line {lineno}: {what} is mapped twice")
+            mapping[node] = index
+            indices.add(index)
     return mapping

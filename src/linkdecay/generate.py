@@ -65,7 +65,7 @@ from typing import Optional
 
 import numpy as np
 
-from .events import TemporalEdgeList, _int64
+from .events import TemporalEdgeList, _check_seed, _int64
 
 __all__ = ["GenConfig", "deletion_share", "generate", "solve_window_span"]
 
@@ -105,8 +105,7 @@ class GenConfig:
     span: Optional[float] = None
 
     def validated(self) -> "GenConfig":
-        if self.seed is None:
-            raise ValueError("a seed is required")
+        _check_seed(self.seed)
         # Integral floats read as ints, so they give the int config's stream.
         ints = {name: int(_int64([getattr(self, name)], ValueError, name,
                                  f"{name} must be one integer")[0])

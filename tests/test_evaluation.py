@@ -20,6 +20,7 @@ from linkdecay.evaluation import (APResult, EdgeLifetimes, EvaluationSplit,
 from linkdecay.events import read_events
 from linkdecay.generate import GenConfig, generate
 from linkdecay.graph import DegreeCombination, snapshot_at
+from linkdecay.oracle import check_closed_form
 from linkdecay.scoring import Measure, ScoreModel, ScoreSpec, all_specs
 
 
@@ -285,7 +286,12 @@ def test_random_baseline_bounds_and_determinism():
     lambda tel, split: random_baseline(split, seed=None),
     lambda tel, split: evaluate_link_prediction(tel, Measure.CN, DegreeCombination.SYM,
                                                 seed=None),
-], ids=["temporal_split", "random_baseline", "evaluate_link_prediction"])
+    lambda tel, split: check_closed_form(
+        snapshot_at(tel, tel.time_last),
+        ScoreSpec(ScoreModel.COMPLEMENT_NETWORK, Measure.JACC, DegreeCombination.SYM),
+        pairs="all", max_pairs=50, seed=None),
+], ids=["temporal_split", "random_baseline", "evaluate_link_prediction",
+        "check_closed_form"])
 def test_a_missing_seed_is_refused_up_front(call, monkeypatch):
     # Each call would succeed with a seed; without one it draws nothing.
     tel = generate(GenConfig(seed=4, n_nodes=150, n_add_events=2000))
@@ -364,6 +370,14 @@ def test_never_present_sample_matches_per_key_loop(config):
             chunks.append(drawn)
     if capacity <= 400:
         assert max(chunks) > 1
+    # The protocol's own zero-labelled pairs are that sample, at the need
+    # of the default cut.
+    for seed in range(3):
+        result = evaluate_link_prediction(tel, Measure.CN, DegreeCombination.SYM,
+                                          seed=seed)
+        zeros = result.pairs[~result.positive]
+        want, _ = reference_evaluation.never_present_keys(tel.src, tel.dst, n, new, seed)
+        assert np.array_equal(np.sort(zeros[:, 0] * n + zeros[:, 1]), want)
 
 
 # ---- lifetimes and survival ----

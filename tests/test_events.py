@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linkdecay import events
+from linkdecay import evaluation, events, oracle
 from linkdecay.events import (EdgeEvent, EventFormatError, TemporalEdgeList,
                               read_events, read_id_map)
+from linkdecay.generate import GenConfig, generate
 
 
 def _read(text, **kwargs):
@@ -240,6 +241,45 @@ def test_in_sorted_is_membership_in_sorted_keys(keys, wanted):
     assert found.tolist() == [w in set(keys.tolist()) for w in wanted.tolist()]
 
 
+@pytest.mark.parametrize("case, nodes", [("pairs", 60), ("never-present", 60),
+                                         ("never-present", 150)],
+                         ids=["pairs", "never-present", "never-present-150"])
+def test_saturated_samples_take_few_chunks(case, nodes, monkeypatch):
+    """Drawing all but one of the 3540 pairs on 60 nodes, or every pair
+    that a dense 2000-add stream never holds (1782 of 3540 on 60 nodes,
+    20,410 of 22,350 on 150), repeats kept values in most draws near the
+    end; each chunk is sized from the previous one's draws per new value,
+    and a chunk that finds none doubles, so a sample takes tens of chunks.
+    Seeds 0-19 measured 10-13 chunks for the pairs and 8-13 and 12-18 for
+    the never-present keys, which fixed chunks of ``max(64, 2 * missing)``
+    draws took in 162-321 and 1083-3280.  Without the doubling, one
+    150-node seed took 38."""
+    chunks = []
+    draw_distinct = events._draw_distinct
+
+    def counted(draw, need, excluded):
+        def counting_draw(size):
+            chunks[-1] += 1
+            return draw(size)
+        chunks.append(0)
+        return draw_distinct(counting_draw, need, excluded)
+
+    if case == "pairs":
+        monkeypatch.setattr(oracle, "_draw_distinct", counted)
+        sample = lambda seed: oracle._sample_pairs(60, 3539, seed)
+    else:
+        tel = generate(GenConfig(seed=4, n_nodes=nodes, n_add_events=2000))
+        n = tel.node_count
+        ever = np.unique(tel.src * np.int64(n) + tel.dst)
+        capacity = n * (n - 1) - len(ever)
+        assert capacity == {60: 1782, 150: 20410}[nodes]
+        monkeypatch.setattr(evaluation, "_draw_distinct", counted)
+        sample = lambda seed: evaluation._absent_keys(ever, n, capacity, seed)
+    for seed in range(20):
+        sample(seed)
+    assert len(chunks) == 20 and max(chunks) <= 20, chunks
+
+
 def test_from_records_node_ids_and_n_are_exclusive():
     with pytest.raises(EventFormatError, match="^pass node_ids or n, not both$"):
         TemporalEdgeList.from_records([(0, 1, 1, 5)], node_ids=["a", "b"], n=2)
@@ -425,4 +465,17 @@ def test_id_map_bad_index_names_its_line(tmp_path):
     path.write_text("# node\tindex\nu\t0\nv\tone\n")
     with pytest.raises(EventFormatError,
                        match=r"^line 3: index must be an integer, got 'one'$"):
+        read_id_map(str(path))
+
+
+@pytest.mark.parametrize("lines, message", [
+    ("a\t0\na\t1\nb\t1\n", r"^line 2: node 'a' is mapped twice$"),
+    ("a\t0\nb\t1\nc\t1\n", r"^line 3: index 1 is mapped twice$"),
+], ids=["token", "index"])
+def test_id_map_repeat_names_its_line(tmp_path, lines, message):
+    """``write_id_map`` lists each node and each index once; a map that
+    repeats either would read back as a different map, so it is refused."""
+    path = tmp_path / "ids.tsv"
+    path.write_text(lines)
+    with pytest.raises(EventFormatError, match=message):
         read_id_map(str(path))

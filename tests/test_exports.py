@@ -3,12 +3,14 @@ in every module's ``__all__`` is an attribute of that module, and each
 library module's names are package names with that one home.  So does
 every name the sources refer to in a ``:func:``, ``:class:``, ``:meth:``
 or ``:data:`` role and every double-backticked private ``_name``, so a
-docstring cannot outlive the helper it names."""
+docstring cannot outlive the helper it names.  Each private name in
+README's Layout block is defined in the module whose entry names it."""
 
 import importlib
 import inspect
 import pkgutil
 import re
+from pathlib import Path
 
 import pytest
 
@@ -79,3 +81,37 @@ def test_every_name_the_sources_refer_to_resolves(module):
     refs = [m.groups() for m in _ROLE.finditer(text)]
     refs += [("private", name) for name in _PRIVATE.findall(text)]
     assert [ref for ref in refs if not _resolves(module, *ref)] == []
+
+
+_README = Path(__file__).resolve().parent.parent / "README.md"
+#: A module's entry in README's Layout block starts ``  name.py``.
+_ENTRY = re.compile(r"^  (\w+)\.py\b", re.MULTILINE)
+_PRIVATE_WORD = re.compile(r"(?<![\w.])(_[A-Za-z]\w*)")
+
+
+def _home(module, name: str):
+    """The module that defines ``module``'s attribute ``name`` (its own name
+    for data, which carries no home), or ``None`` if there is no such
+    attribute."""
+    obj = getattr(module, name, _MISSING)
+    if inspect.isfunction(obj) or inspect.isclass(obj):
+        return obj.__module__
+    return None if obj is _MISSING else module.__name__
+
+
+def test_every_private_name_in_the_readme_layout_resolves():
+    """Each ``_private`` name in a module's entry of README's Layout block
+    is an attribute of that module, and the entry of the module that
+    defines it names it too, so the layout can neither name a helper that
+    has moved nor describe one only where it is imported."""
+    text = _README.read_text(encoding="utf-8")
+    block = text.split("## Layout", 1)[1].split("```")[1]
+    starts = list(_ENTRY.finditer(block))
+    named = set()
+    for m, end in zip(starts, [s.start() for s in starts[1:]] + [len(block)]):
+        module = importlib.import_module(f"linkdecay.{m.group(1)}")
+        named |= {(module.__name__, name, _home(module, name))
+                  for name in _PRIVATE_WORD.findall(block[m.end():end])}
+    entries = {(where, name) for where, name, _ in named}
+    assert named and sorted((where, name, home) for where, name, home in named
+                            if (home, name) not in entries) == []
