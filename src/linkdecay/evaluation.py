@@ -203,16 +203,11 @@ def _check_tie_break(tie_break: str) -> None:
 
 
 def _pair_order(pairs: np.ndarray) -> np.ndarray:
-    """Stable lexicographic order of ``(k, 2)`` pairs: by source, then
-    target, then input position: one ``_stable_order`` of the keys ``(src -
-    min) * width + dst - min``, or ``np.lexsort`` where they pass int64."""
-    src, dst = pairs[:, 0], pairs[:, 1]
-    if len(pairs):
-        low = int(src.min()), int(dst.min())
-        width = int(src.max()) - low[0] + 1, int(dst.max()) - low[1] + 1
-        if width[0] * width[1] < 2 ** 63:
-            return _stable_order((src - low[0]) * width[1] + (dst - low[1]))
-    return np.lexsort((dst, src))
+    """Stable lexicographic order of ``(k, 2)`` int64 pairs: by source, then
+    target, then input position, for any ids.  Two stable passes
+    (:func:`_stable_order`): by target, then that order by source."""
+    by_dst = _stable_order(pairs[:, 1])
+    return by_dst[_stable_order(pairs[by_dst, 0])]
 
 
 def _descending(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -50,7 +50,8 @@ same pass.  Snapshots (``start <= t < end`` in event time), lifetimes
 table.
 
 Each stable order a load needs (events by time, events by edge key, node
-values for first-seen ids) comes from one default numpy sort of distinct
+values for first-seen ids), and each pass of the evaluation's pair order
+(by target, then by source), comes from one default numpy sort of distinct
 packed int64 keys ``(value - min) << bits | position``
 (:func:`_stable_order`).  Only values spanning too wide a range for such a
 key, as times up to ``10**18`` over more than eight events can, fall back to
@@ -378,8 +379,8 @@ def _stable_order(values: np.ndarray) -> np.ndarray:
 
 
 def _in_sorted(keys: np.ndarray, wanted: np.ndarray) -> np.ndarray:
-    """Whether each of ``wanted`` is among the sorted distinct ``keys`` (int64
-    edge keys or :data:`~linkdecay.oracle._PAIR` records), by one search."""
+    """Whether each of the int64 ``wanted`` is among the sorted distinct int64
+    ``keys`` (edge or node-pair keys ``i * n + j``), by one search."""
     at = np.searchsorted(keys, wanted)
     found = at < len(keys)
     found[found] = keys[at[found]] == wanted[found]
@@ -393,15 +394,15 @@ def _check_seed(seed: int) -> None:
 
 def _draw_distinct(draw: Callable[[int], np.ndarray], need: int,
                    excluded: np.ndarray) -> np.ndarray:
-    """Sorted, the first ``need`` distinct values outside the sorted
-    ``excluded`` in the stream of ``draw(size)`` calls (each the kept values
-    of ``size`` draws, in draw order): what a loop over the stream keeps.
+    """Sorted, the first ``need`` distinct int64 keys outside the sorted
+    int64 ``excluded`` in the stream of ``draw(size)`` calls (each the kept
+    keys of ``size`` draws, in draw order): what a loop over the stream keeps.
 
-    Per chunk: each value's first draw (``np.unique``), in draw order, less
-    the values excluded or kept (two :func:`_in_sorted` searches); the first
-    ``missing`` join the kept values, sorted again.  Chunks are ``need``
+    Per chunk: each key's first draw (``np.unique``), in draw order, less
+    the keys excluded or kept (two :func:`_in_sorted` searches); the first
+    ``missing`` join the kept keys, sorted again.  Chunks are ``need``
     draws, then the missing count times the previous chunk's draws per new
-    value, or twice its draws if it found none (at most ``4 * need``, at
+    key, or twice its draws if it found none (at most ``4 * need``, at
     least 64), so a sample near saturation takes tens of chunks, not
     thousands.
     """
@@ -711,19 +712,17 @@ class TemporalEdgeList:
                 return
             n = self.node_count
             size = np.diff(indptr)
+            time_id = np.cumsum(head) + (n + 1)
             ends = size[self.src]
             ends += size[self.dst]
-            ends += np.repeat(size[n + 2:], np.diff(np.flatnonzero(head), append=len(self)))
+            ends += size[time_id]
             ends += 3  # the sign's piece
-            time_id = n + 1
             for rows in _spans(np.cumsum(ends, out=ends), _WRITE_BYTES // 4):
                 ids = np.empty((rows.stop - rows.start, 4), dtype=np.int64)
                 ids[:, 0], ids[:, 1] = self.src[rows], self.dst[rows]
                 np.less(self.sign[rows], 0, out=ids[:, 2])
                 ids[:, 2] += n
-                np.cumsum(head[rows], out=ids[:, 3])
-                ids[:, 3] += time_id
-                time_id = ids[-1, 3]
+                ids[:, 3] = time_id[rows]
                 text, _ = _gather_rows(indptr, data, ids.reshape(-1))
                 handle.write(str(text, "utf-8", "surrogatepass"))
 

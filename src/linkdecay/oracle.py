@@ -32,9 +32,9 @@ limit does not apply.  Both row sources give one row per pair and slot to
 one scoring body.  Edge membership of the candidates is one ``_in_sorted``
 search of their ``i * n + j`` keys in the graph's sorted ones, and
 ``score_matrix`` already rejects a bad pair.  A sampled candidate set is
-numpy's one-call-per-pair stream drawn in chunks through
-:func:`~linkdecay.events._draw_distinct`, the sampling loop of the
-creation-side negatives too.  Nothing lives across calls.  Every score adds
+numpy's one-call-per-pair stream drawn in chunks as ``i * n + j`` int64
+keys through :func:`~linkdecay.events._draw_distinct`, the sampling loop of
+the creation-side negatives too.  Nothing lives across calls.  Every score adds
 the same terms in the same ``sorted(common)`` order as a per-pair set loop,
 so a report is bit-identical to one that evaluates each pair afresh on a
 materialized complement.  :func:`brute_force_g2` is :func:`raw_measure` on
@@ -331,10 +331,6 @@ class OracleReport:
         return d
 
 
-#: One node pair as a record; numpy orders records field by field (lexicographic).
-_PAIR = np.dtype([("i", np.int64), ("j", np.int64)])
-
-
 def _sample_pairs(n: int, max_pairs: int, seed: int) -> np.ndarray:
     """The sorted ``max_pairs`` distinct pairs of distinct nodes of
     ``0..n-1`` that a loop of ``rng.integers(0, n, size=2)`` calls keeps,
@@ -342,23 +338,20 @@ def _sample_pairs(n: int, max_pairs: int, seed: int) -> np.ndarray:
 
     Chunks ``rng.integers(0, n, size=(k, 2))`` give the calls' pairs in
     order: numpy's bounded draw (Lemire's method) takes one stream of 32-bit
-    halves (``n <= 2**32``) or 64-bit words, its buffered half kept in the
-    bit generator (undocumented; ``tests/test_oracle.py`` compares the two).
-    Each chunk less its self-pairs goes to :func:`~linkdecay.events._draw_distinct`
-    as ``i * n + j`` keys while ``n * n < 2**63`` (every graph the node limit
-    admits), else as ``_PAIR`` records: numpy sorts records 7-100 times slower,
-    and records alone made oracle-verify's ``job_s`` 0.135 → 0.219 s (2-core Xeon).
+    halves, its buffered half kept in the bit generator (undocumented;
+    ``tests/test_oracle.py`` compares the two).  Each chunk less its
+    self-pairs goes to :func:`~linkdecay.events._draw_distinct` as
+    ``i * n + j`` keys, so ``n * n < 2**63`` is required, as every graph the
+    node limit admits satisfies.
     """
     rng = np.random.default_rng(seed)
-    packed = n * n < 2 ** 63
 
     def draw(size: int) -> np.ndarray:
         pairs = rng.integers(0, n, size=(size, 2))
         pairs = pairs[pairs[:, 0] != pairs[:, 1]]
-        return pairs[:, 0] * n + pairs[:, 1] if packed else pairs.view(_PAIR).ravel()
+        return pairs[:, 0] * n + pairs[:, 1]
 
-    kept = _draw_distinct(draw, max_pairs, np.empty(0, np.int64 if packed else _PAIR))
-    return np.column_stack(np.divmod(kept, n)) if packed else kept.view(np.int64).reshape(-1, 2)
+    return np.column_stack(np.divmod(_draw_distinct(draw, max_pairs, np.empty(0, np.int64)), n))
 
 
 def _candidate_pairs(g: Graph, pairs: str, max_pairs: int,

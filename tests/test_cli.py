@@ -9,7 +9,7 @@ import pytest
 from linkdecay import evaluation, scoring
 from linkdecay.cli import main
 from linkdecay.datasets import swim_surf_events
-from linkdecay.events import read_events
+from linkdecay.events import read_events, read_id_map
 from linkdecay.generate import GenConfig, generate
 
 
@@ -195,6 +195,15 @@ def test_score_pairs_file_unknown_node(capsys, fixture_file, tmp_path):
                  "--pairs-file", str(pairs)]) == 2
 
 
+@pytest.mark.parametrize("line", ["swim\n", "swim\tsurf\twater\n"])
+def test_score_pairs_file_line_without_two_fields(capsys, fixture_file, tmp_path, line):
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text("swim\tsurf\n" + line)
+    assert main(["score", "--input", fixture_file,
+                 "--pairs-file", str(pairs)]) == 2
+    assert "line 2: expected 'src<TAB>dst'" in capsys.readouterr().err
+
+
 # ---- verify ----
 
 def test_verify_random_graph_cn_edges_exact(capsys):
@@ -324,6 +333,15 @@ def test_gen_rerun_from_manifest(capsys, tmp_path):
     assert out.read_bytes() == first
 
 
+def test_gen_id_map_names_each_node_by_its_index(capsys, tmp_path):
+    out, ids = tmp_path / "events.tsv", tmp_path / "ids.tsv"
+    assert main(["gen", "--seed", "5", "--n-nodes", "40", "--n-add-events", "300",
+                 "--output", str(out), "--id-map", str(ids)]) == 0
+    nodes = read_events(str(out)).node_count
+    assert nodes > 1
+    assert read_id_map(str(ids)) == {str(i): i for i in range(nodes)}
+
+
 def test_gen_infeasible_config_is_data_error(capsys):
     assert main(["gen", "--seed", "1", "--n-nodes", "4",
                  "--n-add-events", "1000", "--output", "-"]) == 2
@@ -423,10 +441,18 @@ def test_explicit_flags_override_config(capsys, gen_file, tmp_path):
 
 def test_config_bad_value_is_data_error(capsys, tmp_path):
     config = tmp_path / "conf.txt"
-    for line in ("n-nodes=many", "decay-bias=sideways"):
+    for line in ("n-nodes=many", "decay-bias=sideways", "n-nodes 40"):
         config.write_text(f"seed=3\n{line}\n")
         assert main(["gen", "--config", str(config), "--output", "-"]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+def test_config_bad_boolean_is_data_error(capsys, fixture_file, tmp_path):
+    config = tmp_path / "conf.txt"
+    config.write_text("strict-deletes=maybe\n")
+    assert main(["ingest", "--input", fixture_file, "--config", str(config),
+                 "--output", str(tmp_path / "out.tsv")]) == 2
+    assert "cannot read 'maybe' as a boolean" in capsys.readouterr().err
 
 
 def test_config_wrong_subcommand_is_data_error(capsys, gen_file, tmp_path):

@@ -345,6 +345,15 @@ def test_evaluate_lp_requires_new_edges():
         evaluate_link_prediction(tel, Measure.CN, DegreeCombination.SYM, seed=0)
 
 
+def test_evaluate_lp_requires_enough_never_present_pairs():
+    # every ordered pair of three nodes occurs: three early, three late
+    tel = _stream("a\tb\t+1\t0", "b\tc\t+1\t0", "c\ta\t+1\t0",
+                  "a\tc\t+1\t90", "b\ta\t+1\t95", "c\tb\t+1\t100")
+    with pytest.raises(ValueError,
+                       match="^cannot sample 3 never-present pairs: only 0 exist$"):
+        evaluate_link_prediction(tel, Measure.CN, DegreeCombination.SYM, seed=0)
+
+
 @pytest.mark.parametrize("config", [
     GenConfig(seed=4, n_nodes=150, n_add_events=2000),
     GenConfig(seed=6, n_nodes=12, n_add_events=100, decay_bias="low_degree"),
@@ -429,6 +438,11 @@ def test_fit_constant_lifetimes():
 def test_fit_requires_two_uncensored():
     with pytest.raises(ValueError, match="uncensored"):
         fit_exponential_half_life([(5.0, False), (3.0, True)])
+
+
+def test_fit_refuses_zero_total_lifetime():
+    with pytest.raises(ValueError, match="^total observed lifetime is zero; cannot fit a rate$"):
+        fit_exponential_half_life([(0.0, False), (0.0, False), (0, True)])
 
 
 def test_fit_recovers_half_life():

@@ -61,6 +61,8 @@ TRIGGERS = {
     "trailing tab": b"1\t2\t+1\t5\t\n",
     "bad sign": b"1\t2\t+2\t5\n",
     "three fields": b"1\t2\t+1\n",
+    # A multiple of four separators, out of (tab, tab, tab, newline) order.
+    "two-field lines": b"1\t2\n3\t5\n",
     "negative time": b"1\t2\t+1\t-3\n",
     "invalid utf-8": b"\xff\t2\t+1\t5\n",
 }

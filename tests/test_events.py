@@ -471,10 +471,13 @@ def test_id_map_bad_index_names_its_line(tmp_path):
 @pytest.mark.parametrize("lines, message", [
     ("a\t0\na\t1\nb\t1\n", r"^line 2: node 'a' is mapped twice$"),
     ("a\t0\nb\t1\nc\t1\n", r"^line 3: index 1 is mapped twice$"),
-], ids=["token", "index"])
+    ("a\t0\nb\n", r"^line 2: expected 'node<TAB>index'$"),
+    ("a\t0\nb\t1\t2\n", r"^line 2: expected 'node<TAB>index'$"),
+], ids=["token", "index", "one-field", "three-fields"])
 def test_id_map_repeat_names_its_line(tmp_path, lines, message):
     """``write_id_map`` lists each node and each index once; a map that
-    repeats either would read back as a different map, so it is refused."""
+    repeats either would read back as a different map, so it is refused,
+    as is a line that is not one node and one index."""
     path = tmp_path / "ids.tsv"
     path.write_text(lines)
     with pytest.raises(EventFormatError, match=message):

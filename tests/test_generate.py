@@ -22,6 +22,7 @@ import reference_generate as reference
 from linkdecay.cli import main
 from linkdecay.evaluation import (edge_lifetimes, fit_exponential_half_life,
                                   temporal_split)
+from linkdecay.events import TemporalEdgeList
 from linkdecay.generate import (_BATCH_FLUSH, GenConfig, _Fenwick, deletion_share,
                                 generate, solve_window_span)
 from linkdecay.graph import snapshot_at
@@ -385,6 +386,23 @@ def test_window_span_checks_its_arguments(share, half_life, message):
     span or a ZeroDivisionError."""
     with pytest.raises(ValueError, match=message):
         solve_window_span(share, half_life)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("n_nodes", 1, r"^need at least 2 nodes, got 1$"),
+    ("n_add_events", 0, r"^need at least one add event$"),
+    ("decay_half_life", 0.0, r"^decay_half_life must be positive$"),
+    ("hazard_multiplier", -1.0, r"^hazard_multiplier must be positive$"),
+    ("span", 0.0, r"^span must be positive$"),
+])
+def test_out_of_range_config_rejected(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        GenConfig(seed=0, **{field: value}).validated()
+
+
+def test_deletion_share_of_empty_stream_rejected():
+    with pytest.raises(ValueError, match="^empty event stream$"):
+        deletion_share(TemporalEdgeList.from_records([], n=0))
 
 
 def test_infeasible_config_rejected():

@@ -49,6 +49,11 @@ def test_rejects_out_of_range_endpoint():
         Graph.from_edges(2, [(0, 5)])
 
 
+def test_rejects_columns_of_different_lengths():
+    with pytest.raises(ValueError, match="^src and dst must be 1-d arrays of equal length$"):
+        Graph(3, [0, 1], [1])
+
+
 def test_neighbor_arrays_sorted_and_read_only():
     g = Graph.from_edges(5, [(2, 4), (2, 0), (2, 3), (1, 2)])
     out = g.neighbors(2, "out")

@@ -403,15 +403,14 @@ def test_block_scores_keep_the_parent_bits(block):
             [_bits(x) for x in expect.tolist()], measure
 
 
-@pytest.mark.parametrize("n", [5, 50, 51, 400, 2000, 3 * 2**30, 2**31 + 1,
-                               2**33 + 1])
+@pytest.mark.parametrize("n", [5, 50, 51, 400, 2000, 3 * 2**29, 2**31])
 def test_chunked_draw_matches_per_call_loop(n):
     """The candidate set of 'all' mode equals the one-call-per-pair loop it
     replaced.  Up to 50 nodes, and for 51 nodes with 2550 pairs, it is the
     grid of every ordered pair; otherwise a chunked sample.  Lemire's
-    bounded draw rejects a quarter of its draws for n = 3 * 2**30 and
-    nearly half for 2**31 + 1, and almost none for the other n; n above
-    2**32 takes two 64-bit words per pair.  2549 of the 2550 pairs on 51
+    bounded draw rejects a quarter of its 32-bit draws for n = 3 * 2**29,
+    and almost none for the other n; 2**31 is the largest node count a
+    ``Graph`` can have.  2549 of the 2550 pairs on 51
     nodes is a coupon collector: the last chunks hold one pair each, and
     most of their pairs are repeats."""
     stand_in = SimpleNamespace(node_count=n)

@@ -261,6 +261,7 @@ def test_spec_from_strings_and_fields():
     spec = ScoreSpec("network", "adad", "out", True)
     assert spec.fields() == {"model": "network", "measure": "adad",
                              "combo": "out", "adad-complement-weights": "true"}
+    assert str(spec) == "network/adad/out+acw"
     with pytest.raises(ValueError):
         ScoreSpec("hybrid", "pa", "sym")
 
